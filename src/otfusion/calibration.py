@@ -31,6 +31,8 @@ class PredictionSet:
             raise InputError("labels must be one index per prediction row")
         if self.probs.shape[0] == 0:
             raise InputError("prediction set is empty")
+        if not np.isfinite(self.probs).all() or (self.probs < 0).any():
+            raise InputError("probabilities must be finite and nonnegative")
         if np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-9:
             raise InputError("probability rows must sum to 1 within 1e-9")
         k = self.probs.shape[1]
@@ -145,14 +147,14 @@ def ece(preds: PredictionSet, num_bins: int = 10) -> tuple[float, ReliabilityBin
     return float(total), ReliabilityBins("equal_width", counts, acc, mean_conf, edges)
 
 
-def ace(preds: PredictionSet, num_ranges: int = 10, threshold: float = 0.0) -> tuple[float, ReliabilityBins]:
+def ace(preds: PredictionSet, num_ranges: int = 10) -> tuple[float, ReliabilityBins]:
     """Adaptive calibration error over equal-mass per-class ranges.
 
-    For every class k the predicted probabilities for k (those above
-    ``threshold``; the default keeps all) are stably sorted and split into
-    ``num_ranges`` contiguous ranges whose sizes differ by at most one.
-    The result is the unweighted mean of |accuracy - confidence| over all
-    nonempty (class, range) cells.
+    For every class k the predicted probabilities for k are stably sorted
+    and split into ``num_ranges`` contiguous ranges whose sizes differ by
+    at most one (none is empty: ``num_ranges`` may not exceed the sample
+    count). The result is the unweighted mean of |accuracy - confidence|
+    over all (class, range) cells.
     """
     if num_ranges < 1:
         raise ParameterError("need at least one range")
@@ -163,19 +165,12 @@ def ace(preds: PredictionSet, num_ranges: int = 10, threshold: float = 0.0) -> t
     acc = np.full((k, num_ranges), np.nan)
     mean_conf = np.full((k, num_ranges), np.nan)
     total = 0.0
-    cells = 0
     for cls in range(k):
         conf = preds.probs[:, cls]
-        keep = np.nonzero(conf >= threshold)[0]
-        order = keep[np.argsort(conf[keep], kind="stable")]
+        order = np.argsort(conf, kind="stable")
         for r, chunk in enumerate(np.array_split(order, num_ranges)):
             counts[cls, r] = chunk.size
-            if chunk.size == 0:
-                continue
             acc[cls, r] = (preds.labels[chunk] == cls).mean()
             mean_conf[cls, r] = conf[chunk].mean()
             total += abs(acc[cls, r] - mean_conf[cls, r])
-            cells += 1
-    if cells == 0:
-        raise InputError("threshold removed every prediction")
-    return float(total / cells), ReliabilityBins("equal_mass", counts, acc, mean_conf)
+    return float(total / (k * num_ranges)), ReliabilityBins("equal_mass", counts, acc, mean_conf)

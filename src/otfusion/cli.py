@@ -21,8 +21,8 @@ from .config import load_configs, render_default_config
 from .errors import (ContractViolationError, DimensionError, InputError,
                      NumericalError, ParameterError)
 from .significance import aso
-from .training import (METRIC_ORDER, RunReport, ablation_harness, evaluate,
-                       reports_to_csv, run_experiment, train)
+from .training import (RunReport, ablation_harness, evaluate, reports_to_csv,
+                       run_experiment, train)
 from .model import assemble_model
 from .synthetic import generate_task
 from . import gradsuite
@@ -47,7 +47,7 @@ def _write(path: str, text: str):
 def _write_report(report: RunReport, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, f"{report.label}.json"), report.to_json())
-    _write(os.path.join(out_dir, f"{report.label}.csv"), reports_to_csv([report]))
+    _write(os.path.join(out_dir, f"{report.label}.csv"), reports_to_csv([report.to_dict()]))
 
 
 def cmd_train(args) -> int:
@@ -80,8 +80,9 @@ def cmd_ablate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for report in reports:
         _write(os.path.join(args.out, f"{report.label}.json"), report.to_json())
-    _write(os.path.join(args.out, "ablation.csv"), reports_to_csv(reports))
-    print(reports_to_csv(reports), end="")
+    table = reports_to_csv([report.to_dict() for report in reports])
+    _write(os.path.join(args.out, "ablation.csv"), table)
+    print(table, end="")
     return EXIT_OK
 
 
@@ -100,12 +101,9 @@ def cmd_gradcheck(args) -> int:
 
 def _load_points(path: str) -> np.ndarray:
     try:
-        points = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError:
-        raise
+        return np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InputError(f"cannot parse point cloud {path}: {exc}") from exc
-    return points
 
 
 def cmd_ot(args) -> int:
@@ -193,19 +191,11 @@ def cmd_features(args) -> int:
 
 
 def cmd_report(args) -> int:
-    reports = []
+    payloads = []
     for path in args.inputs:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        reports.append(payload)
-    rows = ["architecture," + ",".join(f"{m}_mean,{m}_std" for m in METRIC_ORDER)]
-    for payload in reports:
-        cells = [payload["label"]]
-        for metric in METRIC_ORDER:
-            agg = payload["aggregate"][metric]
-            cells += [f"{agg['mean']:.6f}", f"{agg['std']:.6f}"]
-        rows.append(",".join(cells))
-    text = "\n".join(rows) + "\n"
+            payloads.append(json.load(fh))
+    text = reports_to_csv(payloads)
     if args.out:
         _write(args.out, text)
     else:

@@ -41,9 +41,8 @@ class ContextStrategy:
 
     @classmethod
     def default(cls, variant: str) -> "ContextStrategy":
-        if variant not in _DEFAULT_LAYERS:
-            raise ParameterError(f"unknown context strategy {variant!r}")
-        return cls(variant, _DEFAULT_LAYERS[variant])
+        # an unknown name gets a placeholder count and fails in __post_init__
+        return cls(variant, _DEFAULT_LAYERS.get(variant, 1))
 
 
 class ContextAttentionLayer:

@@ -287,18 +287,6 @@ def concat_cols(a, b) -> Node:
     return Node(np.concatenate([a.value, b.value], axis=1), (a, b), vjp)
 
 
-def concat_rows(a, b) -> Node:
-    a, b = _wrap(a), _wrap(b)
-    if a.cols != b.cols:
-        raise DimensionError(f"concat_rows: column counts {a.cols} and {b.cols} differ")
-    na = a.rows
-
-    def vjp(g):
-        return g[:na, :], g[na:, :]
-
-    return Node(np.concatenate([a.value, b.value], axis=0), (a, b), vjp)
-
-
 def slice_cols(a, start: int, stop: int) -> Node:
     a = _wrap(a)
     if not (0 <= start < stop <= a.cols):
@@ -321,16 +309,6 @@ def mean_rows(a) -> Node:
         return (np.repeat(g / n, n, axis=0),)
 
     return Node(a.value.mean(axis=0, keepdims=True), (a,), vjp)
-
-
-def sum_rows(a) -> Node:
-    a = _wrap(a)
-    n = a.rows
-
-    def vjp(g):
-        return (np.repeat(g, n, axis=0),)
-
-    return Node(a.value.sum(axis=0, keepdims=True), (a,), vjp)
 
 
 def sum_cols(a) -> Node:

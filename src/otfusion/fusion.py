@@ -19,6 +19,12 @@ from . import diffcore as dc
 from .diffcore import Node, Parameter
 from .errors import DimensionError
 
+# Width of the heads' hidden layers and their dropout rates.
+HIDDEN = 128
+CO_DROPOUT_CONCAT = 0.5
+CO_DROPOUT_HIDDEN = 0.2
+ATTN_MLP_DROPOUT = 0.1
+
 
 @dataclass
 class FusedInputs:
@@ -50,19 +56,16 @@ class CoAttentionHead:
     dropout / dense(relu) / dropout / dense(2) tail.
     """
 
-    def __init__(self, d_prime: int, k: int, rng: np.random.Generator, name: str = "co",
-                 hidden: int = 128, dropout_concat: float = 0.5, dropout_hidden: float = 0.2):
+    def __init__(self, d_prime: int, k: int, rng: np.random.Generator, name: str = "co"):
         self.d_prime, self.k = d_prime, k
-        self.dropout_concat = dropout_concat
-        self.dropout_hidden = dropout_hidden
         self.w_l = Parameter(dc.xavier_uniform(rng, d_prime, d_prime), f"{name}.w_l")
         self.w_s = Parameter(dc.xavier_uniform(rng, k, d_prime), f"{name}.w_s")
         self.w_c = Parameter(dc.xavier_uniform(rng, k, d_prime), f"{name}.w_c")
         self.w_hs = Parameter(dc.xavier_uniform(rng, k, 1), f"{name}.w_hs")
         self.w_hc = Parameter(dc.xavier_uniform(rng, k, 1), f"{name}.w_hc")
-        self.w1 = Parameter(dc.xavier_uniform(rng, 2 * d_prime, hidden), f"{name}.w1")
-        self.b1 = Parameter(np.zeros((1, hidden)), f"{name}.b1")
-        self.w_out = Parameter(dc.xavier_uniform(rng, hidden, 2), f"{name}.w_out")
+        self.w1 = Parameter(dc.xavier_uniform(rng, 2 * d_prime, HIDDEN), f"{name}.w1")
+        self.b1 = Parameter(np.zeros((1, HIDDEN)), f"{name}.b1")
+        self.w_out = Parameter(dc.xavier_uniform(rng, HIDDEN, 2), f"{name}.w_out")
         self.b_out = Parameter(np.zeros((1, 2)), f"{name}.b_out")
 
     def parameters(self) -> list[Parameter]:
@@ -87,9 +90,9 @@ def co_attention_forward(inputs: FusedInputs, head: CoAttentionHead, training: b
     s_hat = dc.matmul(a_s, s_row)
     c_hat = dc.matmul(a_c, c_row)
     p = dc.concat_cols(c_hat, s_hat)
-    p = dc.dropout(p, head.dropout_concat, training, rng)
+    p = dc.dropout(p, CO_DROPOUT_CONCAT, training, rng)
     hidden = dc.relu(dc.add(dc.matmul(p, head.w1), head.b1))
-    hidden = dc.dropout(hidden, head.dropout_hidden, training, rng)
+    hidden = dc.dropout(hidden, CO_DROPOUT_HIDDEN, training, rng)
     logits = dc.add(dc.matmul(hidden, head.w_out), head.b_out)
     if return_weights:
         return logits, a_c, a_s
@@ -103,17 +106,15 @@ class AttnFusionHead:
     a common width, summed, layer-normalized, and classified.
     """
 
-    def __init__(self, d_prime: int, d_z: int, rng: np.random.Generator, name: str = "attnfuse",
-                 hidden: int = 128, mlp_dropout: float = 0.1):
+    def __init__(self, d_prime: int, d_z: int, rng: np.random.Generator, name: str = "attnfuse"):
         self.d_prime, self.d_z = d_prime, d_z
-        self.mlp_dropout = mlp_dropout
-        self.c_w1 = Parameter(dc.xavier_uniform(rng, d_prime, hidden), f"{name}.c_w1")
-        self.c_b1 = Parameter(np.zeros((1, hidden)), f"{name}.c_b1")
-        self.c_w2 = Parameter(dc.xavier_uniform(rng, hidden, 1), f"{name}.c_w2")
+        self.c_w1 = Parameter(dc.xavier_uniform(rng, d_prime, HIDDEN), f"{name}.c_w1")
+        self.c_b1 = Parameter(np.zeros((1, HIDDEN)), f"{name}.c_b1")
+        self.c_w2 = Parameter(dc.xavier_uniform(rng, HIDDEN, 1), f"{name}.c_w2")
         self.c_b2 = Parameter(np.zeros((1, 1)), f"{name}.c_b2")
-        self.s_w1 = Parameter(dc.xavier_uniform(rng, d_prime, hidden), f"{name}.s_w1")
-        self.s_b1 = Parameter(np.zeros((1, hidden)), f"{name}.s_b1")
-        self.s_w2 = Parameter(dc.xavier_uniform(rng, hidden, 1), f"{name}.s_w2")
+        self.s_w1 = Parameter(dc.xavier_uniform(rng, d_prime, HIDDEN), f"{name}.s_w1")
+        self.s_b1 = Parameter(np.zeros((1, HIDDEN)), f"{name}.s_b1")
+        self.s_w2 = Parameter(dc.xavier_uniform(rng, HIDDEN, 1), f"{name}.s_w2")
         self.s_b2 = Parameter(np.zeros((1, 1)), f"{name}.s_b2")
         self.w_c = Parameter(dc.xavier_uniform(rng, d_prime, d_z), f"{name}.w_c")
         self.w_s = Parameter(dc.xavier_uniform(rng, d_prime, d_z), f"{name}.w_s")
@@ -129,10 +130,10 @@ class AttnFusionHead:
                 self.w_out, self.b_out]
 
 
-def _reduction_weights(m: Node, w1, b1, w2, b2, rate, training, rng) -> Node:
+def _reduction_weights(m: Node, w1, b1, w2, b2, training, rng) -> Node:
     n = m.rows
     h = dc.relu(dc.add(dc.matmul(m, w1), dc.tile_rows(b1, n)))
-    h = dc.dropout(h, rate, training, rng)
+    h = dc.dropout(h, ATTN_MLP_DROPOUT, training, rng)
     scores = dc.add(dc.matmul(h, w2), dc.tile_rows(b2, n))
     return dc.softmax_rows(dc.transpose(scores))
 
@@ -142,9 +143,9 @@ def attn_fusion_forward(inputs: FusedInputs, head: AttnFusionHead, training: boo
                         return_weights: bool = False):
     """Logits (1 x 2) from the attentional-reduction head."""
     alpha_c = _reduction_weights(inputs.c, head.c_w1, head.c_b1, head.c_w2, head.c_b2,
-                                 head.mlp_dropout, training, rng)
+                                 training, rng)
     alpha_s = _reduction_weights(inputs.s, head.s_w1, head.s_b1, head.s_w2, head.s_b2,
-                                 head.mlp_dropout, training, rng)
+                                 training, rng)
     c_tilde = dc.matmul(alpha_c, inputs.c)
     s_tilde = dc.matmul(alpha_s, inputs.s)
     z = dc.layer_norm(dc.add(dc.matmul(c_tilde, head.w_c), dc.matmul(s_tilde, head.w_s)),

@@ -20,29 +20,18 @@ from .errors import DimensionError
 class GatedSelfAttentionLayer:
     """Gate projections for one gated self-attention layer.
 
-    The three fully-connected gate maps carry no bias by default, matching
-    the plain matrix products in the defining equations; ``with_bias``
-    turns biases on for ablation.
+    The three fully-connected gate maps carry no bias, matching the plain
+    matrix products in the defining equations.
     """
 
-    def __init__(self, d: int, d_g: int, rng: np.random.Generator,
-                 name: str = "gated", with_bias: bool = False):
+    def __init__(self, d: int, d_g: int, rng: np.random.Generator, name: str = "gated"):
         self.d, self.d_g = d, d_g
         self.fc_q = Parameter(dc.xavier_uniform(rng, d, d_g), f"{name}.fc_q")
         self.fc_k = Parameter(dc.xavier_uniform(rng, d, d_g), f"{name}.fc_k")
         self.fc_out = Parameter(dc.xavier_uniform(rng, d_g, 2), f"{name}.fc_out")
-        self.with_bias = with_bias
-        self.b_q = self.b_k = self.b_out = None
-        if with_bias:
-            self.b_q = Parameter(np.zeros((1, d_g)), f"{name}.b_q")
-            self.b_k = Parameter(np.zeros((1, d_g)), f"{name}.b_k")
-            self.b_out = Parameter(np.zeros((1, 2)), f"{name}.b_out")
 
     def parameters(self) -> list[Parameter]:
-        params = [self.fc_q, self.fc_k, self.fc_out]
-        if self.with_bias:
-            params += [self.b_q, self.b_k, self.b_out]
-        return params
+        return [self.fc_q, self.fc_k, self.fc_out]
 
 
 def gating_masks(q: Node, k: Node, layer: GatedSelfAttentionLayer) -> Node:
@@ -51,13 +40,7 @@ def gating_masks(q: Node, k: Node, layer: GatedSelfAttentionLayer) -> Node:
         raise DimensionError(f"gating_masks: shapes {q.shape} and {k.shape} differ")
     hq = dc.matmul(q, layer.fc_q)
     hk = dc.matmul(k, layer.fc_k)
-    if layer.with_bias:
-        hq = dc.add(hq, dc.tile_rows(layer.b_q, q.rows))
-        hk = dc.add(hk, dc.tile_rows(layer.b_k, k.rows))
-    pre = dc.matmul(dc.elementwise_mul(hq, hk), layer.fc_out)
-    if layer.with_bias:
-        pre = dc.add(pre, dc.tile_rows(layer.b_out, q.rows))
-    return dc.sigmoid(pre)
+    return dc.sigmoid(dc.matmul(dc.elementwise_mul(hq, hk), layer.fc_out))
 
 
 def gated_attention(s: Node, layer: GatedSelfAttentionLayer,

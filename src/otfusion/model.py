@@ -111,9 +111,7 @@ class Model:
             self.references = Parameter(
                 dc.xavier_uniform(head_rng, cfg.seq_len, cfg.d), "otk.references",
             )
-            self._refs_initialized = False
         self.smoothing = calib.SmoothingConfig(cfg.label_smoothing_alpha, 2)
-        self.last_otk_violation = 0.0
         self._plan_cache: list[np.ndarray] | None = None
         self._plan_cursor = 0
 
@@ -142,20 +140,13 @@ class Model:
         self._plan_cursor = 0
 
     def _transport_weights(self, src_v: np.ndarray, tgt_v: np.ndarray) -> np.ndarray:
-        if self._plan_cache is not None and self._plan_cursor < len(self._plan_cache):
-            w = self._plan_cache[self._plan_cursor]
-            self._plan_cursor += 1
-            return w
-        n = src_v.shape[0]
-        coupling = transport.emd_exact(
-            np.full(n, 1.0 / n),
-            np.full(tgt_v.shape[0], 1.0 / tgt_v.shape[0]),
-            transport.cost_matrix(src_v, tgt_v),
-        )
-        w = coupling.plan * n
-        if self._plan_cache is not None:
-            self._plan_cache.append(w)
-            self._plan_cursor += 1
+        cache = self._plan_cache
+        if cache is None:
+            return transport.transport_weights(src_v, tgt_v)
+        if self._plan_cursor == len(cache):
+            cache.append(transport.transport_weights(src_v, tgt_v))
+        w = cache[self._plan_cursor]
+        self._plan_cursor += 1
         return w
 
     def _adapt(self, src: Node, tgt: Node) -> Node:
@@ -170,7 +161,6 @@ class Model:
         pool = np.asarray(encoded_rows, dtype=float)
         idx = rng.choice(pool.shape[0], size=self.cfg.seq_len, replace=pool.shape[0] < self.cfg.seq_len)
         self.references.value[...] = pool[idx]
-        self._refs_initialized = True
 
     def encode_image(self, y_raw: np.ndarray) -> np.ndarray:
         return np.asarray(y_raw, dtype=float) @ self.e_img
@@ -179,12 +169,10 @@ class Model:
         """Length-equalized image representation per the configured mode."""
         cfg = self.cfg
         if cfg.otk_mode == OTK:
-            emb = transport.otk_embed(
+            return transport.otk_embed(
                 y_enc, self.references,
                 transport.OTKConfig(cfg.seq_len, cfg.otk_eps, cfg.otk_iters),
-            )
-            self.last_otk_violation = emb.marginal_violation
-            return emb.values
+            ).values
         if cfg.otk_mode == REPEAT:
             return dc.tile_rows(dc.mean_rows(dc.constant(y_enc)), cfg.seq_len)
         if y_enc.shape[0] != cfg.seq_len:
@@ -243,30 +231,6 @@ class Model:
 def assemble_model(cfg: ModelConfig, seed: int = 0) -> Model:
     """Build a trainable model for the given configuration."""
     return Model(cfg, seed)
-
-
-def expected_parameter_count(cfg: ModelConfig) -> int:
-    """Closed-form parameter count from the declared shapes."""
-    d, d_q, d_k = cfg.d, cfg.d_q, cfg.d_k
-    strat = cfg.context_strategy()
-    per_layer = d * d_q + d * d_k + d * d_q + d * d_k + 2 * d_q + 2 * d_k
-    total = strat.layers * per_layer
-    if strat.variant in (ctx.DEEP, ctx.DEEP_GLOBAL):
-        total += sum((j + 1) * d * d for j in range(strat.layers))
-    total += d * cfg.d_g * 2 + cfg.d_g * 2
-    d_prime = 2 * d
-    if cfg.fusion == CO_ATTENTION:
-        total += d_prime * d_prime + 2 * cfg.k * d_prime + 2 * cfg.k
-        total += 2 * d_prime * 128 + 128 + 128 * 2 + 2
-    elif cfg.fusion == ATTN_FUSION:
-        total += 2 * (d_prime * 128 + 128 + 128 + 1)
-        total += 2 * d_prime * cfg.d_z + 2 * cfg.d_z
-        total += cfg.d_z * 2 + 2
-    else:
-        total += 2 * d_prime * 2 + 2
-    if cfg.otk_mode == OTK:
-        total += cfg.seq_len * d
-    return total
 
 
 def ablation_variant(base: ModelConfig, axis: str) -> list[tuple[str, ModelConfig]]:

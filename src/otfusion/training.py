@@ -314,18 +314,20 @@ def fingerprint_configs(task_cfg: SyntheticTaskConfig, mc: ModelConfig, tc: Trai
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def reports_to_csv(reports: list[RunReport]) -> str:
-    """Render reports as a CSV table in the canonical metric column order."""
+def reports_to_csv(payloads: list[dict]) -> str:
+    """Render report payloads (``RunReport.to_dict()`` or its JSON, read
+    back) as a CSV table in the canonical metric column order; only their
+    "label" and "aggregate" entries are used."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["architecture"]
     for name in METRIC_ORDER:
         header += [f"{name}_mean", f"{name}_std"]
     writer.writerow(header)
-    for report in reports:
-        row = [report.label]
+    for payload in payloads:
+        row = [payload["label"]]
         for name in METRIC_ORDER:
-            agg = report.aggregate[name]
+            agg = payload["aggregate"][name]
             row += [f"{agg['mean']:.6f}", f"{agg['std']:.6f}"]
         writer.writerow(row)
     return buf.getvalue()

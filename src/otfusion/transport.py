@@ -34,12 +34,9 @@ class Coupling:
     converged: bool = True
     marginal_violation: float = 0.0
 
-    def transport_cost(self, cost: np.ndarray) -> float:
-        return float((self.plan * cost).sum())
 
-
-def cost_matrix(src: np.ndarray, tgt: np.ndarray, metric: str = "sqeuclidean") -> np.ndarray:
-    """Pairwise costs between the rows of src and tgt."""
+def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean costs between the rows of src and tgt."""
     src = np.asarray(src, dtype=float)
     tgt = np.asarray(tgt, dtype=float)
     if src.ndim != 2 or tgt.ndim != 2:
@@ -52,11 +49,7 @@ def cost_matrix(src: np.ndarray, tgt: np.ndarray, metric: str = "sqeuclidean") -
         - 2.0 * src @ tgt.T
     )
     np.maximum(sq, 0.0, out=sq)
-    if metric == "sqeuclidean":
-        return sq
-    if metric == "euclidean":
-        return np.sqrt(sq)
-    raise ParameterError(f"unknown metric {metric!r}")
+    return sq
 
 
 def _check_marginals(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
@@ -72,6 +65,14 @@ def _check_marginals(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
         raise InputError(
             f"marginals must sum to 1 within 1e-9, got {a.sum():.12f} and {b.sum():.12f}"
         )
+
+
+def _marginal_violation(plan: np.ndarray, a, b) -> float:
+    """Worst absolute gap between the plan's row/column sums and a / b."""
+    return float(max(
+        np.abs(plan.sum(axis=1) - a).max(),
+        np.abs(plan.sum(axis=0) - b).max(),
+    ))
 
 
 def emd_exact(a, b, cost: np.ndarray) -> Coupling:
@@ -109,11 +110,8 @@ def emd_exact(a, b, cost: np.ndarray) -> Coupling:
         if not res.success:
             raise InputError(f"transport LP failed: {res.message}")
         plan = res.x.reshape(n, m)
-    violation = max(
-        np.abs(plan.sum(axis=1) - a).max(),
-        np.abs(plan.sum(axis=0) - b).max(),
-    )
-    return Coupling(plan, a, b, float((plan * cost).sum()), True, float(violation))
+    return Coupling(plan, a, b, float((plan * cost).sum()), True,
+                    _marginal_violation(plan, a, b))
 
 
 def _round_to_feasible(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,17 +161,14 @@ def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
         g = eps * (log_b - logsumexp(k + f[:, None] / eps, axis=0))
         g[zero_b] = -np.inf
         plan = np.exp(k + f[:, None] / eps + g[None, :] / eps)
-        violation = max(
-            np.abs(plan.sum(axis=1) - a).max(),
-            np.abs(plan.sum(axis=0) - b).max(),
-        )
+        violation = _marginal_violation(plan, a, b)
         if violation < tol:
             converged = True
             break
     plan = np.exp(k + f[:, None] / eps + g[None, :] / eps)
     if round_plan:
         plan = _round_to_feasible(plan, a, b)
-    return Coupling(plan, a, b, float((plan * cost).sum()), converged, float(violation))
+    return Coupling(plan, a, b, float((plan * cost).sum()), converged, violation)
 
 
 def barycentric_map(coupling: Coupling, target_points: np.ndarray) -> np.ndarray:
@@ -189,21 +184,25 @@ def barycentric_map(coupling: Coupling, target_points: np.ndarray) -> np.ndarray
     return (coupling.plan / a[:, None]) @ target_points
 
 
+def transport_weights(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """Barycentric weights (plan * n) of the exact EMD plan between uniform
+    marginals on the rows of src and tgt; ``weights @ tgt`` maps each
+    source row into tgt's domain."""
+    n, m = src.shape[0], tgt.shape[0]
+    coupling = emd_exact(np.full(n, 1.0 / n), np.full(m, 1.0 / m), cost_matrix(src, tgt))
+    return coupling.plan * n
+
+
 def ot_adapt(src, tgt):
     """Transport src into tgt's domain: uniform marginals, exact EMD, then
     barycentric projection. Accepts plain arrays (returns an array) or
     graph nodes (returns a node whose gradient flows through the target
     features only; the plan is a constant).
     """
-    src_is_node = isinstance(src, Node)
     tgt_is_node = isinstance(tgt, Node)
-    src_v = src.value if src_is_node else np.asarray(src, dtype=float)
+    src_v = src.value if isinstance(src, Node) else np.asarray(src, dtype=float)
     tgt_v = tgt.value if tgt_is_node else np.asarray(tgt, dtype=float)
-    if src_v.shape[1] != tgt_v.shape[1]:
-        raise DimensionError(f"feature dims differ: {src_v.shape[1]} vs {tgt_v.shape[1]}")
-    n, m = src_v.shape[0], tgt_v.shape[0]
-    coupling = emd_exact(np.full(n, 1.0 / n), np.full(m, 1.0 / m), cost_matrix(src_v, tgt_v))
-    weights = coupling.plan * n
+    weights = transport_weights(src_v, tgt_v)
     if tgt_is_node:
         return dc.matmul(dc.constant(weights), tgt)
     return weights @ tgt_v
@@ -288,9 +287,5 @@ def otk_embed(y, references, cfg: OTKConfig) -> OTKEmbedding:
     weights = dc.elementwise_div(weights, dc.tile_cols(row_mass, t))
     out = dc.matmul(weights, y)
 
-    p = plan.value
-    violation = max(
-        np.abs(p.sum(axis=1) - 1.0 / t).max(),
-        np.abs(p.sum(axis=0) - 1.0 / n).max(),
-    )
-    return OTKEmbedding(out, float(violation), violation < cfg.marginal_tol)
+    violation = _marginal_violation(plan.value, 1.0 / t, 1.0 / n)
+    return OTKEmbedding(out, violation, violation < cfg.marginal_tol)

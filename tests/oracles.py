@@ -10,6 +10,9 @@ import itertools
 
 import numpy as np
 
+from otfusion import context_attention as ctx
+from otfusion.model import ATTN_FUSION, CO_ATTENTION, OTK
+
 
 def emd_cost_bruteforce(a, b, cost):
     """Exact minimum transport cost by enumerating spanning-tree bases.
@@ -125,6 +128,32 @@ def ace_bruteforce(probs, labels, num_ranges):
             total += abs(acc - mean_conf)
             cells += 1
     return total / cells
+
+
+def expected_parameter_count(cfg):
+    """Closed-form parameter count of an assembled model from the declared
+    shapes; the heads' hidden width is written out as 128, not read from
+    the library."""
+    d, d_q, d_k = cfg.d, cfg.d_q, cfg.d_k
+    strat = cfg.context_strategy()
+    per_layer = d * d_q + d * d_k + d * d_q + d * d_k + 2 * d_q + 2 * d_k
+    total = strat.layers * per_layer
+    if strat.variant in (ctx.DEEP, ctx.DEEP_GLOBAL):
+        total += sum((j + 1) * d * d for j in range(strat.layers))
+    total += d * cfg.d_g * 2 + cfg.d_g * 2
+    d_prime = 2 * d
+    if cfg.fusion == CO_ATTENTION:
+        total += d_prime * d_prime + 2 * cfg.k * d_prime + 2 * cfg.k
+        total += 2 * d_prime * 128 + 128 + 128 * 2 + 2
+    elif cfg.fusion == ATTN_FUSION:
+        total += 2 * (d_prime * 128 + 128 + 128 + 1)
+        total += 2 * d_prime * cfg.d_z + 2 * cfg.d_z
+        total += cfg.d_z * 2 + 2
+    else:
+        total += 2 * d_prime * 2 + 2
+    if cfg.otk_mode == OTK:
+        total += cfg.seq_len * d
+    return total
 
 
 def window_slope_bruteforce(row, width):

@@ -204,3 +204,8 @@ class TestPredictionSetValidation:
     def test_labels_in_range(self):
         with pytest.raises(InputError):
             cal.PredictionSet(np.array([[0.5, 0.5]]), np.array([2]))
+
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [-0.5, 1.5]])
+    def test_nan_or_negative_probabilities_rejected(self, row):
+        with pytest.raises(InputError):
+            cal.PredictionSet(np.array([row, [0.2, 0.8]]), np.array([0, 1]))

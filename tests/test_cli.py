@@ -149,6 +149,13 @@ class TestReportCommand:
         assert lines[0].startswith("architecture,precision_mean,precision_std,recall_mean")
         assert lines[1].startswith("tiny,")
 
+    def test_report_reproduces_train_csv_bytes(self, tiny_config, tmp_path):
+        out_dir = tmp_path / "r"
+        assert main(["train", "--config", tiny_config, "--out", str(out_dir)]) == 0
+        table = tmp_path / "t.csv"
+        assert main(["report", str(out_dir / "tiny.json"), "--out", str(table)]) == 0
+        assert table.read_bytes() == (out_dir / "tiny.csv").read_bytes()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):

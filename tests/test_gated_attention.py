@@ -8,8 +8,8 @@ from otfusion.diffcore import grad_check
 from otfusion.errors import DimensionError
 
 
-def make_layer(d=8, d_g=5, seed=0, with_bias=False):
-    return ga.GatedSelfAttentionLayer(d, d_g, np.random.default_rng(seed), with_bias=with_bias)
+def make_layer(d=8, d_g=5, seed=0):
+    return ga.GatedSelfAttentionLayer(d, d_g, np.random.default_rng(seed))
 
 
 def softmax_np(m):
@@ -102,11 +102,3 @@ class TestGatedAttention:
 
         reports = grad_check(loss, layer.parameters(), tol=1e-4)
         assert all(r.passed for r in reports)
-
-    def test_bias_flag_adds_parameters(self):
-        plain = make_layer()
-        biased = make_layer(with_bias=True)
-        assert len(biased.parameters()) == len(plain.parameters()) + 3
-        s = np.random.default_rng(10).uniform(-2, 2, (4, 8))
-        out = ga.gated_attention(dc.constant(s), biased)
-        assert out.shape == (4, 8)

@@ -1,0 +1,10 @@
+import pytest
+
+from otfusion.gradsuite import run_suite
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 804180560])
+def test_suite_passes_on_seeds_that_draw_near_relu_kinks(seed):
+    failed = [(r.name, r.max_rel_error) for r in run_suite(seed=seed) if not r.passed]
+    assert not failed

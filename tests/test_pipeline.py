@@ -2,10 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import expected_parameter_count
+
+from otfusion import diffcore as dc
+from otfusion import transport as tr
 from otfusion.calibration import PredictionSet
 from otfusion.errors import ParameterError
-from otfusion.model import (ModelConfig, ablation_variant, assemble_model,
-                            expected_parameter_count)
+from otfusion.model import ModelConfig, ablation_variant, assemble_model
 from otfusion.significance import aso
 from otfusion.synthetic import SyntheticTaskConfig, generate_task
 from otfusion.training import (EarlyStopping, TrainConfig, classification_metrics,
@@ -126,6 +129,19 @@ class TestAssembleModel:
             model.forward(rng.standard_normal((5, 8)), rng.standard_normal((6, 8)), False)
         with pytest.raises(DimensionError):
             model.forward(rng.standard_normal((6, 8)), rng.standard_normal((6, 7)), False)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("src_rows,tgt_rows", [(6, 6), (5, 7)])
+    def test_adapted_features_equal_ot_adapt(self, frozen, src_rows, tgt_rows):
+        model = assemble_model(tiny_model(), seed=5)
+        model.freeze_ot_plans(frozen)
+        rng = np.random.default_rng(7)
+        src, tgt = rng.standard_normal((src_rows, 8)), rng.standard_normal((tgt_rows, 8))
+        expected = tr.ot_adapt(src, tgt)
+        for _ in range(2):  # the second pass replays a frozen plan
+            model._plan_cursor = 0
+            adapted = model._adapt(dc.constant(src), dc.constant(tgt))
+            npt.assert_array_equal(adapted.value, expected)
 
     def test_otk_reference_init_from_data(self):
         model = assemble_model(tiny_model(), seed=4)

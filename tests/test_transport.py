@@ -33,10 +33,6 @@ class TestCostMatrix:
         expected = np.array([[np.sum((s - t) ** 2) for t in tgt] for s in src])
         npt.assert_allclose(cost, expected, atol=1e-12)
 
-    def test_euclidean_metric(self):
-        cost = tr.cost_matrix(np.array([[0.0]]), np.array([[3.0]]), metric="euclidean")
-        npt.assert_allclose(cost, [[3.0]])
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             tr.cost_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
