@@ -87,7 +87,8 @@ def ls_cross_entropy(probs, smoothed: np.ndarray):
     """Cross-entropy sum_k -target_k * log(p_k) with a 1e-12 floor on p.
 
     Accepts a graph node (returns a differentiable 1x1 node) or a plain
-    vector (returns a float).
+    vector (returns a float). A node may hold a batch of probability rows
+    with one target row each; the result is then the sum over the batch.
     """
     smoothed = np.asarray(smoothed, dtype=float).ravel()
     if isinstance(probs, Node):

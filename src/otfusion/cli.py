@@ -136,7 +136,10 @@ def cmd_calib(args) -> int:
         raise InputError(f"cannot parse {args.input}: {exc}") from exc
     if raw.shape[1] != 3:
         raise InputError("calibration CSV needs columns prob_class0,prob_class1,label")
-    preds = PredictionSet(raw[:, :2], raw[:, 2].astype(int))
+    labels = raw[:, 2]
+    if not np.array_equal(labels, np.round(labels)):
+        raise InputError("calibration CSV labels must be integers")
+    preds = PredictionSet(raw[:, :2], labels.astype(int))
     ece_value, ece_bins = ece(preds, args.bins)
     ace_value, _ = ace(preds, args.ranges)
     print(json.dumps({"ece": ece_value, "ace": ace_value, "n": preds.n},
@@ -194,7 +197,16 @@ def cmd_report(args) -> int:
     payloads = []
     for path in args.inputs:
         with open(path, "r", encoding="utf-8") as fh:
-            payloads.append(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise InputError(f"{path} is not a JSON report: {exc}") from exc
+        try:
+            reports_to_csv([payload])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path} is not a run report (it needs a label and each "
+                             f"metric's aggregate mean and std): {exc!r}") from exc
+        payloads.append(payload)
     text = reports_to_csv(payloads)
     if args.out:
         _write(args.out, text)

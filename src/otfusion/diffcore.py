@@ -1,14 +1,21 @@
-"""Dense 2-D matrix algebra with reverse-mode differentiation.
+"""Dense matrix algebra with reverse-mode differentiation.
 
-Every value is a 2-D float array wrapped in a :class:`Node`. Operations
-build a graph on the fly; calling :func:`backward` on a 1x1 node fills in
-``grad`` on every node that (transitively) depends on a trainable
-:class:`Parameter`. Gradients are checked against central finite
-differences by :func:`grad_check`; those checks assume 64-bit arrays.
+Every value is a float array wrapped in a :class:`Node`: a 2-D
+``(rows, cols)`` matrix, or a ``(B, rows, cols)`` stack of B matrices.
+Each op works on the last two axes, so it runs a whole minibatch in one
+call; a per-sample call is simply the same op without the batch axis
+(B=1). A 2-D operand, such as a :class:`Parameter`, is shared by every
+matrix in a stack, and its gradient is summed over the batch.
+Operations build a graph on the fly; calling :func:`backward` on a 1x1
+node fills in ``grad`` on every node that (transitively) depends on a
+trainable :class:`Parameter`. Gradients are checked against central
+finite differences by :func:`grad_check`; those checks assume 64-bit
+arrays.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +31,8 @@ def _as_array(value, dtype=None) -> np.ndarray:
         a = a.astype(DEFAULT_DTYPE)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got shape {a.shape}")
+    if a.ndim not in (2, 3):
+        raise DimensionError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     return a
 
 
@@ -37,9 +44,11 @@ class Node:
     def __init__(self, value, parents=(), vjp=None, requires_grad=False):
         self.value = _as_array(value)
         self.grad = None
-        self._parents = parents
-        self._vjp = vjp
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        # backward never visits a node outside the gradient graph, so such a
+        # node keeps no links that would hold its inputs' values alive
+        self._parents = parents if self.requires_grad else ()
+        self._vjp = vjp if self.requires_grad else None
 
     @property
     def shape(self):
@@ -47,11 +56,11 @@ class Node:
 
     @property
     def rows(self):
-        return self.value.shape[0]
+        return self.value.shape[-2]
 
     @property
     def cols(self):
-        return self.value.shape[1]
+        return self.value.shape[-1]
 
     def __repr__(self):
         return f"Node(shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -83,9 +92,26 @@ def _wrap(x) -> Node:
     return x if isinstance(x, Node) else constant(x)
 
 
+def _require_same_batch(a: Node, b: Node, op: str):
+    """Two stacks must have the same batch size; a 2-D operand fits any."""
+    sa, sb = a.value.shape, b.value.shape
+    if len(sa) == len(sb) == 3 and sa[0] != sb[0]:
+        raise DimensionError(f"{op}: batch sizes of {sa} and {sb} differ")
+
+
 def _require_same_shape(a: Node, b: Node, op: str):
-    if a.value.shape != b.value.shape:
+    if a.value.shape[-2:] != b.value.shape[-2:]:
         raise DimensionError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
+    _require_same_batch(a, b, op)
+
+
+def _unbroadcast(g: np.ndarray, node: Node) -> np.ndarray:
+    """Sum the batch axis out of a gradient whose operand has none."""
+    return g.sum(axis=0) if g.ndim > node.value.ndim else g
+
+
+def _t(v: np.ndarray) -> np.ndarray:
+    return v.swapaxes(-1, -2)
 
 
 def backward(root: Node):
@@ -131,6 +157,19 @@ def zero_grads(params):
         p.zero_grad()
 
 
+@contextmanager
+def inference(params):
+    """Treat ``params`` as constants inside the block: ops then record no
+    graph, and each intermediate value is freed once nothing uses it."""
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p in params:
+            p.requires_grad = True
+
+
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
@@ -140,10 +179,12 @@ def matmul(a, b) -> Node:
     a, b = _wrap(a), _wrap(b)
     if a.cols != b.rows:
         raise DimensionError(f"matmul: inner dims of {a.value.shape} and {b.value.shape} differ")
+    _require_same_batch(a, b, "matmul")
     av, bv = a.value, b.value
 
     def vjp(g):
-        return g @ bv.T, av.T @ g
+        return (_unbroadcast(g @ _t(bv), a) if a.requires_grad else None,
+                _unbroadcast(_t(av) @ g, b) if b.requires_grad else None)
 
     return Node(av @ bv, (a, b), vjp)
 
@@ -153,7 +194,7 @@ def add(a, b) -> Node:
     _require_same_shape(a, b, "add")
 
     def vjp(g):
-        return g, g
+        return _unbroadcast(g, a), _unbroadcast(g, b)
 
     return Node(a.value + b.value, (a, b), vjp)
 
@@ -163,7 +204,7 @@ def sub(a, b) -> Node:
     _require_same_shape(a, b, "sub")
 
     def vjp(g):
-        return g, -g
+        return _unbroadcast(g, a), _unbroadcast(-g, b)
 
     return Node(a.value - b.value, (a, b), vjp)
 
@@ -184,7 +225,7 @@ def elementwise_mul(a, b) -> Node:
     av, bv = a.value, b.value
 
     def vjp(g):
-        return g * bv, g * av
+        return _unbroadcast(g * bv, a), _unbroadcast(g * av, b)
 
     return Node(av * bv, (a, b), vjp)
 
@@ -196,7 +237,7 @@ def elementwise_div(a, b) -> Node:
     out = av / bv
 
     def vjp(g):
-        return g / bv, -g * out / bv
+        return _unbroadcast(g / bv, a), _unbroadcast(-g * out / bv, b)
 
     return Node(out, (a, b), vjp)
 
@@ -255,12 +296,12 @@ def log_ew(a) -> Node:
 def softmax_rows(a) -> Node:
     """Row-wise softmax, stabilized by subtracting each row's max."""
     a = _wrap(a)
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
+    shifted = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
     return Node(out, (a,), vjp)
@@ -270,21 +311,22 @@ def transpose(a) -> Node:
     a = _wrap(a)
 
     def vjp(g):
-        return (g.T,)
+        return (_t(g),)
 
-    return Node(a.value.T.copy(), (a,), vjp)
+    return Node(_t(a.value).copy(), (a,), vjp)
 
 
 def concat_cols(a, b) -> Node:
     a, b = _wrap(a), _wrap(b)
-    if a.rows != b.rows:
-        raise DimensionError(f"concat_cols: row counts {a.rows} and {b.rows} differ")
+    if a.value.shape[:-1] != b.value.shape[:-1]:
+        raise DimensionError(f"concat_cols: shapes {a.value.shape} and {b.value.shape} "
+                             "differ before the last axis")
     na = a.cols
 
     def vjp(g):
-        return g[:, :na], g[:, na:]
+        return g[..., :na], g[..., na:]
 
-    return Node(np.concatenate([a.value, b.value], axis=1), (a, b), vjp)
+    return Node(np.concatenate([a.value, b.value], axis=-1), (a, b), vjp)
 
 
 def slice_cols(a, start: int, stop: int) -> Node:
@@ -294,10 +336,10 @@ def slice_cols(a, start: int, stop: int) -> Node:
 
     def vjp(g):
         full = np.zeros_like(a.value)
-        full[:, start:stop] = g
+        full[..., start:stop] = g
         return (full,)
 
-    return Node(a.value[:, start:stop].copy(), (a,), vjp)
+    return Node(a.value[..., start:stop].copy(), (a,), vjp)
 
 
 def mean_rows(a) -> Node:
@@ -306,9 +348,9 @@ def mean_rows(a) -> Node:
     n = a.rows
 
     def vjp(g):
-        return (np.repeat(g / n, n, axis=0),)
+        return (np.repeat(g / n, n, axis=-2),)
 
-    return Node(a.value.mean(axis=0, keepdims=True), (a,), vjp)
+    return Node(a.value.mean(axis=-2, keepdims=True), (a,), vjp)
 
 
 def sum_cols(a) -> Node:
@@ -316,12 +358,13 @@ def sum_cols(a) -> Node:
     d = a.cols
 
     def vjp(g):
-        return (np.repeat(g, d, axis=1),)
+        return (np.repeat(g, d, axis=-1),)
 
-    return Node(a.value.sum(axis=1, keepdims=True), (a,), vjp)
+    return Node(a.value.sum(axis=-1, keepdims=True), (a,), vjp)
 
 
 def sum_all(a) -> Node:
+    """Sum of every entry, over the whole batch too: the 1x1 loss root."""
     a = _wrap(a)
 
     def vjp(g):
@@ -337,9 +380,9 @@ def tile_rows(a, n: int) -> Node:
         raise DimensionError(f"tile_rows expects a single row, got {a.value.shape}")
 
     def vjp(g):
-        return (g.sum(axis=0, keepdims=True),)
+        return (g.sum(axis=-2, keepdims=True),)
 
-    return Node(np.repeat(a.value, n, axis=0), (a,), vjp)
+    return Node(np.repeat(a.value, n, axis=-2), (a,), vjp)
 
 
 def tile_cols(a, d: int) -> Node:
@@ -349,9 +392,9 @@ def tile_cols(a, d: int) -> Node:
         raise DimensionError(f"tile_cols expects a single column, got {a.value.shape}")
 
     def vjp(g):
-        return (g.sum(axis=1, keepdims=True),)
+        return (g.sum(axis=-1, keepdims=True),)
 
-    return Node(np.repeat(a.value, d, axis=1), (a,), vjp)
+    return Node(np.repeat(a.value, d, axis=-1), (a,), vjp)
 
 
 def clamp_min(a, floor: float) -> Node:
@@ -373,26 +416,26 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Node:
             f"layer_norm: gain/bias must be 1x{a.cols}, got {gain.value.shape} and {bias.value.shape}"
         )
     v = a.value
-    mu = v.mean(axis=1, keepdims=True)
-    var = v.var(axis=1, keepdims=True)
+    mu = v.mean(axis=-1, keepdims=True)
+    var = v.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (v - mu) * inv
     gv = gain.value
 
     def vjp(g):
-        d = v.shape[1]
         gx = g * gv
-        dxhat_term = gx - gx.mean(axis=1, keepdims=True) - xhat * (gx * xhat).mean(axis=1, keepdims=True)
+        dxhat_term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
         da = dxhat_term * inv
-        dgain = (g * xhat).sum(axis=0, keepdims=True)
-        dbias = g.sum(axis=0, keepdims=True)
+        dgain = _unbroadcast((g * xhat).sum(axis=-2, keepdims=True), gain)
+        dbias = _unbroadcast(g.sum(axis=-2, keepdims=True), bias)
         return da, dgain, dbias
 
     return Node(xhat * gv + bias.value, (a, gain, bias), vjp)
 
 
 def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = None) -> Node:
-    """Inverted dropout: train-time zeroing with 1/(1-rate) rescale, eval identity."""
+    """Inverted dropout: train-time zeroing with 1/(1-rate) rescale, eval identity.
+    One draw from ``rng`` covers every entry, so a batch gets one call."""
     a = _wrap(a)
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")

@@ -1,8 +1,9 @@
 """Fusion heads over the concatenated self-attended and transported features.
 
-Both heads consume a pair of n x d' matrices (d' twice the branch width):
-the text side [attended, transported-from-image] and the image side
-[attended, transported-from-text]. The co-attention head couples them with
+Both heads consume a pair of n x d' matrices (d' twice the branch width),
+or a pair of B x n x d' stacks for a minibatch: the text side [attended,
+transported-from-image] and the image side [attended,
+transported-from-text]. The co-attention head couples them with
 a tanh affinity matrix; the attentional-reduction head pools each side
 with an independent softmax-weighted MLP before a layer-normalized sum.
 Final dense layers emit raw 2-class logits; softmax lives in the loss and
@@ -76,7 +77,7 @@ class CoAttentionHead:
 def co_attention_forward(inputs: FusedInputs, head: CoAttentionHead, training: bool,
                          rng: np.random.Generator | None = None,
                          return_weights: bool = False):
-    """Logits (1 x 2) from the co-attention head."""
+    """Logits (1 x 2, or B x 1 x 2 for a batch) from the co-attention head."""
     c_row, s_row = inputs.c, inputs.s
     c_col = dc.transpose(c_row)
     s_col = dc.transpose(s_row)
@@ -141,7 +142,7 @@ def _reduction_weights(m: Node, w1, b1, w2, b2, training, rng) -> Node:
 def attn_fusion_forward(inputs: FusedInputs, head: AttnFusionHead, training: bool,
                         rng: np.random.Generator | None = None,
                         return_weights: bool = False):
-    """Logits (1 x 2) from the attentional-reduction head."""
+    """Logits (1 x 2, or B x 1 x 2 for a batch) from the attentional-reduction head."""
     alpha_c = _reduction_weights(inputs.c, head.c_w1, head.c_b1, head.c_w2, head.c_b2,
                                  training, rng)
     alpha_s = _reduction_weights(inputs.s, head.s_w1, head.s_b1, head.s_w2, head.s_b2,

@@ -52,7 +52,7 @@ def gated_attention(s: Node, layer: GatedSelfAttentionLayer,
     is both the test seam and the "no gate model" ablation (all-ones mask
     reproduces vanilla scaled self-attention exactly).
     """
-    t, d = s.shape
+    t, d = s.rows, s.cols
     if mask_override is not None:
         mask_override = np.asarray(mask_override, dtype=float)
         if mask_override.shape != (t, 2):

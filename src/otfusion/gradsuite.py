@@ -128,18 +128,23 @@ def _otk_check(rng: np.random.Generator) -> SuiteResult:
     return _check("otk_embed[unrolled_sinkhorn]", loss_fn, [y, z], END_TO_END_TOL)
 
 
-def _assembled_check(fusion: str, rng: np.random.Generator) -> SuiteResult:
+def _assembled_check(fusion: str, rng: np.random.Generator, batch: int | None = None) -> SuiteResult:
+    """The whole model on one sample, or with ``batch`` on a stacked
+    minibatch, which checks the gradient sums over the batch axis."""
     cfg = ModelConfig(d=4, seq_len=3, strategy="deep", layers=2, fusion=fusion,
                       d_q=3, d_k=3, d_g=3, k=3, d_z=4, otk_eps=0.2, otk_iters=8)
     model = assemble_model(cfg, seed=7)
-    x = rng.uniform(-1, 1, (3, 4))
-    y = rng.uniform(-1, 1, (5, 4))
+    lead = () if batch is None else (batch,)
+    x = rng.uniform(-1, 1, lead + (3, 4))
+    y = rng.uniform(-1, 1, lead + (5, 4))
+    labels = 1 if batch is None else rng.integers(0, 2, batch)
     model.freeze_ot_plans(True)
 
     def loss_fn():
-        return model.loss(model.forward(x, y, training=False), 1)
+        return model.loss(model.forward(x, y, training=False), labels)
 
-    return _check(f"assembled_model[{fusion}]", loss_fn, model.parameters(), END_TO_END_TOL)
+    name = fusion if batch is None else "batch"
+    return _check(f"assembled_model[{name}]", loss_fn, model.parameters(), END_TO_END_TOL)
 
 
 def run_suite(seed: int = 0) -> list[SuiteResult]:
@@ -156,5 +161,6 @@ def run_suite(seed: int = 0) -> list[SuiteResult]:
         _otk_check(rng),
         _assembled_check("attn_fusion", rng),
         _assembled_check("co_attention", rng),
+        _assembled_check("attn_fusion", rng, batch=3),
     ]
     return results

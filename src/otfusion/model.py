@@ -7,6 +7,10 @@ for pretrained feature extractors; the trainable mechanisms only ever see
 representation matrices). The exact transport plans are recomputed every
 forward pass from current values and treated as constants by the backward
 pass; ``freeze_ot_plans`` pins them for finite-difference checking.
+
+``Model.forward`` takes one sample (a pair of 2-D matrices) or a
+minibatch (3-D stacks, or lists of equally shaped matrices) and builds one
+graph for it; the loss is the batch mean.
 """
 
 from __future__ import annotations
@@ -72,6 +76,16 @@ class ModelConfig:
         return ctx.ContextStrategy(self.strategy, self.layers)
 
 
+def _as_input(raw) -> np.ndarray:
+    """One sample's matrix or a 3-D batch; a list of matrices is stacked."""
+    if isinstance(raw, (list, tuple)):
+        shapes = sorted({np.shape(m) for m in raw})
+        if len(shapes) != 1:
+            raise DimensionError(f"batch members must share one shape, got {shapes}")
+        raw = np.stack(raw)
+    return np.asarray(raw, dtype=float)
+
+
 def _orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
@@ -112,7 +126,7 @@ class Model:
                 dc.xavier_uniform(head_rng, cfg.seq_len, cfg.d), "otk.references",
             )
         self.smoothing = calib.SmoothingConfig(cfg.label_smoothing_alpha, 2)
-        self._plan_cache: list[np.ndarray] | None = None
+        self._plan_cache: list[np.ndarray] | None = None  # one stack per _adapt
         self._plan_cursor = 0
 
     # -- parameters -------------------------------------------------------
@@ -140,12 +154,16 @@ class Model:
         self._plan_cursor = 0
 
     def _transport_weights(self, src_v: np.ndarray, tgt_v: np.ndarray) -> np.ndarray:
+        """Exact-EMD weights solved per sample, stacked like ``src_v``."""
         cache = self._plan_cache
-        if cache is None:
-            return transport.transport_weights(src_v, tgt_v)
-        if self._plan_cursor == len(cache):
-            cache.append(transport.transport_weights(src_v, tgt_v))
-        w = cache[self._plan_cursor]
+        if cache is not None and self._plan_cursor < len(cache):
+            w = cache[self._plan_cursor]
+        else:
+            pairs = zip(src_v.reshape(-1, *src_v.shape[-2:]), tgt_v.reshape(-1, *tgt_v.shape[-2:]))
+            w = np.stack([transport.transport_weights(s, t) for s, t in pairs])
+            w = w.reshape(src_v.shape[:-1] + (tgt_v.shape[-2],))
+            if cache is not None:
+                cache.append(w)
         self._plan_cursor += 1
         return w
 
@@ -175,9 +193,9 @@ class Model:
             ).values
         if cfg.otk_mode == REPEAT:
             return dc.tile_rows(dc.mean_rows(dc.constant(y_enc)), cfg.seq_len)
-        if y_enc.shape[0] != cfg.seq_len:
+        if y_enc.shape[-2] != cfg.seq_len:
             raise ParameterError(
-                f"identity otk_mode needs image length {cfg.seq_len}, got {y_enc.shape[0]}"
+                f"identity otk_mode needs image length {cfg.seq_len}, got {y_enc.shape[-2]}"
             )
         return dc.constant(y_enc)
 
@@ -185,13 +203,16 @@ class Model:
 
     def forward(self, x_raw: np.ndarray, y_raw: np.ndarray, training: bool,
                 rng: np.random.Generator | None = None) -> Node:
+        """Logits: 1 x 2 for one sample, B x 1 x 2 for a batch of B."""
         cfg = self.cfg
-        x_raw = np.asarray(x_raw, dtype=float)
-        y_raw = np.asarray(y_raw, dtype=float)
-        if x_raw.shape != (cfg.seq_len, cfg.d):
+        x_raw = _as_input(x_raw)
+        y_raw = _as_input(y_raw)
+        if x_raw.ndim not in (2, 3) or x_raw.shape[-2:] != (cfg.seq_len, cfg.d):
             raise DimensionError(f"text input must be {cfg.seq_len}x{cfg.d}, got {x_raw.shape}")
-        if y_raw.shape[1] != cfg.d:
-            raise DimensionError(f"image input width must be {cfg.d}, got {y_raw.shape[1]}")
+        if y_raw.shape[-1] != cfg.d:
+            raise DimensionError(f"image input width must be {cfg.d}, got {y_raw.shape[-1]}")
+        if y_raw.shape[:-2] != x_raw.shape[:-2] or y_raw.ndim != x_raw.ndim:
+            raise DimensionError(f"image input {y_raw.shape} does not match text input {x_raw.shape}")
         self._plan_cursor = 0
 
         x = dc.constant(x_raw @ self.e_text)
@@ -216,16 +237,21 @@ class Model:
         pooled = dc.concat_cols(dc.mean_rows(fused.c), dc.mean_rows(fused.s))
         return dc.add(dc.matmul(pooled, self.concat_w), self.concat_b)
 
-    def predict_proba(self, x_raw: np.ndarray, y_raw: np.ndarray) -> np.ndarray:
-        logits = self.forward(x_raw, y_raw, training=False).value
-        shifted = logits - logits.max()
-        e = np.exp(shifted)
-        return (e / e.sum()).ravel()
+    def predict_proba(self, x_raw, y_raw) -> np.ndarray:
+        """Class probabilities: a vector for one sample, B rows for a batch."""
+        with dc.inference(self.parameters()):
+            logits = self.forward(x_raw, y_raw, training=False).value
+        rows = logits.reshape(-1, logits.shape[-1])
+        e = np.exp(rows - rows.max(axis=1, keepdims=True))
+        return (e / e.sum(axis=1, keepdims=True)).reshape(logits.shape[:-2] + (-1,))
 
-    def loss(self, logits: Node, label: int) -> Node:
-        probs = dc.softmax_rows(logits)
-        targets = calib.smooth_targets(label, self.smoothing)
-        return calib.ls_cross_entropy(probs, targets)
+    def loss(self, logits: Node, labels) -> Node:
+        """Batch-mean smoothed cross-entropy (1x1); ``labels`` holds one
+        label per sample (a plain int for a one-sample forward)."""
+        labels = np.atleast_1d(labels)
+        targets = np.stack([calib.smooth_targets(int(l), self.smoothing) for l in labels])
+        ce = calib.ls_cross_entropy(dc.softmax_rows(logits), targets)
+        return dc.scale(ce, 1.0 / labels.size)
 
 
 def assemble_model(cfg: ModelConfig, seed: int = 0) -> Model:

@@ -95,6 +95,8 @@ def aso(scores_a, scores_b, confidence: float = 0.95, bootstrap_iters: int = 100
     b = np.asarray(scores_b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
         raise InputError("score samples must be nonempty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InputError("scores must be finite")
     if min(a.size, b.size) < 5:
         warnings.warn("fewer than 5 scores per sample; eps_min will be unstable", stacklevel=2)
 

@@ -114,19 +114,15 @@ class RunRecord:
 
 
 def _mean_batch_loss(model: Model, batch: list[Sample], training: bool,
-                     rng: np.random.Generator | None):
-    total = None
-    for sample in batch:
-        loss = model.loss(model.forward(sample.x, sample.y, training, rng), sample.label)
-        total = loss if total is None else dc.add(total, loss)
-    return dc.scale(total, 1.0 / len(batch))
+                     rng: np.random.Generator | None = None):
+    """Mean loss over the samples, from one forward of the whole batch."""
+    logits = model.forward([s.x for s in batch], [s.y for s in batch], training, rng)
+    return model.loss(logits, [s.label for s in batch])
 
 
 def _split_loss(model: Model, samples: list[Sample]) -> float:
-    total = 0.0
-    for sample in samples:
-        total += model.loss(model.forward(sample.x, sample.y, False), sample.label).value[0, 0]
-    return total / len(samples)
+    with dc.inference(model.parameters()):
+        return float(_mean_batch_loss(model, samples, False).value[0, 0])
 
 
 def train(model: Model, data: TaskData, tc: TrainConfig, seed: int = 0) -> RunRecord:
@@ -218,7 +214,7 @@ def evaluate(model: Model, samples: list[Sample],
     """Predict a split and compute its metrics."""
     if not samples:
         raise ParameterError("cannot evaluate an empty split")
-    probs = np.vstack([model.predict_proba(s.x, s.y) for s in samples])
+    probs = model.predict_proba([s.x for s in samples], [s.y for s in samples])
     labels = np.array([s.label for s in samples])
     preds = PredictionSet(probs, labels)
     return preds, classification_metrics(preds, num_bins, num_ranges)

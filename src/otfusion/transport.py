@@ -68,10 +68,11 @@ def _check_marginals(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
 
 
 def _marginal_violation(plan: np.ndarray, a, b) -> float:
-    """Worst absolute gap between the plan's row/column sums and a / b."""
+    """Worst absolute gap between the plan's row/column sums and a / b;
+    over every plan of a ``(B, n, m)`` stack."""
     return float(max(
-        np.abs(plan.sum(axis=1) - a).max(),
-        np.abs(plan.sum(axis=0) - b).max(),
+        np.abs(plan.sum(axis=-1) - a).max(),
+        np.abs(plan.sum(axis=-2) - b).max(),
     ))
 
 
@@ -234,7 +235,8 @@ class OTKConfig:
 
 @dataclass
 class OTKEmbedding:
-    """Result of otk_embed: the embedded sequence plus solve diagnostics."""
+    """Result of otk_embed: the embedded sequence plus solve diagnostics.
+    For a batch, ``marginal_violation`` is the worst over its samples."""
 
     values: Node
     marginal_violation: float
@@ -242,8 +244,7 @@ class OTKEmbedding:
 
 
 def _pairwise_sq_cost_node(y: Node, z: Node) -> Node:
-    t, d = y.shape
-    n = z.rows
+    t, n = y.rows, z.rows
     y_sq = dc.sum_cols(dc.elementwise_mul(y, y))
     z_sq = dc.sum_cols(dc.elementwise_mul(z, z))
     cross = dc.scale(dc.matmul(y, dc.transpose(z)), -2.0)
@@ -258,10 +259,11 @@ def otk_embed(y, references, cfg: OTKConfig) -> OTKEmbedding:
     input rows and the result has exactly ``reference_count`` rows. Both
     inputs may be nodes; the embedding is differentiable with respect to
     the sequence and the references through the unrolled iterations.
+    ``y`` may be a ``(B, t, d)`` stack; each sample gets its own plan.
     """
     y = y if isinstance(y, Node) else dc.constant(y)
     z = references if isinstance(references, Node) else dc.constant(references)
-    t, d = y.shape
+    t, d = y.rows, y.cols
     n = z.rows
     if z.cols != d:
         raise DimensionError(f"references width {z.cols} != sequence width {d}")
@@ -269,7 +271,7 @@ def otk_embed(y, references, cfg: OTKConfig) -> OTKEmbedding:
         raise DimensionError(f"references rows {n} != configured count {cfg.reference_count}")
 
     cost = _pairwise_sq_cost_node(y, z)
-    mean = dc.scale(dc.sum_all(cost), 1.0 / (t * n))
+    mean = dc.scale(dc.mean_rows(dc.sum_cols(cost)), 1.0 / n)
     mean_full = dc.tile_cols(dc.tile_rows(mean, t), n)
     kernel = dc.exp_ew(dc.scale(dc.elementwise_div(cost, mean_full), -1.0 / cfg.entropic_eps))
 

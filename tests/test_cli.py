@@ -106,6 +106,12 @@ class TestCalibCommand:
         assert 0.0 <= payload["ace"] <= 1.0
         assert bins_out.exists()
 
+    def test_non_integer_label_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "preds.csv"
+        path.write_text("0.6,0.4,1.7\n0.2,0.8,1\n")
+        assert main(["calib", "--input", str(path), "--ranges", "1"]) == 1
+        assert "error: " in capsys.readouterr().err
+
 
 class TestAsoCommand:
     def test_dominant_scores(self, tmp_path, capsys):
@@ -117,6 +123,17 @@ class TestAsoCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["eps_min"] < 0.05
         assert payload["verdict"] == "stochastically dominant"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_score_is_usage_error(self, tmp_path, capsys, bad):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("\n".join(["0.9", bad, "0.8", "0.7", "0.6"]))
+        b.write_text("\n".join(["0.5", "0.4", "0.3", "0.2", "0.1"]))
+        assert main(["aso", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
 
 
 class TestFeaturesCommand:
@@ -155,6 +172,16 @@ class TestReportCommand:
         table = tmp_path / "t.csv"
         assert main(["report", str(out_dir / "tiny.json"), "--out", str(table)]) == 0
         assert table.read_bytes() == (out_dir / "tiny.csv").read_bytes()
+
+    @pytest.mark.parametrize("content", ["not json", '{"label": "x"}', '["x"]',
+                                         '{"aggregate": {}}'])
+    def test_malformed_report_is_usage_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}")
 
 
 class TestUsageErrors:

@@ -238,8 +238,102 @@ def test_parameter_zero_grad():
     npt.assert_array_equal(p.grad, np.zeros((2, 2)))
 
 
+def test_inference_records_no_graph_and_restores_parameters():
+    rng = np.random.default_rng(17)
+    w = Parameter(rand(rng, 3, 3), "w")
+    with dc.inference([w]):
+        out = dc.matmul(dc.constant(rng.uniform(-2, 2, (2, 3, 3))), w)
+        assert not out.requires_grad
+        assert out._parents == ()
+    assert w.requires_grad
+    backward(dc.sum_all(dc.matmul(out.value, w)))
+    assert np.any(w.grad != 0)
+
+
 def test_finite_outputs_on_finite_inputs():
     rng = np.random.default_rng(16)
     a = dc.constant(rand(rng, 3, 3))
     chain = dc.softmax_rows(dc.tanh_ew(dc.matmul(a, dc.sigmoid(a))))
     assert np.all(np.isfinite(chain.value))
+
+
+# Batch axis: every op on a (B, r, c) stack must equal the stack of its
+# per-sample results, and a 2-D Parameter operand shared by the batch must
+# get the sum of its per-sample gradients. Each case builds the op from the
+# activation ``a`` (r x c per sample) and a 2-D operand ``p``; the shapes
+# are functions of (r, c), and ``positive`` keeps log/div inputs away from 0.
+BATCH_CASES = {
+    "sigmoid": (lambda a, p: dc.sigmoid(a), None),
+    "tanh_ew": (lambda a, p: dc.tanh_ew(a), None),
+    "relu": (lambda a, p: dc.relu(a), None),
+    "exp_ew": (lambda a, p: dc.exp_ew(a), None),
+    "log_ew": (lambda a, p: dc.log_ew(a), None),
+    "softmax_rows": (lambda a, p: dc.softmax_rows(a), None),
+    "transpose": (lambda a, p: dc.transpose(a), None),
+    "mean_rows": (lambda a, p: dc.mean_rows(a), None),
+    "sum_cols": (lambda a, p: dc.sum_cols(a), None),
+    "sum_all": (lambda a, p: dc.sum_all(a), None),
+    "scale": (lambda a, p: dc.scale(a, -1.7), None),
+    "clamp_min": (lambda a, p: dc.clamp_min(a, 1.0), None),
+    "slice_cols": (lambda a, p: dc.slice_cols(a, 1, a.cols), None),
+    "tile_rows": (lambda a, p: dc.tile_rows(dc.mean_rows(a), 3), None),
+    "tile_cols": (lambda a, p: dc.tile_cols(dc.sum_cols(a), 2), None),
+    "dropout_eval": (lambda a, p: dc.dropout(a, 0.5, False), None),
+    "concat_cols": (lambda a, p: dc.concat_cols(a, dc.scale(a, 2.0)), None),
+    "matmul_batch_batch": (lambda a, p: dc.matmul(a, dc.transpose(a)), None),
+    "matmul_param_right": (lambda a, p: dc.matmul(a, p), lambda r, c: (c, 3)),
+    "matmul_param_left": (lambda a, p: dc.matmul(p, a), lambda r, c: (2, r)),
+    "add": (lambda a, p: dc.add(a, p), lambda r, c: (r, c)),
+    "sub": (lambda a, p: dc.sub(p, a), lambda r, c: (r, c)),
+    "elementwise_mul": (lambda a, p: dc.elementwise_mul(a, p), lambda r, c: (r, c)),
+    "elementwise_div": (lambda a, p: dc.elementwise_div(p, a), lambda r, c: (r, c)),
+    "layer_norm": (lambda a, p: dc.layer_norm(a, p, p), lambda r, c: (1, c)),
+}
+
+
+def _grads_of(build, a_value, p_value):
+    """Output value, activation gradient and parameter gradient of
+    sum(out * out) for one forward of ``build``."""
+    a = Parameter(a_value, "a")
+    p = Parameter(p_value, "p") if p_value is not None else None
+    out = build(a, p)
+    backward(dc.sum_all(dc.elementwise_mul(out, out)))
+    return out.value, a.grad, None if p is None else p.grad
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    @settings(max_examples=15, deadline=None)
+    @given(batch=st.integers(1, 4), rows=st.integers(1, 4), cols=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_op_equals_stacked_per_sample_op(self, name, batch, rows, cols, seed):
+        build, param_shape = BATCH_CASES[name]
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.5, 2.0, (batch, rows, cols))
+        p = rng.uniform(0.5, 2.0, param_shape(rows, cols)) if param_shape else None
+
+        value, a_grad, p_grad = _grads_of(build, a, p)
+        per_sample = [_grads_of(build, a[i], p) for i in range(batch)]
+
+        if name == "sum_all":
+            # reduces the whole batch to the 1x1 root, so the loss is the
+            # square of the batch total, not a sum of per-sample squares
+            npt.assert_allclose(value, sum(v for v, _, _ in per_sample), rtol=1e-12)
+            npt.assert_allclose(a_grad, np.full(a.shape, 2.0 * value[0, 0]), rtol=1e-12)
+            return
+        npt.assert_allclose(value, np.stack([v for v, _, _ in per_sample]),
+                            rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(a_grad, np.stack([g for _, g, _ in per_sample]),
+                            rtol=1e-12, atol=1e-12)
+        if p is not None:
+            assert p_grad.shape == p.shape
+            npt.assert_allclose(p_grad, sum(g for _, _, g in per_sample),
+                                rtol=1e-12, atol=1e-12)
+
+    def test_batch_sizes_must_agree(self):
+        with pytest.raises(DimensionError):
+            dc.add(dc.constant(np.zeros((2, 3, 3))), dc.constant(np.zeros((3, 3, 3))))
+        with pytest.raises(DimensionError):
+            dc.matmul(dc.constant(np.zeros((2, 3, 3))), dc.constant(np.zeros((3, 3, 3))))
+        with pytest.raises(DimensionError):
+            dc.concat_cols(dc.constant(np.zeros((2, 3, 3))), dc.constant(np.zeros((3, 3))))

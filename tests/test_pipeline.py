@@ -153,6 +153,106 @@ class TestAssembleModel:
                    for ref in model.references.value)
 
 
+class TestBatchedModel:
+    """A stacked minibatch through Model must give the per-sample results."""
+
+    @staticmethod
+    def batch(cfg, size=3, seed=11):
+        rng = np.random.default_rng(seed)
+        t = cfg.seq_len if cfg.otk_mode == "identity" else cfg.seq_len + 3
+        xs = [rng.standard_normal((cfg.seq_len, cfg.d)) for _ in range(size)]
+        ys = [rng.standard_normal((t, cfg.d)) for _ in range(size)]
+        return xs, ys, [int(label) for label in rng.integers(0, 2, size)]
+
+    @pytest.mark.parametrize("fusion", ["attn_fusion", "co_attention", "concat"])
+    @pytest.mark.parametrize("otk_mode", ["otk", "repeat", "identity"])
+    @pytest.mark.parametrize("ot_enabled", [True, False])
+    @pytest.mark.parametrize("image_mask_ones", [False, True])
+    def test_eval_logits_equal_per_sample(self, fusion, otk_mode, ot_enabled, image_mask_ones):
+        cfg = tiny_model(fusion=fusion, otk_mode=otk_mode, ot_enabled=ot_enabled,
+                         image_mask_ones=image_mask_ones)
+        model = assemble_model(cfg, seed=3)
+        xs, ys, _ = self.batch(cfg)
+        batched = model.forward(np.stack(xs), np.stack(ys), False)
+        assert batched.shape == (3, 1, 2)
+        per_sample = np.stack([model.forward(x, y, False).value for x, y in zip(xs, ys)])
+        npt.assert_allclose(batched.value, per_sample, rtol=0, atol=1e-12)
+        probs = np.stack([model.predict_proba(x, y) for x, y in zip(xs, ys)])
+        npt.assert_allclose(model.predict_proba(xs, ys), probs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fusion", ["attn_fusion", "co_attention", "concat"])
+    def test_mean_loss_gradient_equals_mean_of_per_sample_gradients(self, fusion):
+        cfg = tiny_model(fusion=fusion)
+        model = assemble_model(cfg, seed=4)
+        params = model.parameters()
+        xs, ys, labels = self.batch(cfg, size=4, seed=12)
+        expected = [np.zeros_like(p.value) for p in params]
+        for x, y, label in zip(xs, ys, labels):
+            dc.zero_grads(params)
+            dc.backward(model.loss(model.forward(x, y, False), label))
+            for total, p in zip(expected, params):
+                total += p.grad / len(xs)
+        dc.zero_grads(params)
+        dc.backward(model.loss(model.forward(xs, ys, False), labels))
+        for p, grad in zip(params, expected):
+            npt.assert_allclose(p.grad, grad, rtol=0, atol=1e-12, err_msg=p.name)
+
+    @pytest.mark.parametrize("fusion", ["attn_fusion", "co_attention"])
+    def test_training_batch_equals_per_sample_under_the_same_masks(self, fusion):
+        # A batched forward draws one dropout mask per site for the whole
+        # batch; replaying each sample's slice of those masks in a
+        # per-sample forward must give the same mean loss and gradients.
+        class Recorder:
+            def __init__(self):
+                self.rng, self.draws = np.random.default_rng(13), []
+
+            def random(self, shape):
+                self.draws.append(self.rng.random(shape))
+                return self.draws[-1]
+
+        class Replay:
+            def __init__(self, draws):
+                self.draws = list(draws)
+
+            def random(self, shape):
+                assert self.draws[0].shape == tuple(shape)
+                return self.draws.pop(0)
+
+        cfg = tiny_model(fusion=fusion)
+        model = assemble_model(cfg, seed=4)
+        params = model.parameters()
+        xs, ys, labels = self.batch(cfg, size=4, seed=14)
+        recorder = Recorder()
+        dc.zero_grads(params)
+        batched = model.loss(model.forward(xs, ys, True, recorder), labels)
+        dc.backward(batched)
+        batched_grads = [p.grad.copy() for p in params]
+
+        replay = Replay([site[i] for i in range(len(xs)) for site in recorder.draws])
+        dc.zero_grads(params)
+        losses = [model.loss(model.forward(x, y, True, replay), label)
+                  for x, y, label in zip(xs, ys, labels)]
+        mean = losses[0]
+        for loss in losses[1:]:
+            mean = dc.add(mean, loss)
+        mean = dc.scale(mean, 1.0 / len(losses))
+        dc.backward(mean)
+        assert batched.value[0, 0] == pytest.approx(mean.value[0, 0], rel=0, abs=1e-12)
+        for p, grad in zip(params, batched_grads):
+            npt.assert_allclose(grad, p.grad, rtol=0, atol=1e-12, err_msg=p.name)
+
+    def test_unequal_image_lengths_rejected(self):
+        from otfusion.errors import DimensionError
+
+        cfg = tiny_model()
+        model = assemble_model(cfg, seed=0)
+        xs, ys, _ = self.batch(cfg, size=2)
+        with pytest.raises(DimensionError):
+            model.forward(xs, [ys[0], ys[1][:-1]], False)
+        with pytest.raises(DimensionError):
+            model.forward(xs, ys[:1], False)
+
+
 class TestTrainMechanics:
     def test_lr_schedule(self):
         tc = TrainConfig(lr=0.1, step_size=4, gamma=0.1)

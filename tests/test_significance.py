@@ -123,6 +123,13 @@ class TestASO:
         with pytest.raises(InputError):
             aso([], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(InputError):
+            aso([0.9, bad, 0.8, 0.7, 0.6], [0.5, 0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(InputError):
+            aso([0.5, 0.4, 0.3, 0.2, 0.1], [0.9, 0.8, 0.7, 0.6, bad])
+
     def test_verdict_strings(self):
         assert ASOResult(0.0, 0.0, 0.95, 50, 100, 0).verdict == "stochastically dominant"
         assert ASOResult(0.2, 0.2, 0.95, 50, 100, 0).verdict == "almost stochastically dominant"
