@@ -433,9 +433,38 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Node:
     return Node(xhat * gv + bias.value, (a, gain, bias), vjp)
 
 
+class SampleMajorDraws:
+    """Uniform draws for the dropout sites of one forward, from one call.
+
+    ``site_shapes`` lists each site's full shape, in the order the forward
+    reaches them; all carry the same batch axis, or none. The draws are laid
+    out sample by sample: sample b takes all of its sites' draws before
+    sample b + 1 takes any, the order in which one-sample forwards run one
+    after another consume ``rng``. Pass the object as a site's ``rng``:
+    :meth:`random` hands out the next site's block.
+    """
+
+    def __init__(self, rng: np.random.Generator, site_shapes):
+        shapes = [tuple(s) for s in site_shapes]
+        lead = shapes[0][:-2]
+        if any(s[:-2] != lead for s in shapes):
+            raise DimensionError(f"dropout sites disagree in batch axis: {shapes}")
+        sizes = [s[-2] * s[-1] for s in shapes]
+        flat = rng.random(lead + (sum(sizes),))
+        offsets = np.cumsum([0] + sizes)
+        self._blocks = [flat[..., o:o + n].reshape(s)
+                        for o, n, s in zip(offsets, sizes, shapes)]
+
+    def random(self, shape) -> np.ndarray:
+        if not self._blocks or self._blocks[0].shape != tuple(shape):
+            raise DimensionError(f"no pending dropout draw of shape {tuple(shape)}")
+        return self._blocks.pop(0)
+
+
 def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = None) -> Node:
     """Inverted dropout: train-time zeroing with 1/(1-rate) rescale, eval identity.
-    One draw from ``rng`` covers every entry, so a batch gets one call."""
+    One draw from ``rng`` covers every entry; pass a :class:`SampleMajorDraws`
+    to lay a batch's draws out sample by sample."""
     a = _wrap(a)
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")

@@ -91,6 +91,8 @@ def co_attention_forward(inputs: FusedInputs, head: CoAttentionHead, training: b
     s_hat = dc.matmul(a_s, s_row)
     c_hat = dc.matmul(a_c, c_row)
     p = dc.concat_cols(c_hat, s_hat)
+    if training and rng is not None:
+        rng = dc.SampleMajorDraws(rng, [p.shape, p.shape[:-1] + (HIDDEN,)])
     p = dc.dropout(p, CO_DROPOUT_CONCAT, training, rng)
     hidden = dc.relu(dc.add(dc.matmul(p, head.w1), head.b1))
     hidden = dc.dropout(hidden, CO_DROPOUT_HIDDEN, training, rng)
@@ -143,6 +145,9 @@ def attn_fusion_forward(inputs: FusedInputs, head: AttnFusionHead, training: boo
                         rng: np.random.Generator | None = None,
                         return_weights: bool = False):
     """Logits (1 x 2, or B x 1 x 2 for a batch) from the attentional-reduction head."""
+    if training and rng is not None:
+        rng = dc.SampleMajorDraws(rng, [inputs.c.shape[:-1] + (HIDDEN,),
+                                        inputs.s.shape[:-1] + (HIDDEN,)])
     alpha_c = _reduction_weights(inputs.c, head.c_w1, head.c_b1, head.c_w2, head.c_b2,
                                  training, rng)
     alpha_s = _reduction_weights(inputs.s, head.s_w1, head.s_b1, head.s_w2, head.s_b2,

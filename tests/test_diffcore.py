@@ -193,6 +193,27 @@ class TestDropout:
         with pytest.raises(ParameterError):
             dc.dropout(dc.constant([[1.0]]), 1.0, training=True, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_sample_major_draws_follow_per_sample_order(self, batch):
+        shapes = [batch + (4, 5), batch + (2, 3)]
+        draws = dc.SampleMajorDraws(np.random.default_rng(18), shapes)
+        blocks = [draws.random(s) for s in shapes]
+        sequential = np.random.default_rng(18)
+        for b in range(batch[0] if batch else 1):
+            for block, s in zip(blocks, shapes):
+                expected = sequential.random(s[-2:])
+                npt.assert_array_equal(block[b] if batch else block, expected)
+
+    def test_sample_major_draws_check_shapes(self):
+        with pytest.raises(DimensionError):
+            dc.SampleMajorDraws(np.random.default_rng(0), [(3, 4, 5), (2, 2, 3)])
+        draws = dc.SampleMajorDraws(np.random.default_rng(0), [(4, 5)])
+        with pytest.raises(DimensionError):
+            draws.random((5, 4))
+        draws.random((4, 5))
+        with pytest.raises(DimensionError):
+            draws.random((4, 5))
+
 
 class TestGradCheck:
     def test_quadratic_loss_is_exact(self):

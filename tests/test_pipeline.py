@@ -198,39 +198,24 @@ class TestBatchedModel:
             npt.assert_allclose(p.grad, grad, rtol=0, atol=1e-12, err_msg=p.name)
 
     @pytest.mark.parametrize("fusion", ["attn_fusion", "co_attention"])
-    def test_training_batch_equals_per_sample_under_the_same_masks(self, fusion):
-        # A batched forward draws one dropout mask per site for the whole
-        # batch; replaying each sample's slice of those masks in a
-        # per-sample forward must give the same mean loss and gradients.
-        class Recorder:
-            def __init__(self):
-                self.rng, self.draws = np.random.default_rng(13), []
-
-            def random(self, shape):
-                self.draws.append(self.rng.random(shape))
-                return self.draws[-1]
-
-        class Replay:
-            def __init__(self, draws):
-                self.draws = list(draws)
-
-            def random(self, shape):
-                assert self.draws[0].shape == tuple(shape)
-                return self.draws.pop(0)
-
+    def test_training_batch_equals_per_sample_forwards_on_the_same_stream(self, fusion):
+        # A batched forward lays its dropout draws out sample by sample, so
+        # it takes the masks that one-sample forwards run in sequence take
+        # from an identically seeded generator: the same mean loss, the same
+        # gradients, and the generator left in the same state.
         cfg = tiny_model(fusion=fusion)
         model = assemble_model(cfg, seed=4)
         params = model.parameters()
         xs, ys, labels = self.batch(cfg, size=4, seed=14)
-        recorder = Recorder()
+        batch_rng = np.random.default_rng(13)
         dc.zero_grads(params)
-        batched = model.loss(model.forward(xs, ys, True, recorder), labels)
+        batched = model.loss(model.forward(xs, ys, True, batch_rng), labels)
         dc.backward(batched)
         batched_grads = [p.grad.copy() for p in params]
 
-        replay = Replay([site[i] for i in range(len(xs)) for site in recorder.draws])
+        sample_rng = np.random.default_rng(13)
         dc.zero_grads(params)
-        losses = [model.loss(model.forward(x, y, True, replay), label)
+        losses = [model.loss(model.forward(x, y, True, sample_rng), label)
                   for x, y, label in zip(xs, ys, labels)]
         mean = losses[0]
         for loss in losses[1:]:
@@ -240,6 +225,7 @@ class TestBatchedModel:
         assert batched.value[0, 0] == pytest.approx(mean.value[0, 0], rel=0, abs=1e-12)
         for p, grad in zip(params, batched_grads):
             npt.assert_allclose(grad, p.grad, rtol=0, atol=1e-12, err_msg=p.name)
+        assert batch_rng.random() == sample_rng.random()
 
     def test_unequal_image_lengths_rejected(self):
         from otfusion.errors import DimensionError
