@@ -72,8 +72,8 @@ class ContextAttentionLayer:
 
 
 def global_context(x: Node) -> Node:
-    """Stack the row mean of x into a context matrix with x's row count."""
-    return dc.tile_rows(dc.mean_rows(x), x.rows)
+    """The row mean of x: one context row shared by every row of x."""
+    return dc.mean_rows(x)
 
 
 def deep_context(history: list[Node], w_c0: Node) -> Node:
@@ -87,14 +87,14 @@ def deep_context(history: list[Node], w_c0: Node) -> Node:
 
 
 def deep_global_context(history: list[Node], w_c0: Node) -> Node:
-    """Pool each history member to a row, concatenate, project, and stack."""
+    """Pool each history member to a row, concatenate and project to one
+    context row."""
     if not history:
         raise ParameterError("deep_global_context needs a nonempty history")
     pooled = dc.mean_rows(history[0])
     for h in history[1:]:
         pooled = dc.concat_cols(pooled, dc.mean_rows(h))
-    row = dc.matmul(pooled, w_c0)
-    return dc.tile_rows(row, history[0].rows)
+    return dc.matmul(pooled, w_c0)
 
 
 def gated_sum(a: Node, a_c: Node, w_g_a: Node, w_g_ac: Node,
@@ -102,17 +102,17 @@ def gated_sum(a: Node, a_c: Node, w_g_a: Node, w_g_ac: Node,
     """Sigmoid-gated mix of a matrix with its context counterpart.
 
     Returns the n x 1 gate and the mixed matrix (1 - g) * a + g * a_c.
+    ``a_c`` has a's rows, or one row shared by all of them.
     ``gate_override`` is a test/ablation seam that pins the gate to a
     constant instead of computing it.
     """
-    if a.shape != a_c.shape:
+    if a_c.shape not in (a.shape, a.shape[:-2] + (1, a.cols)):
         raise DimensionError(f"gated_sum: shapes {a.shape} and {a_c.shape} differ")
     if gate_override is None:
         gate = dc.sigmoid(dc.add(dc.matmul(a, w_g_a), dc.matmul(a_c, w_g_ac)))
     else:
         gate = dc.constant(np.full((a.rows, 1), float(gate_override)))
-    g_full = dc.tile_cols(gate, a.cols)
-    mixed = dc.add(dc.sub(a, dc.elementwise_mul(g_full, a)), dc.elementwise_mul(g_full, a_c))
+    mixed = dc.add(dc.sub(a, dc.elementwise_mul(gate, a)), dc.elementwise_mul(gate, a_c))
     return gate, mixed
 
 
@@ -121,11 +121,12 @@ def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
                               return_attention: bool = False):
     """Context-gated scaled dot-product attention with V = x.
 
-    Output is n x d. With ``return_attention`` the row-stochastic
-    attention map is returned as well.
+    ``c`` has x's rows, or one row shared by all of them. Output is n x d.
+    With ``return_attention`` the row-stochastic attention map is returned
+    as well.
     """
-    if c.rows != x.rows:
-        raise DimensionError(f"context rows {c.rows} != input rows {x.rows}")
+    if c.rows not in (1, x.rows):
+        raise DimensionError(f"context rows {c.rows} != input rows {x.rows} or 1")
     if c.cols != layer.d_c:
         raise DimensionError(f"context width {c.cols} != layer d_c {layer.d_c}")
     q = dc.matmul(x, layer.w_q)

@@ -6,6 +6,11 @@ Each op works on the last two axes, so it runs a whole minibatch in one
 call; a per-sample call is simply the same op without the batch axis
 (B=1). A 2-D operand, such as a :class:`Parameter`, is shared by every
 matrix in a stack, and its gradient is summed over the batch.
+:func:`add`, :func:`sub`, :func:`elementwise_mul` and
+:func:`elementwise_div` follow numpy's broadcasting rule on the last two
+axes: an axis of size 1 stretches to the other operand's size (a 1 x d
+row, an n x 1 column or a 1 x 1 scalar), and the gradient of a stretched
+operand is summed over every axis it was stretched along.
 Operations build a graph on the fly; calling :func:`backward` on a 1x1
 node fills in ``grad`` on every node that (transitively) depends on a
 trainable :class:`Parameter`. Gradients are checked against central
@@ -99,15 +104,29 @@ def _require_same_batch(a: Node, b: Node, op: str):
         raise DimensionError(f"{op}: batch sizes of {sa} and {sb} differ")
 
 
-def _require_same_shape(a: Node, b: Node, op: str):
-    if a.value.shape[-2:] != b.value.shape[-2:]:
-        raise DimensionError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
+def _require_broadcastable(a: Node, b: Node, op: str):
+    """Each of the last two axes must agree or be 1 in one operand."""
+    sa, sb = a.value.shape, b.value.shape
+    if sa == sb:
+        return
+    if any(m != n and 1 not in (m, n) for m, n in zip(sa[-2:], sb[-2:])):
+        raise DimensionError(f"{op}: shapes {sa} and {sb} do not broadcast")
     _require_same_batch(a, b, op)
 
 
 def _unbroadcast(g: np.ndarray, node: Node) -> np.ndarray:
-    """Sum the batch axis out of a gradient whose operand has none."""
-    return g.sum(axis=0) if g.ndim > node.value.ndim else g
+    """Sum a gradient over every axis along which ``node`` was stretched:
+    the batch axis it lacks, then its size-1 columns, then its size-1 rows."""
+    shape = node.value.shape
+    if g.shape == shape:
+        return g
+    if g.ndim > len(shape):
+        g = g.sum(axis=0)
+    if shape[-1] == 1 < g.shape[-1]:
+        g = g.sum(axis=-1, keepdims=True)
+    if shape[-2] == 1 < g.shape[-2]:
+        g = g.sum(axis=-2, keepdims=True)
+    return g
 
 
 def _t(v: np.ndarray) -> np.ndarray:
@@ -191,7 +210,7 @@ def matmul(a, b) -> Node:
 
 def add(a, b) -> Node:
     a, b = _wrap(a), _wrap(b)
-    _require_same_shape(a, b, "add")
+    _require_broadcastable(a, b, "add")
 
     def vjp(g):
         return _unbroadcast(g, a), _unbroadcast(g, b)
@@ -201,7 +220,7 @@ def add(a, b) -> Node:
 
 def sub(a, b) -> Node:
     a, b = _wrap(a), _wrap(b)
-    _require_same_shape(a, b, "sub")
+    _require_broadcastable(a, b, "sub")
 
     def vjp(g):
         return _unbroadcast(g, a), _unbroadcast(-g, b)
@@ -221,7 +240,7 @@ def scale(a, s: float) -> Node:
 
 def elementwise_mul(a, b) -> Node:
     a, b = _wrap(a), _wrap(b)
-    _require_same_shape(a, b, "elementwise_mul")
+    _require_broadcastable(a, b, "elementwise_mul")
     av, bv = a.value, b.value
 
     def vjp(g):
@@ -232,7 +251,7 @@ def elementwise_mul(a, b) -> Node:
 
 def elementwise_div(a, b) -> Node:
     a, b = _wrap(a), _wrap(b)
-    _require_same_shape(a, b, "elementwise_div")
+    _require_broadcastable(a, b, "elementwise_div")
     av, bv = a.value, b.value
     out = av / bv
 
@@ -371,30 +390,6 @@ def sum_all(a) -> Node:
         return (np.full_like(a.value, g[0, 0]),)
 
     return Node(a.value.sum().reshape(1, 1), (a,), vjp)
-
-
-def tile_rows(a, n: int) -> Node:
-    """Repeat a 1 x d row n times -> n x d."""
-    a = _wrap(a)
-    if a.rows != 1:
-        raise DimensionError(f"tile_rows expects a single row, got {a.value.shape}")
-
-    def vjp(g):
-        return (g.sum(axis=-2, keepdims=True),)
-
-    return Node(np.repeat(a.value, n, axis=-2), (a,), vjp)
-
-
-def tile_cols(a, d: int) -> Node:
-    """Repeat an n x 1 column d times -> n x d."""
-    a = _wrap(a)
-    if a.cols != 1:
-        raise DimensionError(f"tile_cols expects a single column, got {a.value.shape}")
-
-    def vjp(g):
-        return (g.sum(axis=-1, keepdims=True),)
-
-    return Node(np.repeat(a.value, d, axis=-1), (a,), vjp)
 
 
 def clamp_min(a, floor: float) -> Node:

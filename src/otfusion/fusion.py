@@ -134,10 +134,9 @@ class AttnFusionHead:
 
 
 def _reduction_weights(m: Node, w1, b1, w2, b2, training, rng) -> Node:
-    n = m.rows
-    h = dc.relu(dc.add(dc.matmul(m, w1), dc.tile_rows(b1, n)))
+    h = dc.relu(dc.add(dc.matmul(m, w1), b1))
     h = dc.dropout(h, ATTN_MLP_DROPOUT, training, rng)
-    scores = dc.add(dc.matmul(h, w2), dc.tile_rows(b2, n))
+    scores = dc.add(dc.matmul(h, w2), b2)
     return dc.softmax_rows(dc.transpose(scores))
 
 

@@ -1,8 +1,8 @@
 """Self-attention with a learned gating model on queries and keys.
 
 The gate network maps the (identical) query/key inputs to a T x 2 sigmoid
-mask; its two columns are tiled across the feature axis and multiply Q and
-K before the scaled dot product. The score scale is sqrt of the feature
+mask; its two columns are broadcast across the feature axis and multiply Q
+and K before the scaled dot product. The score scale is sqrt of the feature
 width, and V is the raw input.
 """
 
@@ -60,8 +60,8 @@ def gated_attention(s: Node, layer: GatedSelfAttentionLayer,
         m = dc.constant(mask_override)
     else:
         m = gating_masks(s, s, layer)
-    m_q = dc.tile_cols(dc.slice_cols(m, 0, 1), d)
-    m_k = dc.tile_cols(dc.slice_cols(m, 1, 2), d)
+    m_q = dc.slice_cols(m, 0, 1)
+    m_k = dc.slice_cols(m, 1, 2)
     scores = dc.scale(
         dc.matmul(dc.elementwise_mul(s, m_q), dc.transpose(dc.elementwise_mul(s, m_k))),
         1.0 / math.sqrt(d),

@@ -192,7 +192,7 @@ class Model:
                 transport.OTKConfig(cfg.seq_len, cfg.otk_eps, cfg.otk_iters),
             ).values
         if cfg.otk_mode == REPEAT:
-            return dc.tile_rows(dc.mean_rows(dc.constant(y_enc)), cfg.seq_len)
+            return dc.constant(np.repeat(y_enc.mean(axis=-2, keepdims=True), cfg.seq_len, axis=-2))
         if y_enc.shape[-2] != cfg.seq_len:
             raise ParameterError(
                 f"identity otk_mode needs image length {cfg.seq_len}, got {y_enc.shape[-2]}"

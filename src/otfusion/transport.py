@@ -89,12 +89,7 @@ def emd_exact(a, b, cost: np.ndarray) -> Coupling:
     _check_marginals(a, b, cost)
     n, m = cost.shape
 
-    uniform = (
-        n == m
-        and np.allclose(a, 1.0 / n, atol=1e-12)
-        and np.allclose(b, 1.0 / m, atol=1e-12)
-    )
-    if uniform:
+    if n == m and max(np.abs(a - 1.0 / n).max(), np.abs(b - 1.0 / m).max()) <= 1e-12:
         rows, cols = linear_sum_assignment(cost)
         plan = np.zeros_like(cost)
         plan[rows, cols] = 1.0 / n
@@ -132,14 +127,15 @@ def _round_to_feasible(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
 
 
 def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
-             tol: float = 1e-6, round_plan: bool = True) -> Coupling:
+             tol: float = 1e-6) -> Coupling:
     """Entropic-regularized transport via log-domain Sinkhorn iterations.
 
     Stops when the worst marginal violation drops below ``tol``; a plan that
     did not converge is returned with ``converged=False`` rather than
-    silently. With ``round_plan`` the result is projected onto the exact
-    marginal polytope after iterating, so its cost can never undercut the
-    exact optimum.
+    silently. The returned plan is projected onto the exact marginal
+    polytope after iterating, so its cost can never undercut the exact
+    optimum; ``marginal_violation`` is that of the last iterate before the
+    projection.
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
@@ -166,9 +162,7 @@ def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
         if violation < tol:
             converged = True
             break
-    plan = np.exp(k + f[:, None] / eps + g[None, :] / eps)
-    if round_plan:
-        plan = _round_to_feasible(plan, a, b)
+    plan = _round_to_feasible(np.exp(k + f[:, None] / eps + g[None, :] / eps), a, b)
     return Coupling(plan, a, b, float((plan * cost).sum()), converged, violation)
 
 
@@ -194,19 +188,12 @@ def transport_weights(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return coupling.plan * n
 
 
-def ot_adapt(src, tgt):
+def ot_adapt(src, tgt) -> np.ndarray:
     """Transport src into tgt's domain: uniform marginals, exact EMD, then
-    barycentric projection. Accepts plain arrays (returns an array) or
-    graph nodes (returns a node whose gradient flows through the target
-    features only; the plan is a constant).
-    """
-    tgt_is_node = isinstance(tgt, Node)
-    src_v = src.value if isinstance(src, Node) else np.asarray(src, dtype=float)
-    tgt_v = tgt.value if tgt_is_node else np.asarray(tgt, dtype=float)
-    weights = transport_weights(src_v, tgt_v)
-    if tgt_is_node:
-        return dc.matmul(dc.constant(weights), tgt)
-    return weights @ tgt_v
+    barycentric projection."""
+    src = np.asarray(src, dtype=float)
+    tgt = np.asarray(tgt, dtype=float)
+    return transport_weights(src, tgt) @ tgt
 
 
 @dataclass
@@ -244,11 +231,10 @@ class OTKEmbedding:
 
 
 def _pairwise_sq_cost_node(y: Node, z: Node) -> Node:
-    t, n = y.rows, z.rows
     y_sq = dc.sum_cols(dc.elementwise_mul(y, y))
     z_sq = dc.sum_cols(dc.elementwise_mul(z, z))
     cross = dc.scale(dc.matmul(y, dc.transpose(z)), -2.0)
-    return dc.add(dc.add(dc.tile_cols(y_sq, n), dc.transpose(dc.tile_cols(z_sq, t))), cross)
+    return dc.add(dc.add(y_sq, dc.transpose(z_sq)), cross)
 
 
 def otk_embed(y, references, cfg: OTKConfig) -> OTKEmbedding:
@@ -272,21 +258,19 @@ def otk_embed(y, references, cfg: OTKConfig) -> OTKEmbedding:
 
     cost = _pairwise_sq_cost_node(y, z)
     mean = dc.scale(dc.mean_rows(dc.sum_cols(cost)), 1.0 / n)
-    mean_full = dc.tile_cols(dc.tile_rows(mean, t), n)
-    kernel = dc.exp_ew(dc.scale(dc.elementwise_div(cost, mean_full), -1.0 / cfg.entropic_eps))
+    kernel = dc.exp_ew(dc.scale(dc.elementwise_div(cost, mean), -1.0 / cfg.entropic_eps))
+    kernel_t = dc.transpose(kernel)
 
     a = dc.constant(np.full((t, 1), 1.0 / t))
     b = dc.constant(np.full((n, 1), 1.0 / n))
     u = dc.constant(np.full((t, 1), 1.0))
     for _ in range(cfg.sinkhorn_iters):
-        v = dc.elementwise_div(b, dc.matmul(dc.transpose(kernel), u))
+        v = dc.elementwise_div(b, dc.matmul(kernel_t, u))
         u = dc.elementwise_div(a, dc.matmul(kernel, v))
     # plan = diag(u) K diag(v); weights for output i are the i-th column.
-    plan = dc.elementwise_mul(dc.elementwise_mul(dc.tile_cols(u, n), kernel),
-                              dc.transpose(dc.tile_cols(v, t)))
+    plan = dc.elementwise_mul(dc.elementwise_mul(u, kernel), dc.transpose(v))
     weights = dc.transpose(plan)
-    row_mass = dc.sum_cols(weights)
-    weights = dc.elementwise_div(weights, dc.tile_cols(row_mass, t))
+    weights = dc.elementwise_div(weights, dc.sum_cols(weights))
     out = dc.matmul(weights, y)
 
     violation = _marginal_violation(plan.value, 1.0 / t, 1.0 / n)

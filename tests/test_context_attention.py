@@ -39,13 +39,14 @@ class TestGlobalContext:
 
     def test_hand_case(self):
         out = ctx.global_context(dc.constant([[1.0, 1.0], [3.0, 3.0]]))
-        npt.assert_array_equal(out.value, [[2.0, 2.0], [2.0, 2.0]])
+        npt.assert_array_equal(out.value, [[2.0, 2.0]])
 
     def test_rows_identical_and_equal_column_means(self):
+        # one row, shared by every row of x through broadcasting
         rng = np.random.default_rng(1)
         x = rng.uniform(-2, 2, (5, 4))
         out = ctx.global_context(dc.constant(x)).value
-        assert np.max(np.abs(out - out[0])) == 0.0
+        assert out.shape == (1, 4)
         npt.assert_allclose(out[0], x.mean(axis=0), rtol=0, atol=0)
 
 
@@ -80,13 +81,13 @@ class TestDeepGlobalContext:
         rng = np.random.default_rng(5)
         x = rng.uniform(-2, 2, (4, 3))
         out = ctx.deep_global_context([dc.constant(x)], dc.constant(np.eye(3)))
-        npt.assert_allclose(out.value, np.tile(x.mean(axis=0), (4, 1)), atol=1e-15)
+        npt.assert_allclose(out.value, x.mean(axis=0, keepdims=True), atol=1e-15)
 
     def test_constant_history(self):
         hist = [np.full((3, 2), 2.0), np.full((3, 2), -1.0)]
         w = np.random.default_rng(6).uniform(-1, 1, (4, 2))
         out = ctx.deep_global_context([dc.constant(h) for h in hist], dc.constant(w))
-        expected = np.tile(np.array([2.0, 2.0, -1.0, -1.0]) @ w, (3, 1))
+        expected = np.array([[2.0, 2.0, -1.0, -1.0]]) @ w
         npt.assert_allclose(out.value, expected, atol=1e-14)
 
     def test_random_against_direct_evaluation(self):
@@ -95,7 +96,7 @@ class TestDeepGlobalContext:
         w = rng.uniform(-1, 1, (6, 3))
         out = ctx.deep_global_context([dc.constant(h) for h in hist], dc.constant(w))
         pooled = np.concatenate([h.mean(axis=0) for h in hist])
-        npt.assert_allclose(out.value, np.tile(pooled @ w, (5, 1)), atol=1e-14)
+        npt.assert_allclose(out.value, (pooled @ w)[None, :], atol=1e-14)
 
 
 class TestGatedSum:
@@ -238,6 +239,25 @@ def test_global_attention_permutation_equivariance():
         dc.constant(x[perm]), ctx.global_context(dc.constant(x[perm])), layer
     ).value
     npt.assert_allclose(out_perm, out[perm], atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", [ctx.GLOBAL, ctx.DEEP_GLOBAL])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_one_row_context_equals_its_explicit_copy(variant, batch):
+    """A layer fed the 1-row context gives what it gives on the n-row copy."""
+    rng = np.random.default_rng(24)
+    stack = ctx.ContextStack.build(8, 6, 6, ctx.ContextStrategy.default(variant), rng)
+    x = dc.constant(rng.uniform(-2, 2, batch + (5, 8)))
+    if variant == ctx.GLOBAL:
+        row = ctx.global_context(x)
+    else:
+        row = ctx.deep_global_context([x], stack.context_projections[0])
+    assert row.rows == 1
+    copy = dc.constant(np.repeat(row.value, 5, axis=-2))
+    layer = stack.layers[0]
+    out_row = ctx.context_attention_forward(x, row, layer).value
+    out_copy = ctx.context_attention_forward(x, copy, layer).value
+    npt.assert_allclose(out_row, out_copy, rtol=0, atol=1e-12)
 
 
 def test_dq_dk_must_match():

@@ -83,6 +83,8 @@ class TestElementwiseOps:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             dc.add(dc.constant(np.zeros((2, 2))), dc.constant(np.zeros((3, 2))))
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 4\)"):
+            dc.add(dc.constant(np.zeros((2, 3))), dc.constant(np.zeros((2, 4))))
 
     @pytest.mark.parametrize("op,arity", [
         (dc.sigmoid, 1), (dc.tanh_ew, 1), (dc.relu, 1), (dc.exp_ew, 1),
@@ -112,13 +114,15 @@ class TestElementwiseOps:
 
         fd_check(loss, [a, b])
 
-    def test_tile_slice_gradients(self):
+    def test_broadcast_slice_gradients(self):
+        # (4, 1) * (1, 3): both operands stretch to 4 x 3
         rng = np.random.default_rng(5)
         col = Parameter(rand(rng, 4, 1), "col")
         row = Parameter(rand(rng, 1, 3), "row")
 
         def loss():
-            wide = dc.elementwise_mul(dc.tile_cols(col, 3), dc.tile_rows(row, 4))
+            wide = dc.elementwise_mul(col, row)
+            assert wide.shape == (4, 3)
             return dc.sum_all(dc.elementwise_mul(dc.slice_cols(wide, 1, 3), dc.slice_cols(wide, 0, 2)))
 
         fd_check(loss, [col, row])
@@ -283,6 +287,7 @@ def test_finite_outputs_on_finite_inputs():
 # get the sum of its per-sample gradients. Each case builds the op from the
 # activation ``a`` (r x c per sample) and a 2-D operand ``p``; the shapes
 # are functions of (r, c), and ``positive`` keeps log/div inputs away from 0.
+# The ``_row``/``_col``/``_scalar`` cases broadcast a size-1 axis of ``p``.
 BATCH_CASES = {
     "sigmoid": (lambda a, p: dc.sigmoid(a), None),
     "tanh_ew": (lambda a, p: dc.tanh_ew(a), None),
@@ -297,8 +302,6 @@ BATCH_CASES = {
     "scale": (lambda a, p: dc.scale(a, -1.7), None),
     "clamp_min": (lambda a, p: dc.clamp_min(a, 1.0), None),
     "slice_cols": (lambda a, p: dc.slice_cols(a, 1, a.cols), None),
-    "tile_rows": (lambda a, p: dc.tile_rows(dc.mean_rows(a), 3), None),
-    "tile_cols": (lambda a, p: dc.tile_cols(dc.sum_cols(a), 2), None),
     "dropout_eval": (lambda a, p: dc.dropout(a, 0.5, False), None),
     "concat_cols": (lambda a, p: dc.concat_cols(a, dc.scale(a, 2.0)), None),
     "matmul_batch_batch": (lambda a, p: dc.matmul(a, dc.transpose(a)), None),
@@ -308,6 +311,10 @@ BATCH_CASES = {
     "sub": (lambda a, p: dc.sub(p, a), lambda r, c: (r, c)),
     "elementwise_mul": (lambda a, p: dc.elementwise_mul(a, p), lambda r, c: (r, c)),
     "elementwise_div": (lambda a, p: dc.elementwise_div(p, a), lambda r, c: (r, c)),
+    "add_row": (lambda a, p: dc.add(a, p), lambda r, c: (1, c)),
+    "sub_row": (lambda a, p: dc.sub(p, a), lambda r, c: (1, c)),
+    "elementwise_mul_col": (lambda a, p: dc.elementwise_mul(a, p), lambda r, c: (r, 1)),
+    "elementwise_div_scalar": (lambda a, p: dc.elementwise_div(p, a), lambda r, c: (1, 1)),
     "layer_norm": (lambda a, p: dc.layer_norm(a, p, p), lambda r, c: (1, c)),
 }
 
