@@ -213,7 +213,8 @@ def add(a, b) -> Node:
     _require_broadcastable(a, b, "add")
 
     def vjp(g):
-        return _unbroadcast(g, a), _unbroadcast(g, b)
+        return (_unbroadcast(g, a) if a.requires_grad else None,
+                _unbroadcast(g, b) if b.requires_grad else None)
 
     return Node(a.value + b.value, (a, b), vjp)
 
@@ -223,7 +224,8 @@ def sub(a, b) -> Node:
     _require_broadcastable(a, b, "sub")
 
     def vjp(g):
-        return _unbroadcast(g, a), _unbroadcast(-g, b)
+        return (_unbroadcast(g, a) if a.requires_grad else None,
+                _unbroadcast(-g, b) if b.requires_grad else None)
 
     return Node(a.value - b.value, (a, b), vjp)
 
@@ -244,7 +246,8 @@ def elementwise_mul(a, b) -> Node:
     av, bv = a.value, b.value
 
     def vjp(g):
-        return _unbroadcast(g * bv, a), _unbroadcast(g * av, b)
+        return (_unbroadcast(g * bv, a) if a.requires_grad else None,
+                _unbroadcast(g * av, b) if b.requires_grad else None)
 
     return Node(av * bv, (a, b), vjp)
 
@@ -256,7 +259,8 @@ def elementwise_div(a, b) -> Node:
     out = av / bv
 
     def vjp(g):
-        return _unbroadcast(g / bv, a), _unbroadcast(-g * out / bv, b)
+        return (_unbroadcast(g / bv, a) if a.requires_grad else None,
+                _unbroadcast(-g * out / bv, b) if b.requires_grad else None)
 
     return Node(out, (a, b), vjp)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import csc_matrix
 from scipy.special import logsumexp
 
 from . import diffcore as dc
@@ -59,6 +60,8 @@ def _check_marginals(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
         )
     if a.size == 0 or b.size == 0:
         raise ParameterError("marginals must be nonempty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(cost).all()):
+        raise InputError("marginals and costs must be finite")
     if (a < 0).any() or (b < 0).any():
         raise InputError("marginals must be nonnegative")
     if abs(a.sum() - 1.0) > 1e-9 or abs(b.sum() - 1.0) > 1e-9:
@@ -81,7 +84,10 @@ def emd_exact(a, b, cost: np.ndarray) -> Coupling:
 
     Uniform marginals of equal size are solved by the assignment problem
     (an optimal vertex is a permutation divided by n); everything else goes
-    through an exact LP solve. Desk scale only (sizes <= a few hundred).
+    through an exact LP solve by HiGHS. Its equality constraints form a
+    sparse ``(n+m-1) x nm`` matrix with ``2nm - n`` nonzeros (n row sums,
+    m-1 column sums; the last column sum is implied), so its memory grows
+    as nm. Desk scale only (sizes <= a few hundred).
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -95,12 +101,15 @@ def emd_exact(a, b, cost: np.ndarray) -> Coupling:
         plan[rows, cols] = 1.0 / n
     else:
         # Equality-constrained LP on the flattened plan; HiGHS returns a
-        # vertex solution. One redundant constraint is dropped.
-        a_eq = np.zeros((n + m - 1, n * m))
-        for i in range(n):
-            a_eq[i, i * m:(i + 1) * m] = 1.0
-        for j in range(m - 1):
-            a_eq[n + j, j::m] = 1.0
+        # vertex solution. Column k = i*m + j has a 1 in row-sum row i and,
+        # unless j is the last column (its redundant constraint is dropped),
+        # a 1 in column-sum row n + j.
+        k = np.arange(n * m)
+        i, j = np.divmod(k, m)
+        keep = j < m - 1
+        rows = np.concatenate([i, n + j[keep]])
+        cols = np.concatenate([k, k[keep]])
+        a_eq = csc_matrix((np.ones(rows.size), (rows, cols)), shape=(n + m - 1, n * m))
         b_eq = np.concatenate([a, b[:-1]])
         res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
         if not res.success:

@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's own code paths: the transport
 oracle enumerates basic solutions of the transportation polytope, the
-assignment oracle enumerates permutations, and the calibration oracles
-re-derive the binning from comparisons alone.
+assignment oracle enumerates permutations, the uniform-split oracle turns
+uniform transport of any shape into a square assignment, and the
+calibration oracles re-derive the binning from comparisons alone.
 """
 
 import itertools
+import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from otfusion import context_attention as ctx
 from otfusion.model import ATTN_FUSION, CO_ATTENTION, OTK
@@ -85,6 +88,20 @@ def emd_cost_permutations(cost):
     for perm in itertools.permutations(range(n)):
         best = min(best, sum(cost[i, perm[i]] for i in range(n)) / n)
     return best
+
+
+def emd_cost_uniform_split(cost):
+    """Optimal uniform-marginal transport cost for any n x m cost matrix.
+
+    Splitting every source point into lcm(n, m)/n equal copies and every
+    target point into lcm(n, m)/m leaves the optimal cost unchanged and
+    makes the problem a square assignment, solved without any LP.
+    """
+    n, m = cost.shape
+    size = math.lcm(n, m)
+    split = np.repeat(np.repeat(cost, size // n, axis=0), size // m, axis=1)
+    rows, cols = linear_sum_assignment(split)
+    return float(split[rows, cols].sum() / size)
 
 
 def ece_bruteforce(probs, labels, num_bins):

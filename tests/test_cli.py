@@ -92,6 +92,17 @@ class TestOtCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"]
 
+    @pytest.mark.parametrize("method", ["emd", "sinkhorn"])
+    def test_non_finite_point_is_usage_error(self, tmp_path, capsys, method):
+        src = tmp_path / "src.csv"
+        tgt = tmp_path / "tgt.csv"
+        src.write_text("0.1,0.2\nnan,0.4\n0.5,0.6\n")
+        tgt.write_text("0.3,0.1\n0.7,0.9\n")
+        assert main(["ot", "--src", str(src), "--tgt", str(tgt), "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
+
 
 class TestCalibCommand:
     def test_metrics_from_csv(self, tmp_path, capsys):

@@ -263,6 +263,18 @@ def test_parameter_zero_grad():
     npt.assert_array_equal(p.grad, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("op", [dc.add, dc.sub, dc.elementwise_mul, dc.elementwise_div])
+def test_binary_vjp_skips_constant_operand(op):
+    rng = np.random.default_rng(18)
+    p = Parameter(rng.uniform(0.5, 2.0, (3, 4)), "p")
+    c = dc.constant(rng.uniform(0.5, 2.0, (3, 1)))
+    g = np.ones((3, 4))
+    grad_p, grad_c = op(p, c)._vjp(g)
+    assert grad_p.shape == (3, 4) and grad_c is None
+    grad_c, grad_p = op(c, p)._vjp(g)
+    assert grad_c is None and grad_p.shape == (3, 4)
+
+
 def test_inference_records_no_graph_and_restores_parameters():
     rng = np.random.default_rng(17)
     w = Parameter(rand(rng, 3, 3), "w")

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import emd_cost_bruteforce, emd_cost_permutations
+from oracles import emd_cost_bruteforce, emd_cost_permutations, emd_cost_uniform_split
 
 from otfusion import diffcore as dc
 from otfusion import transport as tr
@@ -12,6 +14,24 @@ from otfusion.errors import DimensionError, InputError, ParameterError
 
 def uniform(n):
     return np.full(n, 1.0 / n)
+
+
+def random_marginal(rng, n):
+    w = rng.uniform(0.1, 1, n)
+    return w / w.sum()
+
+
+# (which input, bad value): NaN marginals pass every comparison, so only a
+# finiteness check catches them; non-finite costs would reach scipy.
+NON_FINITE = [("a", np.nan), ("b", np.nan), ("cost", np.nan), ("cost", np.inf),
+              ("cost", -np.inf)]
+
+
+def with_non_finite(a, b, cost, which, value):
+    inputs = {"a": np.array(a, dtype=float), "b": np.array(b, dtype=float),
+              "cost": np.array(cost, dtype=float)}
+    inputs[which].flat[0] = value
+    return inputs["a"], inputs["b"], inputs["cost"]
 
 
 class TestCostMatrix:
@@ -98,6 +118,49 @@ class TestEmdExact:
         with pytest.raises(DimensionError):
             tr.emd_exact([0.5, 0.5], [1.0], np.zeros((2, 2)))
 
+    def test_few_hundred_points_match_uniform_split(self):
+        rng = np.random.default_rng(21)
+        n, m = 240, 160
+        cost = tr.cost_matrix(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (m, 2)))
+        coupling = tr.emd_exact(uniform(n), uniform(m), cost)
+        assert coupling.cost == pytest.approx(emd_cost_uniform_split(cost), abs=1e-9)
+        assert coupling.marginal_violation < 1e-9
+
+    @pytest.mark.parametrize("n,m", [(5, 1), (1, 4)])
+    def test_single_row_or_column_lp(self, n, m):
+        # One side has a single point, so the plan is forced: the other
+        # side's masses. With m = 1 the LP has no column-sum rows at all.
+        rng = np.random.default_rng(22)
+        a, b = random_marginal(rng, n), random_marginal(rng, m)
+        cost = rng.uniform(0, 3, (n, m))
+        coupling = tr.emd_exact(a, b, cost)
+        expected = np.outer(a, b)
+        npt.assert_allclose(coupling.plan, expected, rtol=0, atol=1e-12)
+        assert coupling.cost == pytest.approx(float((expected * cost).sum()), abs=1e-12)
+        assert coupling.marginal_violation < 1e-12
+
+    def test_lp_memory_peak_is_small(self):
+        # A dense (n+m-1) x nm constraint matrix alone would be 240 MB here.
+        rng = np.random.default_rng(23)
+        n, m = 300, 200
+        cost = tr.cost_matrix(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (m, 2)))
+        tracemalloc.start()
+        try:
+            tr.emd_exact(uniform(n), uniform(m), cost)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (3, 3)], ids=["lp", "assignment"])
+    @pytest.mark.parametrize("which,value", NON_FINITE)
+    def test_non_finite_input_rejected(self, n, m, which, value):
+        rng = np.random.default_rng(24)
+        a, b, cost = with_non_finite(uniform(n), uniform(m), rng.uniform(0, 1, (n, m)),
+                                     which, value)
+        with pytest.raises(InputError, match="finite"):
+            tr.emd_exact(a, b, cost)
+
 
 class TestSinkhorn:
     def test_symmetric_two_by_two(self):
@@ -162,6 +225,14 @@ class TestSinkhorn:
     def test_bad_eps(self):
         with pytest.raises(ParameterError):
             tr.sinkhorn(uniform(2), uniform(2), np.zeros((2, 2)), eps=0.0)
+
+    @pytest.mark.parametrize("which,value", NON_FINITE)
+    def test_non_finite_input_rejected(self, which, value):
+        rng = np.random.default_rng(25)
+        a, b, cost = with_non_finite(uniform(3), uniform(2), rng.uniform(0, 1, (3, 2)),
+                                     which, value)
+        with pytest.raises(InputError, match="finite"):
+            tr.sinkhorn(a, b, cost, eps=0.1)
 
 
 class TestBarycentricMap:
