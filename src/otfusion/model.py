@@ -4,9 +4,11 @@ two-way transport adaptation, and a fusion head.
 
 Raw modality matrices pass through fixed orthogonal encoders (stand-ins
 for pretrained feature extractors; the trainable mechanisms only ever see
-representation matrices). The exact transport plans are recomputed every
-forward pass from current values and treated as constants by the backward
-pass; ``freeze_ot_plans`` pins them for finite-difference checking.
+representation matrices). Each forward solves one exact plan per sample,
+image rows against text rows; between uniform marginals on equal lengths it
+is a permutation whose transpose is optimal the other way, so its weights
+``w`` serve both adaptations (``w @ x``, ``w.T @ s``) as constants to the
+backward pass. ``freeze_ot_plans`` pins ``w`` for finite-difference checks.
 
 ``Model.forward`` takes one sample (a pair of 2-D matrices) or a
 minibatch (3-D stacks, or lists of equally shaped matrices) and builds one
@@ -126,8 +128,8 @@ class Model:
                 dc.xavier_uniform(head_rng, cfg.seq_len, cfg.d), "otk.references",
             )
         self.smoothing = calib.SmoothingConfig(cfg.label_smoothing_alpha, 2)
-        self._plan_cache: list[np.ndarray] | None = None  # one stack per _adapt
-        self._plan_cursor = 0
+        self._frozen = False
+        self._frozen_plan: np.ndarray | None = None
 
     # -- parameters -------------------------------------------------------
 
@@ -149,26 +151,20 @@ class Model:
     # -- transport plumbing -------------------------------------------------
 
     def freeze_ot_plans(self, frozen: bool = True):
-        """Cache transport plans across forwards (finite-difference seam)."""
-        self._plan_cache = [] if frozen else None
-        self._plan_cursor = 0
+        """Pin the next forward's transport weights (finite-difference seam)."""
+        self._frozen = frozen
+        self._frozen_plan = None
 
     def _transport_weights(self, src_v: np.ndarray, tgt_v: np.ndarray) -> np.ndarray:
         """Exact-EMD weights solved per sample, stacked like ``src_v``."""
-        cache = self._plan_cache
-        if cache is not None and self._plan_cursor < len(cache):
-            w = cache[self._plan_cursor]
-        else:
-            pairs = zip(src_v.reshape(-1, *src_v.shape[-2:]), tgt_v.reshape(-1, *tgt_v.shape[-2:]))
-            w = np.stack([transport.transport_weights(s, t) for s, t in pairs])
-            w = w.reshape(src_v.shape[:-1] + (tgt_v.shape[-2],))
-            if cache is not None:
-                cache.append(w)
-        self._plan_cursor += 1
+        if self._frozen_plan is not None:
+            return self._frozen_plan
+        pairs = zip(src_v.reshape(-1, *src_v.shape[-2:]), tgt_v.reshape(-1, *tgt_v.shape[-2:]))
+        w = np.stack([transport.transport_weights(s, t) for s, t in pairs])
+        w = w.reshape(src_v.shape[:-1] + (tgt_v.shape[-2],))
+        if self._frozen:
+            self._frozen_plan = w
         return w
-
-    def _adapt(self, src: Node, tgt: Node) -> Node:
-        return dc.matmul(dc.constant(self._transport_weights(src.value, tgt.value)), tgt)
 
     # -- reference init -------------------------------------------------------
 
@@ -213,7 +209,6 @@ class Model:
             raise DimensionError(f"image input width must be {cfg.d}, got {y_raw.shape[-1]}")
         if y_raw.shape[:-2] != x_raw.shape[:-2] or y_raw.ndim != x_raw.ndim:
             raise DimensionError(f"image input {y_raw.shape} does not match text input {x_raw.shape}")
-        self._plan_cursor = 0
 
         x = dc.constant(x_raw @ self.e_text)
         y_enc = self.encode_image(y_raw)
@@ -224,8 +219,9 @@ class Model:
         h = gated.gated_attention(s, self.gated_layer, mask_override=mask)
 
         if cfg.ot_enabled:
-            x_t = self._adapt(s, x)
-            s_t = self._adapt(x, s)
+            w = self._transport_weights(s.value, x.value)
+            x_t = dc.matmul(dc.constant(w), x)
+            s_t = dc.matmul(dc.constant(w.swapaxes(-1, -2)), s)
         else:
             x_t, s_t = x, s
 

@@ -39,7 +39,6 @@ class TrainConfig:
     runs: int = 5
     base_seed: int = 0
     seeds: tuple[int, ...] | None = None
-    val_split: float = 0.35
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -48,8 +47,8 @@ class TrainConfig:
             raise ParameterError("patience must be >= 1")
         if self.runs < 1:
             raise ParameterError("runs must be >= 1")
-        if not 0.0 < self.val_split < 1.0:
-            raise ParameterError("val_split must be in (0, 1)")
+        if self.step_size < 1:
+            raise ParameterError("step_size must be >= 1")
 
     def effective_seeds(self) -> tuple[int, ...]:
         if self.seeds is not None:

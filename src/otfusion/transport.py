@@ -23,6 +23,8 @@ from . import diffcore as dc
 from .diffcore import Node
 from .errors import DimensionError, InputError, ParameterError
 
+OTK_MARGINAL_TOL = 1e-3  # otk_embed reports converged below this violation
+
 
 @dataclass
 class Coupling:
@@ -148,6 +150,8 @@ def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
+    if max_iters < 1:
+        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     cost = np.asarray(cost, dtype=float)
@@ -218,7 +222,6 @@ class OTKConfig:
     reference_count: int
     entropic_eps: float = 0.1
     sinkhorn_iters: int = 30
-    marginal_tol: float = 1e-3
 
     def __post_init__(self):
         if self.reference_count < 1:
@@ -283,4 +286,4 @@ def otk_embed(y, references, cfg: OTKConfig) -> OTKEmbedding:
     out = dc.matmul(weights, y)
 
     violation = _marginal_violation(plan.value, 1.0 / t, 1.0 / n)
-    return OTKEmbedding(out, violation, violation < cfg.marginal_tol)
+    return OTKEmbedding(out, violation, violation < OTK_MARGINAL_TOL)

@@ -23,6 +23,15 @@ train.max_epochs = 3
 """
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON value {name}")
+
+
+def loads_strict(text):
+    """json.loads that rejects NaN and +-Infinity: CLI output must be strict JSON."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "exp.cfg"
@@ -40,7 +49,7 @@ class TestTrainCommand:
         json_b = (out_b / "tiny.json").read_bytes()
         assert json_a == json_b
         assert (out_a / "tiny.csv").read_bytes() == (out_b / "tiny.csv").read_bytes()
-        payload = json.loads(json_a)
+        payload = loads_strict(json_a)
         assert payload["label"] == "tiny"
         assert len(payload["runs"]) == 2
 
@@ -52,9 +61,17 @@ class TestTrainCommand:
 class TestEvalCommand:
     def test_prints_split_metrics(self, tiny_config, capsys):
         assert main(["eval", "--config", tiny_config, "--seed", "1"]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = loads_strict(capsys.readouterr().out)
         assert set(out) == {"train", "val", "test"}
         assert "accuracy" in out["test"]
+
+    def test_step_size_below_one_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + "train.step_size = 0\n")
+        assert main(["eval", "--config", str(path), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
 
 
 class TestGradcheckCommand:
@@ -75,7 +92,7 @@ class TestOtCommand:
         plan_path = tmp_path / "plan.csv"
         assert main(["ot", "--src", str(src), "--tgt", str(tgt),
                      "--plan-out", str(plan_path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = loads_strict(capsys.readouterr().out)
         assert payload["method"] == "emd"
         assert payload["marginal_violation"] < 1e-9
         plan = np.loadtxt(plan_path, delimiter=",")
@@ -89,8 +106,20 @@ class TestOtCommand:
         np.savetxt(tgt, rng.uniform(0, 1, (5, 2)), delimiter=",")
         assert main(["ot", "--src", str(src), "--tgt", str(tgt),
                      "--method", "sinkhorn", "--eps", "0.1"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = loads_strict(capsys.readouterr().out)
         assert payload["converged"]
+
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_sinkhorn_iters_below_one_is_usage_error(self, tmp_path, capsys, iters):
+        src = tmp_path / "src.csv"
+        tgt = tmp_path / "tgt.csv"
+        src.write_text("0.1,0.2\n0.5,0.6\n")
+        tgt.write_text("0.3,0.1\n0.7,0.9\n")
+        assert main(["ot", "--src", str(src), "--tgt", str(tgt), "--method", "sinkhorn",
+                     "--iters", iters]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
 
     @pytest.mark.parametrize("method", ["emd", "sinkhorn"])
     def test_non_finite_point_is_usage_error(self, tmp_path, capsys, method):
@@ -112,7 +141,7 @@ class TestCalibCommand:
         bins_out = tmp_path / "bins.csv"
         assert main(["calib", "--input", str(path), "--ranges", "2",
                      "--bins-out", str(bins_out)]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = loads_strict(capsys.readouterr().out)
         assert 0.0 <= payload["ece"] <= 1.0
         assert 0.0 <= payload["ace"] <= 1.0
         assert bins_out.exists()
@@ -131,7 +160,7 @@ class TestAsoCommand:
         a.write_text("\n".join(str(x) for x in [10.1, 10.2, 10.3, 10.4, 10.5]))
         b.write_text("\n".join(str(x) for x in [0.1, 0.2, 0.3, 0.4, 0.5]))
         assert main(["aso", str(a), str(b), "--seed", "0"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = loads_strict(capsys.readouterr().out)
         assert payload["eps_min"] < 0.05
         assert payload["verdict"] == "stochastically dominant"
 

@@ -66,6 +66,12 @@ def test_unknown_section_and_field():
         build_configs({"notdotted": "1"})
 
 
+def test_removed_val_split_is_unknown_field():
+    # the splits come from the task sizes; val_split was never read
+    with pytest.raises(ParameterError, match="unknown field"):
+        build_configs({"train.val_split": "0.35"})
+
+
 def test_malformed_line():
     with pytest.raises(ParameterError):
         parse_flat_config("task.n 6")

@@ -131,17 +131,53 @@ class TestAssembleModel:
             model.forward(rng.standard_normal((6, 8)), rng.standard_normal((6, 7)), False)
 
     @pytest.mark.parametrize("frozen", [False, True])
-    @pytest.mark.parametrize("src_rows,tgt_rows", [(6, 6), (5, 7)])
-    def test_adapted_features_equal_ot_adapt(self, frozen, src_rows, tgt_rows):
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_one_plan_serves_both_directions(self, frozen, batch):
         model = assemble_model(tiny_model(), seed=5)
         model.freeze_ot_plans(frozen)
         rng = np.random.default_rng(7)
-        src, tgt = rng.standard_normal((src_rows, 8)), rng.standard_normal((tgt_rows, 8))
-        expected = tr.ot_adapt(src, tgt)
-        for _ in range(2):  # the second pass replays a frozen plan
-            model._plan_cursor = 0
-            adapted = model._adapt(dc.constant(src), dc.constant(tgt))
-            npt.assert_array_equal(adapted.value, expected)
+        shape = (6, 8) if batch is None else (batch, 6, 8)
+        s, x = rng.standard_normal(shape), rng.standard_normal(shape)
+        pairs = [(s, x)] if batch is None else list(zip(s, x))
+        forward = np.stack([tr.transport_weights(si, xi) for si, xi in pairs])
+        reverse = np.stack([tr.transport_weights(xi, si) for si, xi in pairs])
+        w = model._transport_weights(s, x).reshape(forward.shape)
+        npt.assert_array_equal(w, forward)
+        npt.assert_array_equal(w.swapaxes(-1, -2), reverse)
+        other = model._transport_weights(x, s).reshape(forward.shape)
+        if frozen:  # the first forward's array stays pinned until unfrozen
+            npt.assert_array_equal(other, forward)
+            model.freeze_ot_plans(False)
+            other = model._transport_weights(x, s).reshape(forward.shape)
+        npt.assert_array_equal(other, reverse)
+
+    @pytest.mark.parametrize("ot_enabled,calls", [(True, 3), (False, 0)])
+    def test_one_solve_per_sample(self, monkeypatch, ot_enabled, calls):
+        model = assemble_model(tiny_model(ot_enabled=ot_enabled), seed=5)
+        solve = tr.transport_weights
+        seen = []
+
+        def counting(src, tgt):
+            seen.append(src.shape)
+            return solve(src, tgt)
+
+        monkeypatch.setattr(tr, "transport_weights", counting)
+        rng = np.random.default_rng(8)
+        model.forward(rng.standard_normal((3, 6, 8)), rng.standard_normal((3, 9, 8)), False)
+        assert seen == [(6, 8)] * calls
+
+    @pytest.mark.parametrize("otk_mode", ["otk", "repeat"])
+    def test_transposed_plan_is_optimal_under_ties(self, otk_mode):
+        model = assemble_model(tiny_model(otk_mode=otk_mode), seed=6)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((3, 8))[[0, 1, 0, 2, 1, 0]]  # duplicated text rows
+        s = model._image_sequence(model.encode_image(rng.standard_normal((9, 8)))).value
+        if otk_mode == "repeat":
+            assert (s == s[0]).all()  # every image row equal: every plan ties
+        plan = model._transport_weights(s, x).T / 6
+        cost = tr.cost_matrix(x, s)
+        exact = tr.emd_exact(np.full(6, 1 / 6), np.full(6, 1 / 6), cost).cost
+        assert abs((plan * cost).sum() - exact) <= 1e-12
 
     def test_otk_reference_init_from_data(self):
         model = assemble_model(tiny_model(), seed=4)
@@ -240,6 +276,11 @@ class TestBatchedModel:
 
 
 class TestTrainMechanics:
+    @pytest.mark.parametrize("step_size", [0, -1])
+    def test_step_size_below_one_rejected(self, step_size):
+        with pytest.raises(ParameterError):
+            TrainConfig(step_size=step_size)
+
     def test_lr_schedule(self):
         tc = TrainConfig(lr=0.1, step_size=4, gamma=0.1)
         assert [lr_at_epoch(tc, e) for e in range(9)] == pytest.approx(

@@ -222,6 +222,11 @@ class TestSinkhorn:
                                eps=1e-4, max_iters=2, tol=1e-12)
         assert not coupling.converged
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        with pytest.raises(ParameterError):
+            tr.sinkhorn(uniform(2), uniform(2), np.ones((2, 2)), eps=0.1, max_iters=max_iters)
+
     def test_bad_eps(self):
         with pytest.raises(ParameterError):
             tr.sinkhorn(uniform(2), uniform(2), np.zeros((2, 2)), eps=0.0)
