@@ -4,11 +4,11 @@ two-way transport adaptation, and a fusion head.
 
 Raw modality matrices pass through fixed orthogonal encoders (stand-ins
 for pretrained feature extractors; the trainable mechanisms only ever see
-representation matrices). Each forward solves one exact plan per sample,
-image rows against text rows; between uniform marginals on equal lengths it
-is a permutation whose transpose is optimal the other way, so its weights
-``w`` serve both adaptations (``w @ x``, ``w.T @ s``) as constants to the
-backward pass. ``freeze_ot_plans`` pins ``w`` for finite-difference checks.
+representation matrices). Each forward solves the exact plans of the whole
+batch, image rows against text rows, in one ``transport_weights`` call (one
+assignment per sample). Each is a permutation whose transpose is optimal the
+other way, so its 0/1 weights ``w`` serve both adaptations (``w @ x``,
+``w.T @ s``) as constants to the backward pass. ``freeze_ot_plans`` pins ``w``.
 
 ``Model.forward`` takes one sample (a pair of 2-D matrices) or a
 minibatch (3-D stacks, or lists of equally shaped matrices) and builds one
@@ -27,7 +27,7 @@ from . import diffcore as dc
 from . import gated_attention as gated
 from . import transport
 from .diffcore import Node, Parameter
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, InputError, ParameterError
 from .fusion import (AttnFusionHead, CoAttentionHead, attn_fusion_forward,
                      build_fused_inputs, co_attention_forward)
 
@@ -156,12 +156,10 @@ class Model:
         self._frozen_plan = None
 
     def _transport_weights(self, src_v: np.ndarray, tgt_v: np.ndarray) -> np.ndarray:
-        """Exact-EMD weights solved per sample, stacked like ``src_v``."""
+        """Exact-EMD weights, one assignment per sample of the stack."""
         if self._frozen_plan is not None:
             return self._frozen_plan
-        pairs = zip(src_v.reshape(-1, *src_v.shape[-2:]), tgt_v.reshape(-1, *tgt_v.shape[-2:]))
-        w = np.stack([transport.transport_weights(s, t) for s, t in pairs])
-        w = w.reshape(src_v.shape[:-1] + (tgt_v.shape[-2],))
+        w = transport.transport_weights(src_v, tgt_v)
         if self._frozen:
             self._frozen_plan = w
         return w
@@ -245,6 +243,8 @@ class Model:
         """Batch-mean smoothed cross-entropy (1x1); ``labels`` holds one
         label per sample (a plain int for a one-sample forward)."""
         labels = np.atleast_1d(labels)
+        if not np.array_equal(labels, np.round(labels)):
+            raise InputError(f"labels must be integers, got {labels.tolist()}")
         targets = np.stack([calib.smooth_targets(int(l), self.smoothing) for l in labels])
         ce = calib.ls_cross_entropy(dc.softmax_rows(logits), targets)
         return dc.scale(ce, 1.0 / labels.size)

@@ -49,6 +49,9 @@ class TrainConfig:
             raise ParameterError("runs must be >= 1")
         if self.step_size < 1:
             raise ParameterError("step_size must be >= 1")
+        if not (0 < self.lr < np.inf and 0 < self.gamma < np.inf and 0 <= self.momentum < 1):
+            raise ParameterError("lr and gamma must be positive and finite, momentum in [0, 1); "
+                                 f"got {self.lr}, {self.gamma}, {self.momentum}")
 
     def effective_seeds(self) -> tuple[int, ...]:
         if self.seeds is not None:
@@ -231,22 +234,7 @@ class RunReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "fingerprint": self.fingerprint,
-            "seeds": list(self.seeds),
-            "runs": [
-                {
-                    "seed": r.seed, "metrics": r.metrics, "epochs": r.epochs,
-                    "best_val_loss": r.best_val_loss, "stopped_early": r.stopped_early,
-                    "aborted": r.aborted, "abort_reason": r.abort_reason,
-                    "zero_division_flags": list(r.zero_division_flags),
-                }
-                for r in self.runs
-            ],
-            "aggregate": self.aggregate,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -281,8 +269,7 @@ def run_experiment(mc: ModelConfig, tc: TrainConfig, task_cfg: SyntheticTaskConf
             record = RunRecord(seed=seed, aborted=True, abort_reason=str(exc))
             warnings.append(f"run with seed {seed} aborted: {exc}")
         records.append(record)
-    completed = [r for r in records if not r.aborted]
-    if not completed:
+    if all(r.aborted for r in records):
         raise NumericalError("every run aborted; no aggregate available")
     return RunReport(
         label=label,

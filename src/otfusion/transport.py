@@ -2,12 +2,12 @@
 domain-adaptation maps, and the transport-kernel embedding that equalizes
 sequence lengths.
 
-The exact solver works on plain arrays and is deliberately not
-differentiated through; where a transported matrix participates in a
-gradient computation the plan is treated as a constant and gradients flow
-through the barycentric averaging of the target features only. The
-Sinkhorn-based embedding is fully differentiable via a fixed unrolled
-iteration count.
+The exact solvers work on plain arrays and are not differentiated through:
+a plan is a constant, and gradients flow through the barycentric averaging
+of the target features only. ``transport_weights`` is the one weight path,
+for a pair or a ``(B, n, d)`` stack (one batched cost, one assignment per
+sample). The Sinkhorn-based embedding is fully differentiable via a fixed
+unrolled iteration count.
 """
 
 from __future__ import annotations
@@ -39,17 +39,19 @@ class Coupling:
 
 
 def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean costs between the rows of src and tgt."""
+    """Pairwise squared Euclidean costs between the rows of src and tgt:
+    ``(n, d), (m, d) -> (n, m)``, or ``(B, n, d), (B, m, d) -> (B, n, m)``."""
     src = np.asarray(src, dtype=float)
     tgt = np.asarray(tgt, dtype=float)
-    if src.ndim != 2 or tgt.ndim != 2:
-        raise DimensionError("cost_matrix expects 2-D point arrays")
-    if src.shape[1] != tgt.shape[1]:
-        raise DimensionError(f"feature dims differ: {src.shape[1]} vs {tgt.shape[1]}")
+    if src.ndim not in (2, 3) or src.shape[:-2] != tgt.shape[:-2] or tgt.ndim != src.ndim:
+        raise DimensionError(f"cost_matrix expects two 2-D arrays or two equal-batch "
+                             f"3-D stacks, got {src.shape} and {tgt.shape}")
+    if src.shape[-1] != tgt.shape[-1]:
+        raise DimensionError(f"feature dims differ: {src.shape[-1]} vs {tgt.shape[-1]}")
     sq = (
-        (src * src).sum(axis=1)[:, None]
-        + (tgt * tgt).sum(axis=1)[None, :]
-        - 2.0 * src @ tgt.T
+        (src * src).sum(axis=-1)[..., :, None]
+        + (tgt * tgt).sum(axis=-1)[..., None, :]
+        - 2.0 * src @ tgt.swapaxes(-1, -2)
     )
     np.maximum(sq, 0.0, out=sq)
     return sq
@@ -195,10 +197,21 @@ def barycentric_map(coupling: Coupling, target_points: np.ndarray) -> np.ndarray
 def transport_weights(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """Barycentric weights (plan * n) of the exact EMD plan between uniform
     marginals on the rows of src and tgt; ``weights @ tgt`` maps each
-    source row into tgt's domain."""
-    n, m = src.shape[0], tgt.shape[0]
-    coupling = emd_exact(np.full(n, 1.0 / n), np.full(m, 1.0 / m), cost_matrix(src, tgt))
-    return coupling.plan * n
+    source row into tgt's domain. On equal lengths that plan is a
+    permutation over n (Birkhoff): 0/1 weights from one assignment solve per
+    sample of a ``(B, n, d)`` stack. Unequal 2-D pairs take ``emd_exact``."""
+    cost = cost_matrix(src, tgt)
+    if not (cost.size and np.isfinite(cost).all()):
+        raise InputError(f"transport needs nonempty point sets and finite costs, got {cost.shape}")
+    n, m = cost.shape[-2:]
+    if n != m:
+        if cost.ndim == 3:
+            raise DimensionError(f"stacked weights need equal lengths, got {n} and {m}")
+        return emd_exact(np.full(n, 1.0 / n), np.full(m, 1.0 / m), cost).plan * n
+    weights = np.zeros_like(cost)
+    for w, c in zip(weights.reshape(-1, n, n), cost.reshape(-1, n, n)):
+        w[linear_sum_assignment(c)] = 1.0
+    return weights
 
 
 def ot_adapt(src, tgt) -> np.ndarray:

@@ -73,6 +73,16 @@ class TestEvalCommand:
         assert captured.out == ""
         assert "error: " in captured.err
 
+    @pytest.mark.parametrize("setting", ["train.lr = -0.05", "train.momentum = 1.5",
+                                         "train.gamma = -1"])
+    def test_out_of_range_optimizer_setting_is_usage_error(self, tmp_path, capsys, setting):
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + setting + "\n")
+        assert main(["eval", "--config", str(path), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
+
 
 class TestGradcheckCommand:
     def test_suite_passes(self, capsys):

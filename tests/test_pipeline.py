@@ -7,7 +7,7 @@ from oracles import expected_parameter_count
 from otfusion import diffcore as dc
 from otfusion import transport as tr
 from otfusion.calibration import PredictionSet
-from otfusion.errors import ParameterError
+from otfusion.errors import InputError, ParameterError
 from otfusion.model import ModelConfig, ablation_variant, assemble_model
 from otfusion.significance import aso
 from otfusion.synthetic import SyntheticTaskConfig, generate_task
@@ -154,17 +154,42 @@ class TestAssembleModel:
     @pytest.mark.parametrize("ot_enabled,calls", [(True, 3), (False, 0)])
     def test_one_solve_per_sample(self, monkeypatch, ot_enabled, calls):
         model = assemble_model(tiny_model(ot_enabled=ot_enabled), seed=5)
-        solve = tr.transport_weights
+        solve = tr.linear_sum_assignment
         seen = []
 
-        def counting(src, tgt):
-            seen.append(src.shape)
-            return solve(src, tgt)
+        def counting(cost):
+            seen.append(cost.shape)
+            return solve(cost)
 
-        monkeypatch.setattr(tr, "transport_weights", counting)
+        monkeypatch.setattr(tr, "linear_sum_assignment", counting)
         rng = np.random.default_rng(8)
         model.forward(rng.standard_normal((3, 6, 8)), rng.standard_normal((3, 9, 8)), False)
-        assert seen == [(6, 8)] * calls
+        assert seen == [(6, 6)] * calls
+
+    @pytest.mark.parametrize("otk_mode", ["otk", "repeat"])
+    def test_model_path_never_reaches_the_general_solver(self, monkeypatch, otk_mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model's transport weights reached the general EMD path")
+
+        monkeypatch.setattr(tr, "emd_exact", refuse)
+        monkeypatch.setattr(tr, "linprog", refuse)
+        model = assemble_model(tiny_model(otk_mode=otk_mode), seed=5)
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((3, 6, 8)), rng.standard_normal((3, 9, 8))
+        loss = model.loss(model.forward(x, y, True, np.random.default_rng(0)), [0, 1, 1])
+        dc.backward(loss)
+        assert np.isfinite(loss.value).all()
+        _, result = evaluate(model, generate_task(tiny_task(test_size=8)).test)
+        assert 0.0 <= result["metrics"]["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("labels", [[0, 1.7], [0.5, 1], [np.nan, 1]])
+    def test_loss_rejects_non_integer_labels(self, labels):
+        model = assemble_model(tiny_model(), seed=0)
+        rng = np.random.default_rng(10)
+        logits = model.forward(rng.standard_normal((2, 6, 8)), rng.standard_normal((2, 6, 8)), False)
+        with pytest.raises(InputError):
+            model.loss(logits, labels)
+        npt.assert_array_equal(model.loss(logits, [0.0, 1.0]).value, model.loss(logits, [0, 1]).value)
 
     @pytest.mark.parametrize("otk_mode", ["otk", "repeat"])
     def test_transposed_plan_is_optimal_under_ties(self, otk_mode):
@@ -280,6 +305,20 @@ class TestTrainMechanics:
     def test_step_size_below_one_rejected(self, step_size):
         with pytest.raises(ParameterError):
             TrainConfig(step_size=step_size)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", 0.0), ("lr", -0.05), ("lr", np.inf), ("lr", np.nan),
+        ("momentum", -0.1), ("momentum", 1.0), ("momentum", 1.5), ("momentum", np.nan),
+        ("gamma", 0.0), ("gamma", -1.0), ("gamma", np.inf), ("gamma", np.nan),
+    ])
+    def test_out_of_range_optimizer_settings_rejected(self, field, value):
+        with pytest.raises(ParameterError):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [("lr", 1e-6), ("momentum", 0.0),
+                                             ("gamma", 1.0)])
+    def test_optimizer_settings_at_the_edges_accepted(self, field, value):
+        assert getattr(TrainConfig(**{field: value}), field) == value
 
     def test_lr_schedule(self):
         tc = TrainConfig(lr=0.1, step_size=4, gamma=0.1)

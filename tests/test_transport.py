@@ -57,6 +57,20 @@ class TestCostMatrix:
         with pytest.raises(DimensionError):
             tr.cost_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    def test_stack_equals_per_pair_costs(self):
+        rng = np.random.default_rng(1)
+        src, tgt = rng.standard_normal((4, 12, 32)), rng.standard_normal((4, 9, 32))
+        per_pair = np.stack([tr.cost_matrix(s, t) for s, t in zip(src, tgt)])
+        npt.assert_array_equal(tr.cost_matrix(src, tgt), per_pair)
+
+    @pytest.mark.parametrize("src_shape,tgt_shape", [
+        ((3, 6, 4), (2, 6, 4)), ((3, 6, 4), (6, 4)), ((6, 4), (3, 6, 4)),
+        ((2, 3, 6, 4), (2, 3, 6, 4)), ((4,), (4,)),
+    ])
+    def test_stack_shape_mismatch(self, src_shape, tgt_shape):
+        with pytest.raises(DimensionError):
+            tr.cost_matrix(np.zeros(src_shape), np.zeros(tgt_shape))
+
 
 class TestEmdExact:
     def test_identity_transport_diagonal_plan(self):
@@ -272,6 +286,77 @@ class TestBarycentricMap:
         coupling = tr.Coupling(np.zeros((2, 2)), np.array([0.0, 1.0]), uniform(2), 0.0)
         with pytest.raises(InputError):
             tr.barycentric_map(coupling, np.zeros((2, 2)))
+
+
+class TestTransportWeights:
+    """The model's weight path: one batched cost, one assignment per sample."""
+
+    @staticmethod
+    def tie_fixture(n):
+        """Duplicated points on both sides, so many plans are optimal."""
+        rng = np.random.default_rng(n)
+        src = rng.standard_normal((3, 4))[np.arange(n) % 3]
+        tgt = rng.standard_normal((2, 4))[np.arange(n) % 2]
+        return src, tgt
+
+    @pytest.mark.parametrize("n,d", [(1, 3), (6, 8), (12, 32)])
+    def test_stack_equals_per_pair_calls(self, n, d):
+        rng = np.random.default_rng(n)
+        src, tgt = rng.standard_normal((5, n, d)), rng.standard_normal((5, n, d))
+        per_pair = np.stack([tr.transport_weights(s, t) for s, t in zip(src, tgt)])
+        npt.assert_array_equal(tr.transport_weights(src, tgt), per_pair)
+
+    @pytest.mark.parametrize("n", [1, 6, 12, 49])
+    def test_weights_are_a_permutation(self, n):
+        rng = np.random.default_rng(n)
+        w = tr.transport_weights(rng.standard_normal((3, n, 4)), rng.standard_normal((3, n, 4)))
+        assert set(np.unique(w)) <= {0.0, 1.0}
+        npt.assert_array_equal(w.sum(axis=-1), np.ones((3, n)))
+        npt.assert_array_equal(w.sum(axis=-2), np.ones((3, n)))
+
+    @pytest.mark.parametrize("n", [1, 6, 12, 49])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_plan_cost_equals_exact_emd(self, n, ties):
+        rng = np.random.default_rng(n + 100)
+        if ties:
+            src, tgt = self.tie_fixture(n)
+        else:
+            src, tgt = rng.standard_normal((n, 4)), rng.standard_normal((n, 4))
+        cost = tr.cost_matrix(src, tgt)
+        w = tr.transport_weights(src[None], tgt[None])[0]
+        plan_cost = (w / n * cost).sum()
+        assert abs(plan_cost - tr.emd_exact(uniform(n), uniform(n), cost).cost) <= 1e-12
+        if n <= 6:
+            assert abs(plan_cost - emd_cost_permutations(cost)) <= 1e-12
+
+    @pytest.mark.parametrize("sample", [0, 2])
+    @pytest.mark.parametrize("side", ["src", "tgt"])
+    def test_nan_point_in_any_sample_rejected(self, sample, side):
+        rng = np.random.default_rng(3)
+        arrays = {"src": rng.standard_normal((3, 6, 4)), "tgt": rng.standard_normal((3, 6, 4))}
+        arrays[side][sample, 4, 1] = np.nan
+        with pytest.raises(InputError):
+            tr.transport_weights(arrays["src"], arrays["tgt"])
+
+    @pytest.mark.parametrize("src_shape,tgt_shape", [
+        ((0, 3), (0, 3)), ((0, 3), (2, 3)), ((2, 0, 3), (2, 0, 3)), ((0, 4, 3), (0, 4, 3)),
+    ])
+    def test_empty_point_sets_rejected(self, src_shape, tgt_shape):
+        with pytest.raises(InputError):
+            tr.transport_weights(np.zeros(src_shape), np.zeros(tgt_shape))
+
+    @pytest.mark.parametrize("src_shape,tgt_shape", [
+        ((3, 6, 4), (2, 6, 4)), ((3, 6, 4), (3, 5, 4)), ((3, 6, 4), (6, 4)),
+    ])
+    def test_mismatched_stacks_rejected(self, src_shape, tgt_shape):
+        with pytest.raises(DimensionError):
+            tr.transport_weights(np.zeros(src_shape), np.zeros(tgt_shape))
+
+    def test_unequal_pair_takes_the_lp(self):
+        rng = np.random.default_rng(4)
+        src, tgt = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
+        exact = tr.emd_exact(uniform(6), uniform(4), tr.cost_matrix(src, tgt))
+        npt.assert_array_equal(tr.transport_weights(src, tgt), exact.plan * 6)
 
 
 class TestOtAdapt:
