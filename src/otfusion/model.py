@@ -70,6 +70,9 @@ class ModelConfig:
             raise ParameterError(f"unknown otk_mode {self.otk_mode!r}")
         if not 0.0 <= self.label_smoothing_alpha <= 1.0:
             raise ParameterError("label_smoothing_alpha must be in [0, 1]")
+        for name in ("d", "seq_len", "d_q", "d_k", "d_g", "k", "d_z"):
+            if not getattr(self, name) >= 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         ctx.ContextStrategy.default(self.strategy)  # validates the name
 
     def context_strategy(self) -> ctx.ContextStrategy:

@@ -6,8 +6,9 @@ The exact solvers work on plain arrays and are not differentiated through:
 a plan is a constant, and gradients flow through the barycentric averaging
 of the target features only. ``transport_weights`` is the one weight path,
 for a pair or a ``(B, n, d)`` stack (one batched cost, one assignment per
-sample). The Sinkhorn-based embedding is fully differentiable via a fixed
-unrolled iteration count.
+sample). The transport-kernel embedding ``otk_embed`` is one graph node:
+its forward runs a fixed number of plain-domain Sinkhorn steps in numpy,
+and its backward replays the reverse pass of those steps.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from scipy.sparse import csc_matrix
 from scipy.special import logsumexp
 
 from . import diffcore as dc
-from .diffcore import Node
-from .errors import DimensionError, InputError, ParameterError
+from .diffcore import Node, _t, _unbroadcast
+from .errors import DimensionError, InputError, NumericalError, ParameterError
 
 OTK_MARGINAL_TOL = 1e-3  # otk_embed reports converged below this violation
 
@@ -48,11 +49,8 @@ def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
                              f"3-D stacks, got {src.shape} and {tgt.shape}")
     if src.shape[-1] != tgt.shape[-1]:
         raise DimensionError(f"feature dims differ: {src.shape[-1]} vs {tgt.shape[-1]}")
-    sq = (
-        (src * src).sum(axis=-1)[..., :, None]
-        + (tgt * tgt).sum(axis=-1)[..., None, :]
-        - 2.0 * src @ tgt.swapaxes(-1, -2)
-    )
+    sq = (src * src).sum(axis=-1)[..., :, None] + (tgt * tgt).sum(axis=-1)[..., None, :]
+    sq -= 2.0 * (src @ tgt.swapaxes(-1, -2))
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -228,8 +226,8 @@ class OTKConfig:
 
     ``reference_count`` must equal the output sequence length. ``entropic_eps``
     is relative to the mean pairwise cost (costs are mean-normalized before
-    the Gibbs kernel). The Sinkhorn loop is unrolled for ``sinkhorn_iters``
-    steps so the embedding stays differentiable.
+    the Gibbs kernel). The Sinkhorn loop runs exactly ``sinkhorn_iters``
+    steps, and the gradient is that of those steps.
     """
 
     reference_count: int
@@ -255,22 +253,17 @@ class OTKEmbedding:
     converged: bool
 
 
-def _pairwise_sq_cost_node(y: Node, z: Node) -> Node:
-    y_sq = dc.sum_cols(dc.elementwise_mul(y, y))
-    z_sq = dc.sum_cols(dc.elementwise_mul(z, z))
-    cross = dc.scale(dc.matmul(y, dc.transpose(z)), -2.0)
-    return dc.add(dc.add(y_sq, dc.transpose(z_sq)), cross)
-
-
 def otk_embed(y, references, cfg: OTKConfig) -> OTKEmbedding:
     """Pool a length-T sequence against n references via an entropic plan.
 
     Output row i is the mass-renormalized plan-weighted average of y's rows
     attending to reference i, so each output row is a convex combination of
-    input rows and the result has exactly ``reference_count`` rows. Both
-    inputs may be nodes; the embedding is differentiable with respect to
-    the sequence and the references through the unrolled iterations.
-    ``y`` may be a ``(B, t, d)`` stack; each sample gets its own plan.
+    input rows and the result has exactly ``reference_count`` rows. ``y``
+    may be a ``(B, t, d)`` stack; each sample gets its own plan. The result
+    is one graph node: its forward runs ``sinkhorn_iters`` plain-domain steps
+    from u = 1 (``v = b / K^T u``, then ``u = a / K v``) in numpy, and its
+    backward replays their reverse pass, from iterates kept only when an
+    input requires a gradient. An underflowing kernel raises NumericalError.
     """
     y = y if isinstance(y, Node) else dc.constant(y)
     z = references if isinstance(references, Node) else dc.constant(references)
@@ -281,22 +274,59 @@ def otk_embed(y, references, cfg: OTKConfig) -> OTKEmbedding:
     if n != cfg.reference_count:
         raise DimensionError(f"references rows {n} != configured count {cfg.reference_count}")
 
-    cost = _pairwise_sq_cost_node(y, z)
-    mean = dc.scale(dc.mean_rows(dc.sum_cols(cost)), 1.0 / n)
-    kernel = dc.exp_ew(dc.scale(dc.elementwise_div(cost, mean), -1.0 / cfg.entropic_eps))
-    kernel_t = dc.transpose(kernel)
+    yv, zv, eps = y.value, z.value, cfg.entropic_eps
+    cost = cost_matrix(yv, np.broadcast_to(zv, yv.shape[:-2] + zv.shape[-2:]))
+    mean = cost.sum(axis=-1, keepdims=True).mean(axis=-2, keepdims=True) * (1.0 / n)
+    scaled = np.divide(cost, mean, out=cost)
+    kernel = scaled * (-1.0 / eps)
+    np.exp(kernel, out=kernel)
+    kernel_t = _t(kernel)
+    u = np.ones(yv.shape[:-1] + (1,))
+    us, vs = [u], []  # the iterates, for the backward pass
+    with np.errstate(all="ignore"):  # an underflowing kernel is caught below
+        for _ in range(cfg.sinkhorn_iters):
+            v = (1.0 / n) / (kernel_t @ u)
+            kv = kernel @ v
+            u = (1.0 / t) / kv
+            if y.requires_grad or z.requires_grad:
+                us.append(u)
+                vs.append(v)
+        # The plan is diag(u) K diag(v). Output i averages y under the plan's
+        # column i over that column's mass, in which v cancels: the weights
+        # are uk = K * u over its column sums K^T u.
+        weights = kernel * u
+        ktu = weights.sum(axis=-2, keepdims=True)
+        weights /= ktu
+        out = _t(weights) @ yv
+    if not np.isfinite(out).all():
+        raise NumericalError(f"otk_embed is not finite at entropic_eps={eps}: the Gibbs "
+                             "kernel underflowed (or the inputs are not finite)")
+    # the plan's row sums are u * K v and its column sums v * K^T u
+    violation = float(max(np.abs(u * kv - 1.0 / t).max(), np.abs(_t(v) * ktu - 1.0 / n).max()))
 
-    a = dc.constant(np.full((t, 1), 1.0 / t))
-    b = dc.constant(np.full((n, 1), 1.0 / n))
-    u = dc.constant(np.full((t, 1), 1.0))
-    for _ in range(cfg.sinkhorn_iters):
-        v = dc.elementwise_div(b, dc.matmul(kernel_t, u))
-        u = dc.elementwise_div(a, dc.matmul(kernel, v))
-    # plan = diag(u) K diag(v); weights for output i are the i-th column.
-    plan = dc.elementwise_mul(dc.elementwise_mul(u, kernel), dc.transpose(v))
-    weights = dc.transpose(plan)
-    weights = dc.elementwise_div(weights, dc.sum_cols(weights))
-    out = dc.matmul(weights, y)
+    def vjp(g):
+        g_weights = yv @ _t(g)
+        g_uk = (g_weights - (g_weights * weights).sum(axis=-2, keepdims=True)) / ktu
+        g_u = (g_uk * kernel).sum(axis=-1, keepdims=True)
+        # Steps in reverse: u = a / K v gives g_kv = -g_u u^2 / a, and
+        # v = b / K^T u gives g_ktu = -g_v v^2 / b. The kernel's share of
+        # each step, g_kv v^T + u g_ktu^T, is summed as two stacked products.
+        g_kvs, g_ktus = [], []
+        for k in reversed(range(cfg.sinkhorn_iters)):
+            g_kvs.append(-t * g_u * us[k + 1] ** 2)
+            g_ktus.append(-n * (kernel_t @ g_kvs[-1]) * vs[k] ** 2)
+            g_u = kernel @ g_ktus[-1]
+        g_kernel = (g_uk * u + np.concatenate(g_kvs, axis=-1) @ _t(np.concatenate(vs[::-1], axis=-1))
+                    + np.concatenate(us[-2::-1], axis=-1) @ _t(np.concatenate(g_ktus, axis=-1)))
+        # kernel = exp(-(cost / mean) / eps), mean = the average of cost
+        g_scaled = g_kernel * kernel * (-1.0 / eps)
+        g_cost = (g_scaled - (g_scaled * scaled).sum(axis=(-2, -1), keepdims=True) / (n * t)) / mean
+        g_y = g_z = None
+        if y.requires_grad:
+            g_y = weights @ g + 2.0 * (yv * g_cost.sum(axis=-1, keepdims=True) - g_cost @ zv)
+        if z.requires_grad:
+            g_z = _unbroadcast(2.0 * (zv * _t(g_cost.sum(axis=-2, keepdims=True))
+                                      - _t(g_cost) @ yv), z)
+        return g_y, g_z
 
-    violation = _marginal_violation(plan.value, 1.0 / t, 1.0 / n)
-    return OTKEmbedding(out, violation, violation < OTK_MARGINAL_TOL)
+    return OTKEmbedding(Node(out, (y, z), vjp), violation, violation < OTK_MARGINAL_TOL)

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: the transport
 oracle enumerates basic solutions of the transportation polytope, the
 assignment oracle enumerates permutations, the uniform-split oracle turns
-uniform transport of any shape into a square assignment, and the
-calibration oracles re-derive the binning from comparisons alone.
+uniform transport of any shape into a square assignment, the OTK oracle
+builds the embedding as an unrolled graph of ``diffcore`` primitives, and
+the calibration oracles re-derive the binning from comparisons alone.
 """
 
 import itertools
@@ -14,7 +15,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from otfusion import context_attention as ctx
+from otfusion import diffcore as dc
 from otfusion.model import ATTN_FUSION, CO_ATTENTION, OTK
+from otfusion.transport import OTK_MARGINAL_TOL
 
 
 def emd_cost_bruteforce(a, b, cost):
@@ -145,6 +148,40 @@ def ace_bruteforce(probs, labels, num_ranges):
             total += abs(acc - mean_conf)
             cells += 1
     return total / cells
+
+
+def otk_embed_unrolled(y, references, cfg):
+    """The OTK embedding as one graph node per primitive: the cost, the
+    mean-normalized Gibbs kernel and ``cfg.sinkhorn_iters`` plain-domain
+    Sinkhorn steps from u = 1, each unrolled. ``backward`` differentiates
+    it op by op. Returns ``(values, marginal_violation, converged)``."""
+    y = y if isinstance(y, dc.Node) else dc.constant(y)
+    z = references if isinstance(references, dc.Node) else dc.constant(references)
+    t, n = y.rows, z.rows
+
+    y_sq = dc.sum_cols(dc.elementwise_mul(y, y))
+    z_sq = dc.sum_cols(dc.elementwise_mul(z, z))
+    cross = dc.scale(dc.matmul(y, dc.transpose(z)), -2.0)
+    cost = dc.add(dc.add(y_sq, dc.transpose(z_sq)), cross)
+    mean = dc.scale(dc.mean_rows(dc.sum_cols(cost)), 1.0 / n)
+    kernel = dc.exp_ew(dc.scale(dc.elementwise_div(cost, mean), -1.0 / cfg.entropic_eps))
+    kernel_t = dc.transpose(kernel)
+
+    a = dc.constant(np.full((t, 1), 1.0 / t))
+    b = dc.constant(np.full((n, 1), 1.0 / n))
+    u = dc.constant(np.full((t, 1), 1.0))
+    for _ in range(cfg.sinkhorn_iters):
+        v = dc.elementwise_div(b, dc.matmul(kernel_t, u))
+        u = dc.elementwise_div(a, dc.matmul(kernel, v))
+    plan = dc.elementwise_mul(dc.elementwise_mul(u, kernel), dc.transpose(v))
+    weights = dc.transpose(plan)
+    weights = dc.elementwise_div(weights, dc.sum_cols(weights))
+    out = dc.matmul(weights, y)
+
+    p = plan.value
+    violation = float(max(np.abs(p.sum(axis=-1) - 1.0 / t).max(),
+                          np.abs(p.sum(axis=-2) - 1.0 / n).max()))
+    return out, violation, violation < OTK_MARGINAL_TOL
 
 
 def expected_parameter_count(cfg):

@@ -88,6 +88,21 @@ class TestAssembleModel:
         model = assemble_model(cfg, seed=0)
         assert model.parameter_count() == expected_parameter_count(cfg)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(seq_len=0, otk_mode="repeat"), dict(d=0), dict(d_q=0), dict(d_k=0),
+        dict(d_g=0), dict(fusion="co_attention", k=0), dict(d_z=0), dict(seq_len=-1),
+    ])
+    def test_sizes_below_one_rejected(self, overrides):
+        with pytest.raises(ParameterError):
+            tiny_model(**overrides)
+
+    def test_sizes_of_one_accepted(self):
+        cfg = tiny_model(d=1, seq_len=1, d_q=1, d_k=1, d_g=1, k=1, d_z=1)
+        rng = np.random.default_rng(4)
+        logits = assemble_model(cfg, seed=0).forward(rng.standard_normal((2, 1, 1)),
+                                                     rng.standard_normal((2, 3, 1)), False)
+        assert logits.shape == (2, 1, 2) and np.isfinite(logits.value).all()
+
     def test_forward_emits_two_logits(self):
         rng = np.random.default_rng(0)
         model = assemble_model(tiny_model(), seed=1)

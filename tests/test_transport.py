@@ -4,12 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import emd_cost_bruteforce, emd_cost_permutations, emd_cost_uniform_split
+from oracles import (emd_cost_bruteforce, emd_cost_permutations, emd_cost_uniform_split,
+                     otk_embed_unrolled)
 
 from otfusion import diffcore as dc
 from otfusion import transport as tr
 from otfusion.diffcore import Parameter, grad_check
-from otfusion.errors import DimensionError, InputError, ParameterError
+from otfusion.errors import DimensionError, InputError, NumericalError, ParameterError
 
 
 def uniform(n):
@@ -415,6 +416,79 @@ class TestOtkEmbed:
 
         reports = grad_check(loss, [y, z], tol=1e-3)
         assert all(r.passed for r in reports)
+
+    @staticmethod
+    def fused(y, z, cfg):
+        emb = tr.otk_embed(y, z, cfg)
+        return emb.values, emb.marginal_violation, emb.converged
+
+    @pytest.mark.parametrize("y_shape", [(7, 4), (3, 7, 4)])
+    @pytest.mark.parametrize("trained", ["references", "both", "y"])
+    @pytest.mark.parametrize("eps,iters", [(0.2, 12), (0.1, 30)])
+    def test_fused_node_matches_unrolled_graph(self, y_shape, trained, eps, iters):
+        rng = np.random.default_rng(24)
+        y_value, z_value = rng.uniform(-2, 2, y_shape), rng.uniform(-2, 2, (5, 4))
+        upstream = dc.constant(rng.standard_normal(y_shape[:-2] + (5, 4)))
+        cfg = self.cfg(5, entropic_eps=eps, sinkhorn_iters=iters)
+        results = []
+        for embed in (self.fused, otk_embed_unrolled):
+            y = Parameter(y_value.copy(), "y") if trained in ("y", "both") else y_value
+            z = Parameter(z_value.copy(), "z") if trained in ("references", "both") else z_value
+            out, violation, converged = embed(y, z, cfg)
+            dc.backward(dc.sum_all(dc.elementwise_mul(out, upstream)))
+            grads = [p.grad for p in (y, z) if isinstance(p, Parameter)]
+            results.append((out.value, violation, converged, grads))
+        (fused, fused_violation, fused_converged, fused_grads), \
+            (graph, graph_violation, graph_converged, graph_grads) = results
+        npt.assert_allclose(fused, graph, rtol=0, atol=1e-12)
+        assert abs(fused_violation - graph_violation) <= 1e-12
+        assert fused_converged == graph_converged
+        assert len(fused_grads) == (2 if trained == "both" else 1)
+        for g_fused, g_graph in zip(fused_grads, graph_grads):
+            npt.assert_allclose(g_fused, g_graph, rtol=0, atol=1e-12)
+
+    def test_gradients_of_a_stack(self):
+        rng = np.random.default_rng(25)
+        y = Parameter(rng.uniform(-1, 1, (3, 5, 4)), "y")
+        z = Parameter(rng.uniform(-1, 1, (4, 4)), "z")
+        cfg = self.cfg(4, entropic_eps=0.2, sinkhorn_iters=10)
+
+        def loss():
+            out = tr.otk_embed(y, z, cfg).values
+            return dc.sum_all(dc.elementwise_mul(out, out))
+
+        reports = grad_check(loss, [y, z])
+        assert all(r.passed for r in reports)
+
+    def test_one_node_per_call(self, monkeypatch):
+        built = []
+        init = dc.Node.__init__
+
+        def counting_init(node, *args, **kwargs):
+            built.append(node)
+            init(node, *args, **kwargs)
+
+        monkeypatch.setattr(dc.Node, "__init__", counting_init)
+        rng = np.random.default_rng(26)
+        tr.otk_embed(rng.standard_normal((4, 12, 8)), rng.standard_normal((12, 8)), self.cfg(12))
+        assert len(built) <= 3
+
+    @staticmethod
+    def spread_costs():
+        """A sequence with widely spread costs to 12 references."""
+        rng = np.random.default_rng(0)
+        return rng.normal(0.0, 3.0, (40, 32)), rng.standard_normal((12, 32))
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_underflowing_kernel_raises(self, eps):
+        with pytest.raises(NumericalError, match="entropic_eps"):
+            tr.otk_embed(*self.spread_costs(), self.cfg(12, entropic_eps=eps))
+
+    def test_small_eps_that_fits_reports_unconverged(self):
+        emb = tr.otk_embed(*self.spread_costs(), self.cfg(12, entropic_eps=1e-2))
+        assert np.isfinite(emb.values.value).all()
+        assert 9.0e-3 < emb.marginal_violation < 9.2e-3
+        assert not emb.converged
 
     def test_reference_count_must_match(self):
         with pytest.raises(DimensionError):
