@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import Node, Parameter
+from .diffcore import Node, Parameter, _t, _unbroadcast
 from .errors import DimensionError, ParameterError
 
 GLOBAL = "global"
@@ -97,23 +97,24 @@ def deep_global_context(history: list[Node], w_c0: Node) -> Node:
     return dc.matmul(pooled, w_c0)
 
 
-def gated_sum(a: Node, a_c: Node, w_g_a: Node, w_g_ac: Node,
-              gate_override: float | None = None) -> tuple[Node, Node]:
-    """Sigmoid-gated mix of a matrix with its context counterpart.
-
-    Returns the n x 1 gate and the mixed matrix (1 - g) * a + g * a_c.
-    ``a_c`` has a's rows, or one row shared by all of them.
-    ``gate_override`` is a test/ablation seam that pins the gate to a
-    constant instead of computing it.
-    """
-    if a_c.shape not in (a.shape, a.shape[:-2] + (1, a.cols)):
-        raise DimensionError(f"gated_sum: shapes {a.shape} and {a_c.shape} differ")
-    if gate_override is None:
-        gate = dc.sigmoid(dc.add(dc.matmul(a, w_g_a), dc.matmul(a_c, w_g_ac)))
-    else:
-        gate = dc.constant(np.full((a.rows, 1), float(gate_override)))
-    mixed = dc.add(dc.sub(a, dc.elementwise_mul(gate, a)), dc.elementwise_mul(gate, a_c))
-    return gate, mixed
+def _gate_vjp(g_mixed, a, a_c, gate, w_a, w_ac, learned: bool):
+    """Gradients of ``(1 - g) * a + g * a_c`` for a, a_c, w_a and w_ac, where
+    a learned gate is ``g = sigmoid(a w_a + a_c w_ac)``; a pinned one passes
+    no gradient to w_a and w_ac."""
+    g_a = g_mixed * (1.0 - gate)
+    g_ac = g_mixed * gate
+    shared = a_c.shape[-2] == 1  # one context row, shared by every row of a
+    if shared:
+        g_ac = g_ac.sum(axis=-2, keepdims=True)
+    if not learned:
+        return g_a, g_ac, None, None
+    g_pre = (g_mixed * (a_c - a)).sum(axis=-1, keepdims=True) * gate * (1.0 - gate)
+    g_a += g_pre @ w_a.value.T
+    g_wa = _unbroadcast(_t(a) @ g_pre, w_a)
+    if shared:
+        g_pre = g_pre.sum(axis=-2, keepdims=True)
+    g_ac += g_pre @ w_ac.value.T
+    return g_a, g_ac, g_wa, _unbroadcast(_t(a_c) @ g_pre, w_ac)
 
 
 def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
@@ -122,24 +123,54 @@ def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
     """Context-gated scaled dot-product attention with V = x.
 
     ``c`` has x's rows, or one row shared by all of them. Output is n x d.
-    With ``return_attention`` the row-stochastic attention map is returned
-    as well.
+    Q and K are each mixed with their context projection by an n x 1
+    sigmoid gate, ``(1 - g) * q + g * q_c``; ``gate_override`` is a
+    test/ablation seam that pins both gates to a constant. With
+    ``return_attention`` the row-stochastic attention map is returned as
+    well, as a constant.
+
+    The layer is one graph node with parents ``x``, ``c`` and the layer's
+    eight parameters: its forward runs in numpy and its vjp is written out.
     """
     if c.rows not in (1, x.rows):
         raise DimensionError(f"context rows {c.rows} != input rows {x.rows} or 1")
     if c.cols != layer.d_c:
         raise DimensionError(f"context width {c.cols} != layer d_c {layer.d_c}")
-    q = dc.matmul(x, layer.w_q)
-    k = dc.matmul(x, layer.w_k)
-    q_c = dc.matmul(c, layer.w_qc)
-    k_c = dc.matmul(c, layer.w_kc)
-    _, q_bar = gated_sum(q, q_c, layer.w_gq, layer.w_gqc, gate_override)
-    _, k_bar = gated_sum(k, k_c, layer.w_gk, layer.w_gkc, gate_override)
-    scores = dc.scale(dc.matmul(q_bar, dc.transpose(k_bar)), 1.0 / math.sqrt(layer.d_k))
-    attn = dc.softmax_rows(scores)
-    out = dc.matmul(attn, x)
+    xv, cv = x.value, c.value
+    params = layer.parameters()
+    w_q, w_k, w_qc, w_kc, w_gq, w_gqc, w_gk, w_gkc = params
+    q, k = xv @ w_q.value, xv @ w_k.value
+    q_c, k_c = cv @ w_qc.value, cv @ w_kc.value
+    learned = gate_override is None
+    if learned:
+        gate_q = dc._sigmoid(q @ w_gq.value + q_c @ w_gqc.value)
+        gate_k = dc._sigmoid(k @ w_gk.value + k_c @ w_gkc.value)
+    else:
+        gate_q = gate_k = np.full((x.rows, 1), float(gate_override))
+    q_bar = q - gate_q * q + gate_q * q_c
+    k_bar = k - gate_k * k + gate_k * k_c
+    scale = 1.0 / math.sqrt(layer.d_k)
+    attn = dc._softmax((q_bar @ _t(k_bar).copy()) * scale)
+
+    def vjp(g):
+        g_scores = dc._softmax_vjp(attn, g @ _t(xv)) * scale
+        g_q, g_qc, g_wgq, g_wgqc = _gate_vjp(g_scores @ k_bar, q, q_c, gate_q,
+                                             w_gq, w_gqc, learned)
+        g_k, g_kc, g_wgk, g_wgkc = _gate_vjp(_t(g_scores) @ q_bar, k, k_c, gate_k,
+                                             w_gk, w_gkc, learned)
+        g_x = g_c = None
+        if x.requires_grad:
+            g_x = _unbroadcast(_t(attn) @ g + g_q @ w_q.value.T + g_k @ w_k.value.T, x)
+        if c.requires_grad:
+            g_c = _unbroadcast(g_qc @ w_qc.value.T + g_kc @ w_kc.value.T, c)
+        return (g_x, g_c,
+                _unbroadcast(_t(xv) @ g_q, w_q), _unbroadcast(_t(xv) @ g_k, w_k),
+                _unbroadcast(_t(cv) @ g_qc, w_qc), _unbroadcast(_t(cv) @ g_kc, w_kc),
+                g_wgq, g_wgqc, g_wgk, g_wgkc)
+
+    out = Node(attn @ xv, (x, c, *params), vjp)
     if return_attention:
-        return out, attn
+        return out, dc.constant(attn)
     return out
 
 

@@ -265,10 +265,16 @@ def elementwise_div(a, b) -> Node:
     return Node(out, (a, b), vjp)
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp is only taken of -|v|."""
+    e = np.exp(-np.abs(v))
+    denom = 1.0 + e
+    return np.where(v >= 0, 1.0 / denom, e / denom)
+
+
 def sigmoid(a) -> Node:
     a = _wrap(a)
-    v = a.value
-    out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    out = _sigmoid(a.value)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -316,16 +322,24 @@ def log_ew(a) -> Node:
     return Node(np.log(v), (a,), vjp)
 
 
+def _softmax(v: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, stabilized by subtracting each row's max."""
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a row-wise softmax's input, given its output ``out``."""
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
 def softmax_rows(a) -> Node:
     """Row-wise softmax, stabilized by subtracting each row's max."""
     a = _wrap(a)
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(a.value)
 
     def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        return (_softmax_vjp(out, g),)
 
     return Node(out, (a,), vjp)
 
@@ -460,21 +474,27 @@ class SampleMajorDraws:
         return self._blocks.pop(0)
 
 
-def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = None) -> Node:
-    """Inverted dropout: train-time zeroing with 1/(1-rate) rescale, eval identity.
-    One draw from ``rng`` covers every entry; pass a :class:`SampleMajorDraws`
-    to lay a batch's draws out sample by sample."""
-    a = _wrap(a)
+def _dropout_keep(shape, rate: float, training: bool, rng) -> np.ndarray | None:
+    """The inverted-dropout multiplier for one site (0 or 1/(1-rate) per
+    entry), or None where dropout is the identity (eval mode, rate 0)."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        def vjp_id(g):
-            return (g,)
-
-        return Node(a.value.copy(), (a,), vjp_id)
+        return None
     if rng is None:
         raise ParameterError("dropout in training mode needs an rng")
-    keep = (rng.random(a.value.shape) >= rate) / (1.0 - rate)
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = None) -> Node:
+    """Inverted dropout: train-time zeroing with 1/(1-rate) rescale; in eval
+    mode or at rate 0 it returns ``a`` itself.
+    One draw from ``rng`` covers every entry; pass a :class:`SampleMajorDraws`
+    to lay a batch's draws out sample by sample."""
+    a = _wrap(a)
+    keep = _dropout_keep(a.value.shape, rate, training, rng)
+    if keep is None:
+        return a
 
     def vjp(g):
         return (g * keep,)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import Node, Parameter
+from .diffcore import Node, Parameter, _t, _unbroadcast
 from .errors import DimensionError
 
 # Width of the heads' hidden layers and their dropout rates.
@@ -133,29 +133,52 @@ class AttnFusionHead:
                 self.w_out, self.b_out]
 
 
-def _reduction_weights(m: Node, w1, b1, w2, b2, training, rng) -> Node:
-    h = dc.relu(dc.add(dc.matmul(m, w1), b1))
-    h = dc.dropout(h, ATTN_MLP_DROPOUT, training, rng)
-    scores = dc.add(dc.matmul(h, w2), b2)
-    return dc.softmax_rows(dc.transpose(scores))
+def _attentive_pool(m: Node, w1: Parameter, b1: Parameter, w2: Parameter, b2: Parameter,
+                    training: bool, rng) -> tuple[Node, np.ndarray]:
+    """Pool the rows of m (n x d', or a stack) by softmax weights over
+    positions from the scorer FC(hidden)-ReLU-Dropout-FC(1).
+
+    Returns the pooled 1 x d' rows as one graph node with parents
+    ``(m, w1, b1, w2, b2)``, and the 1 x n weights. The dropout mask is
+    drawn from ``rng`` inside the node.
+    """
+    mv = m.value
+    pre = mv @ w1.value + b1.value
+    relu_mask = pre > 0
+    h = pre * relu_mask
+    keep = dc._dropout_keep(h.shape, ATTN_MLP_DROPOUT, training, rng)
+    if keep is not None:
+        h = h * keep
+    alpha = dc._softmax(_t(h @ w2.value + b2.value).copy())
+
+    def vjp(g):
+        g_scores = _t(dc._softmax_vjp(alpha, g @ _t(mv)))
+        g_h = g_scores @ w2.value.T
+        if keep is not None:
+            g_h *= keep
+        g_pre = g_h * relu_mask
+        g_m = _t(alpha) @ g + g_pre @ w1.value.T if m.requires_grad else None
+        return (g_m, _unbroadcast(_t(mv) @ g_pre, w1), _unbroadcast(g_pre, b1),
+                _unbroadcast(_t(h) @ g_scores, w2), _unbroadcast(g_scores, b2))
+
+    return Node(alpha @ mv, (m, w1, b1, w2, b2), vjp), alpha
 
 
 def attn_fusion_forward(inputs: FusedInputs, head: AttnFusionHead, training: bool,
                         rng: np.random.Generator | None = None,
                         return_weights: bool = False):
-    """Logits (1 x 2, or B x 1 x 2 for a batch) from the attentional-reduction head."""
+    """Logits (1 x 2, or B x 1 x 2 for a batch) from the attentional-reduction head.
+    With ``return_weights`` the two sides' pooling weights follow, as constants."""
     if training and rng is not None:
         rng = dc.SampleMajorDraws(rng, [inputs.c.shape[:-1] + (HIDDEN,),
                                         inputs.s.shape[:-1] + (HIDDEN,)])
-    alpha_c = _reduction_weights(inputs.c, head.c_w1, head.c_b1, head.c_w2, head.c_b2,
-                                 training, rng)
-    alpha_s = _reduction_weights(inputs.s, head.s_w1, head.s_b1, head.s_w2, head.s_b2,
-                                 training, rng)
-    c_tilde = dc.matmul(alpha_c, inputs.c)
-    s_tilde = dc.matmul(alpha_s, inputs.s)
+    c_tilde, alpha_c = _attentive_pool(inputs.c, head.c_w1, head.c_b1, head.c_w2, head.c_b2,
+                                       training, rng)
+    s_tilde, alpha_s = _attentive_pool(inputs.s, head.s_w1, head.s_b1, head.s_w2, head.s_b2,
+                                       training, rng)
     z = dc.layer_norm(dc.add(dc.matmul(c_tilde, head.w_c), dc.matmul(s_tilde, head.w_s)),
                       head.ln_gain, head.ln_bias)
     logits = dc.add(dc.matmul(z, head.w_out), head.b_out)
     if return_weights:
-        return logits, alpha_c, alpha_s
+        return logits, dc.constant(alpha_c), dc.constant(alpha_s)
     return logits

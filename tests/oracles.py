@@ -4,8 +4,10 @@ These deliberately avoid the library's own code paths: the transport
 oracle enumerates basic solutions of the transportation polytope, the
 assignment oracle enumerates permutations, the uniform-split oracle turns
 uniform transport of any shape into a square assignment, the OTK oracle
-builds the embedding as an unrolled graph of ``diffcore`` primitives, and
-the calibration oracles re-derive the binning from comparisons alone.
+builds the embedding as an unrolled graph of ``diffcore`` primitives, the
+attention oracles build the context, gated and pooling layers the same
+way, and the calibration oracles re-derive the binning from comparisons
+alone.
 """
 
 import itertools
@@ -16,6 +18,8 @@ from scipy.optimize import linear_sum_assignment
 
 from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
+from otfusion.errors import DimensionError
+from otfusion.fusion import ATTN_MLP_DROPOUT
 from otfusion.model import ATTN_FUSION, CO_ATTENTION, OTK
 from otfusion.transport import OTK_MARGINAL_TOL
 
@@ -182,6 +186,77 @@ def otk_embed_unrolled(y, references, cfg):
     violation = float(max(np.abs(p.sum(axis=-1) - 1.0 / t).max(),
                           np.abs(p.sum(axis=-2) - 1.0 / n).max()))
     return out, violation, violation < OTK_MARGINAL_TOL
+
+
+def gated_sum(a, a_c, w_g_a, w_g_ac, gate_override=None):
+    """Sigmoid-gated mix of a matrix with its context counterpart, as a
+    graph of primitives. Returns the n x 1 gate and the mixed matrix
+    (1 - g) * a + g * a_c; ``a_c`` has a's rows, or one row shared by all
+    of them. ``gate_override`` pins the gate to a constant."""
+    if a_c.shape not in (a.shape, a.shape[:-2] + (1, a.cols)):
+        raise DimensionError(f"gated_sum: shapes {a.shape} and {a_c.shape} differ")
+    if gate_override is None:
+        gate = dc.sigmoid(dc.add(dc.matmul(a, w_g_a), dc.matmul(a_c, w_g_ac)))
+    else:
+        gate = dc.constant(np.full((a.rows, 1), float(gate_override)))
+    mixed = dc.add(dc.sub(a, dc.elementwise_mul(gate, a)), dc.elementwise_mul(gate, a_c))
+    return gate, mixed
+
+
+def context_attention_composed(x, c, layer, gate_override=None):
+    """``context_attention.context_attention_forward`` as a graph of
+    primitives. Returns the output and the attention map."""
+    q = dc.matmul(x, layer.w_q)
+    k = dc.matmul(x, layer.w_k)
+    q_c = dc.matmul(c, layer.w_qc)
+    k_c = dc.matmul(c, layer.w_kc)
+    _, q_bar = gated_sum(q, q_c, layer.w_gq, layer.w_gqc, gate_override)
+    _, k_bar = gated_sum(k, k_c, layer.w_gk, layer.w_gkc, gate_override)
+    scores = dc.scale(dc.matmul(q_bar, dc.transpose(k_bar)), 1.0 / math.sqrt(layer.d_k))
+    attn = dc.softmax_rows(scores)
+    return dc.matmul(attn, x), attn
+
+
+def gating_masks(q, k, layer):
+    """T x 2 sigmoid masks of gated attention as a graph of primitives;
+    column 0 gates the queries, column 1 the keys."""
+    if q.shape != k.shape:
+        raise DimensionError(f"gating_masks: shapes {q.shape} and {k.shape} differ")
+    hq = dc.matmul(q, layer.fc_q)
+    hk = dc.matmul(k, layer.fc_k)
+    return dc.sigmoid(dc.matmul(dc.elementwise_mul(hq, hk), layer.fc_out))
+
+
+def gated_attention_composed(s, layer, mask_override=None):
+    """``gated_attention.gated_attention`` as a graph of primitives.
+    Returns the output and the attention map."""
+    if mask_override is not None:
+        m = dc.constant(np.asarray(mask_override, dtype=float))
+    else:
+        m = gating_masks(s, s, layer)
+    m_q = dc.slice_cols(m, 0, 1)
+    m_k = dc.slice_cols(m, 1, 2)
+    scores = dc.scale(
+        dc.matmul(dc.elementwise_mul(s, m_q), dc.transpose(dc.elementwise_mul(s, m_k))),
+        1.0 / math.sqrt(s.cols),
+    )
+    attn = dc.softmax_rows(scores)
+    return dc.matmul(attn, s), attn
+
+
+def reduction_weights(m, w1, b1, w2, b2, training, rng):
+    """The attn-fusion head's 1 x n pooling weights as a graph of primitives."""
+    h = dc.relu(dc.add(dc.matmul(m, w1), b1))
+    h = dc.dropout(h, ATTN_MLP_DROPOUT, training, rng)
+    scores = dc.add(dc.matmul(h, w2), b2)
+    return dc.softmax_rows(dc.transpose(scores))
+
+
+def attentive_pool_composed(m, w1, b1, w2, b2, training, rng):
+    """``fusion._attentive_pool`` as a graph of primitives. Returns the
+    pooled rows and the weights."""
+    alpha = reduction_weights(m, w1, b1, w2, b2, training, rng)
+    return dc.matmul(alpha, m), alpha
 
 
 def expected_parameter_count(cfg):

