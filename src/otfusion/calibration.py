@@ -83,23 +83,18 @@ def smooth_targets(label: int, cfg: SmoothingConfig) -> np.ndarray:
     return t
 
 
-def ls_cross_entropy(probs, smoothed: np.ndarray):
-    """Cross-entropy sum_k -target_k * log(p_k) with a 1e-12 floor on p.
-
-    Accepts a graph node (returns a differentiable 1x1 node) or a plain
-    vector (returns a float). A node may hold a batch of probability rows
-    with one target row each; the result is then the sum over the batch.
+def ls_cross_entropy(probs, smoothed: np.ndarray) -> Node:
+    """Cross-entropy sum_k -target_k * log(p_k) with a 1e-12 floor on p, as
+    a differentiable 1x1 node (an array ``probs`` is wrapped as a constant).
+    ``probs`` may hold a batch of probability rows with one target row
+    each; the result is then the sum over the batch.
     """
+    probs = dc._wrap(probs)
     smoothed = np.asarray(smoothed, dtype=float).ravel()
-    if isinstance(probs, Node):
-        if probs.value.size != smoothed.size:
-            raise InputError("probs and targets disagree in length")
-        logp = dc.log_ew(dc.clamp_min(probs, PROB_FLOOR))
-        return dc.scale(dc.sum_all(dc.elementwise_mul(dc.constant(smoothed.reshape(probs.shape)), logp)), -1.0)
-    p = np.asarray(probs, dtype=float).ravel()
-    if p.size != smoothed.size:
+    if probs.value.size != smoothed.size:
         raise InputError("probs and targets disagree in length")
-    return float(-(smoothed * np.log(np.maximum(p, PROB_FLOOR))).sum())
+    logp = dc.log_ew(dc.clamp_min(probs, PROB_FLOOR))
+    return dc.scale(dc.sum_all(dc.elementwise_mul(dc.constant(smoothed.reshape(probs.shape)), logp)), -1.0)
 
 
 @dataclass

@@ -6,11 +6,11 @@ Each op works on the last two axes, so it runs a whole minibatch in one
 call; a per-sample call is simply the same op without the batch axis
 (B=1). A 2-D operand, such as a :class:`Parameter`, is shared by every
 matrix in a stack, and its gradient is summed over the batch.
-:func:`add`, :func:`sub`, :func:`elementwise_mul` and
-:func:`elementwise_div` follow numpy's broadcasting rule on the last two
-axes: an axis of size 1 stretches to the other operand's size (a 1 x d
-row, an n x 1 column or a 1 x 1 scalar), and the gradient of a stretched
-operand is summed over every axis it was stretched along.
+:func:`add` and :func:`elementwise_mul` follow numpy's broadcasting
+rule on the last two axes: an axis of size 1 stretches to the other
+operand's size (a 1 x d row, an n x 1 column or a 1 x 1 scalar), and the
+gradient of a stretched operand is summed over every axis it was
+stretched along.
 Operations build a graph on the fly; calling :func:`backward` on a 1x1
 node fills in ``grad`` on every node that (transitively) depends on a
 trainable :class:`Parameter`. Gradients are checked against central
@@ -138,6 +138,8 @@ def backward(root: Node):
 
     ``root`` must be 1x1. Traversal is a depth-first topological order over
     the sub-graph that requires gradients; nodes outside it are skipped.
+    A Parameter's gradient is added into its buffer in place, so calls
+    accumulate until :func:`zero_grads`.
     """
     if root.value.shape != (1, 1):
         raise DimensionError(f"backward root must be 1x1, got {root.value.shape}")
@@ -165,9 +167,12 @@ def backward(root: Node):
         for parent, contrib in zip(node._parents, node._vjp(node.grad)):
             if not parent.requires_grad or contrib is None:
                 continue
-            if parent.grad is None:
-                parent.grad = contrib.copy() if isinstance(parent, Parameter) else contrib
+            if isinstance(parent, Parameter):
+                parent.grad += contrib
+            elif parent.grad is None:
+                parent.grad = contrib
             else:
+                # out of place: this grad may be a child's array
                 parent.grad = parent.grad + contrib
 
 
@@ -219,17 +224,6 @@ def add(a, b) -> Node:
     return Node(a.value + b.value, (a, b), vjp)
 
 
-def sub(a, b) -> Node:
-    a, b = _wrap(a), _wrap(b)
-    _require_broadcastable(a, b, "sub")
-
-    def vjp(g):
-        return (_unbroadcast(g, a) if a.requires_grad else None,
-                _unbroadcast(-g, b) if b.requires_grad else None)
-
-    return Node(a.value - b.value, (a, b), vjp)
-
-
 def scale(a, s: float) -> Node:
     a = _wrap(a)
     s = float(s)
@@ -252,34 +246,11 @@ def elementwise_mul(a, b) -> Node:
     return Node(av * bv, (a, b), vjp)
 
 
-def elementwise_div(a, b) -> Node:
-    a, b = _wrap(a), _wrap(b)
-    _require_broadcastable(a, b, "elementwise_div")
-    av, bv = a.value, b.value
-    out = av / bv
-
-    def vjp(g):
-        return (_unbroadcast(g / bv, a) if a.requires_grad else None,
-                _unbroadcast(-g * out / bv, b) if b.requires_grad else None)
-
-    return Node(out, (a, b), vjp)
-
-
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: exp is only taken of -|v|."""
     e = np.exp(-np.abs(v))
     denom = 1.0 + e
     return np.where(v >= 0, 1.0 / denom, e / denom)
-
-
-def sigmoid(a) -> Node:
-    a = _wrap(a)
-    out = _sigmoid(a.value)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return Node(out, (a,), vjp)
 
 
 def tanh_ew(a) -> Node:
@@ -300,16 +271,6 @@ def relu(a) -> Node:
         return (g * mask,)
 
     return Node(a.value * mask, (a,), vjp)
-
-
-def exp_ew(a) -> Node:
-    a = _wrap(a)
-    out = np.exp(a.value)
-
-    def vjp(g):
-        return (g * out,)
-
-    return Node(out, (a,), vjp)
 
 
 def log_ew(a) -> Node:
@@ -366,19 +327,6 @@ def concat_cols(a, b) -> Node:
     return Node(np.concatenate([a.value, b.value], axis=-1), (a, b), vjp)
 
 
-def slice_cols(a, start: int, stop: int) -> Node:
-    a = _wrap(a)
-    if not (0 <= start < stop <= a.cols):
-        raise DimensionError(f"slice_cols: [{start}:{stop}) out of range for {a.cols} columns")
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        full[..., start:stop] = g
-        return (full,)
-
-    return Node(a.value[..., start:stop].copy(), (a,), vjp)
-
-
 def mean_rows(a) -> Node:
     """Average over rows: n x d -> 1 x d."""
     a = _wrap(a)
@@ -388,16 +336,6 @@ def mean_rows(a) -> Node:
         return (np.repeat(g / n, n, axis=-2),)
 
     return Node(a.value.mean(axis=-2, keepdims=True), (a,), vjp)
-
-
-def sum_cols(a) -> Node:
-    a = _wrap(a)
-    d = a.cols
-
-    def vjp(g):
-        return (np.repeat(g, d, axis=-1),)
-
-    return Node(a.value.sum(axis=-1, keepdims=True), (a,), vjp)
 
 
 def sum_all(a) -> Node:
@@ -530,7 +468,7 @@ def grad_check(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4) -> list[Gr
     that disagree raise :class:`ContractViolationError`. Relative error per
     entry is ``|g_ad - g_fd| / max(1, |g_ad|, |g_fd|)``.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     base = loss_fn()
     if base.value.shape != (1, 1):

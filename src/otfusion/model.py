@@ -74,6 +74,7 @@ class ModelConfig:
             if not getattr(self, name) >= 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         ctx.ContextStrategy.default(self.strategy)  # validates the name
+        transport.OTKConfig(self.seq_len, self.otk_eps, self.otk_iters)  # validates the OTK settings
 
     def context_strategy(self) -> ctx.ContextStrategy:
         if self.layers is None:
@@ -238,9 +239,7 @@ class Model:
         """Class probabilities: a vector for one sample, B rows for a batch."""
         with dc.inference(self.parameters()):
             logits = self.forward(x_raw, y_raw, training=False).value
-        rows = logits.reshape(-1, logits.shape[-1])
-        e = np.exp(rows - rows.max(axis=1, keepdims=True))
-        return (e / e.sum(axis=1, keepdims=True)).reshape(logits.shape[:-2] + (-1,))
+        return dc._softmax(logits).reshape(logits.shape[:-2] + (-1,))
 
     def loss(self, logits: Node, labels) -> Node:
         """Batch-mean smoothed cross-entropy (1x1); ``labels`` holds one

@@ -37,7 +37,7 @@ class SyntheticTaskConfig:
             raise ParameterError("split sizes must be >= 1")
         if not 0.0 <= self.cross_modal_correlation <= 1.0:
             raise ParameterError("cross_modal_correlation must lie in [0, 1]")
-        if self.noise_std <= 0:
+        if not self.noise_std > 0:
             raise ParameterError("noise_std must be positive")
 
 

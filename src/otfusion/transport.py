@@ -148,7 +148,7 @@ def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
     optimum; ``marginal_violation`` is that of the last iterate before the
     projection.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
@@ -237,7 +237,7 @@ class OTKConfig:
     def __post_init__(self):
         if self.reference_count < 1:
             raise ParameterError("reference_count must be >= 1")
-        if self.entropic_eps <= 0:
+        if not self.entropic_eps > 0:
             raise ParameterError("entropic_eps must be positive")
         if self.sinkhorn_iters < 1:
             raise ParameterError("sinkhorn_iters must be >= 1")

@@ -8,6 +8,11 @@ builds the embedding as an unrolled graph of ``diffcore`` primitives, the
 attention oracles build the context, gated and pooling layers the same
 way, and the calibration oracles re-derive the binning from comparisons
 alone.
+
+The graph primitives that only these oracles use (``sub``,
+``elementwise_div``, ``sigmoid``, ``exp_ew``, ``slice_cols`` and
+``sum_cols``) live here rather than in ``diffcore``: the library's fused
+layers compute the same values in one node each.
 """
 
 import itertools
@@ -18,6 +23,7 @@ from scipy.optimize import linear_sum_assignment
 
 from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
+from otfusion.diffcore import Node, _require_broadcastable, _sigmoid, _unbroadcast, _wrap
 from otfusion.errors import DimensionError
 from otfusion.fusion import ATTN_MLP_DROPOUT
 from otfusion.model import ATTN_FUSION, CO_ATTENTION, OTK
@@ -154,6 +160,73 @@ def ace_bruteforce(probs, labels, num_ranges):
     return total / cells
 
 
+def sub(a, b) -> Node:
+    a, b = _wrap(a), _wrap(b)
+    _require_broadcastable(a, b, "sub")
+
+    def vjp(g):
+        return (_unbroadcast(g, a) if a.requires_grad else None,
+                _unbroadcast(-g, b) if b.requires_grad else None)
+
+    return Node(a.value - b.value, (a, b), vjp)
+
+
+def elementwise_div(a, b) -> Node:
+    a, b = _wrap(a), _wrap(b)
+    _require_broadcastable(a, b, "elementwise_div")
+    av, bv = a.value, b.value
+    out = av / bv
+
+    def vjp(g):
+        return (_unbroadcast(g / bv, a) if a.requires_grad else None,
+                _unbroadcast(-g * out / bv, b) if b.requires_grad else None)
+
+    return Node(out, (a, b), vjp)
+
+
+def sigmoid(a) -> Node:
+    a = _wrap(a)
+    out = _sigmoid(a.value)
+
+    def vjp(g):
+        return (g * out * (1.0 - out),)
+
+    return Node(out, (a,), vjp)
+
+
+def exp_ew(a) -> Node:
+    a = _wrap(a)
+    out = np.exp(a.value)
+
+    def vjp(g):
+        return (g * out,)
+
+    return Node(out, (a,), vjp)
+
+
+def slice_cols(a, start: int, stop: int) -> Node:
+    a = _wrap(a)
+    if not (0 <= start < stop <= a.cols):
+        raise DimensionError(f"slice_cols: [{start}:{stop}) out of range for {a.cols} columns")
+
+    def vjp(g):
+        full = np.zeros_like(a.value)
+        full[..., start:stop] = g
+        return (full,)
+
+    return Node(a.value[..., start:stop].copy(), (a,), vjp)
+
+
+def sum_cols(a) -> Node:
+    a = _wrap(a)
+    d = a.cols
+
+    def vjp(g):
+        return (np.repeat(g, d, axis=-1),)
+
+    return Node(a.value.sum(axis=-1, keepdims=True), (a,), vjp)
+
+
 def otk_embed_unrolled(y, references, cfg):
     """The OTK embedding as one graph node per primitive: the cost, the
     mean-normalized Gibbs kernel and ``cfg.sinkhorn_iters`` plain-domain
@@ -163,23 +236,23 @@ def otk_embed_unrolled(y, references, cfg):
     z = references if isinstance(references, dc.Node) else dc.constant(references)
     t, n = y.rows, z.rows
 
-    y_sq = dc.sum_cols(dc.elementwise_mul(y, y))
-    z_sq = dc.sum_cols(dc.elementwise_mul(z, z))
+    y_sq = sum_cols(dc.elementwise_mul(y, y))
+    z_sq = sum_cols(dc.elementwise_mul(z, z))
     cross = dc.scale(dc.matmul(y, dc.transpose(z)), -2.0)
     cost = dc.add(dc.add(y_sq, dc.transpose(z_sq)), cross)
-    mean = dc.scale(dc.mean_rows(dc.sum_cols(cost)), 1.0 / n)
-    kernel = dc.exp_ew(dc.scale(dc.elementwise_div(cost, mean), -1.0 / cfg.entropic_eps))
+    mean = dc.scale(dc.mean_rows(sum_cols(cost)), 1.0 / n)
+    kernel = exp_ew(dc.scale(elementwise_div(cost, mean), -1.0 / cfg.entropic_eps))
     kernel_t = dc.transpose(kernel)
 
     a = dc.constant(np.full((t, 1), 1.0 / t))
     b = dc.constant(np.full((n, 1), 1.0 / n))
     u = dc.constant(np.full((t, 1), 1.0))
     for _ in range(cfg.sinkhorn_iters):
-        v = dc.elementwise_div(b, dc.matmul(kernel_t, u))
-        u = dc.elementwise_div(a, dc.matmul(kernel, v))
+        v = elementwise_div(b, dc.matmul(kernel_t, u))
+        u = elementwise_div(a, dc.matmul(kernel, v))
     plan = dc.elementwise_mul(dc.elementwise_mul(u, kernel), dc.transpose(v))
     weights = dc.transpose(plan)
-    weights = dc.elementwise_div(weights, dc.sum_cols(weights))
+    weights = elementwise_div(weights, sum_cols(weights))
     out = dc.matmul(weights, y)
 
     p = plan.value
@@ -196,10 +269,10 @@ def gated_sum(a, a_c, w_g_a, w_g_ac, gate_override=None):
     if a_c.shape not in (a.shape, a.shape[:-2] + (1, a.cols)):
         raise DimensionError(f"gated_sum: shapes {a.shape} and {a_c.shape} differ")
     if gate_override is None:
-        gate = dc.sigmoid(dc.add(dc.matmul(a, w_g_a), dc.matmul(a_c, w_g_ac)))
+        gate = sigmoid(dc.add(dc.matmul(a, w_g_a), dc.matmul(a_c, w_g_ac)))
     else:
         gate = dc.constant(np.full((a.rows, 1), float(gate_override)))
-    mixed = dc.add(dc.sub(a, dc.elementwise_mul(gate, a)), dc.elementwise_mul(gate, a_c))
+    mixed = dc.add(sub(a, dc.elementwise_mul(gate, a)), dc.elementwise_mul(gate, a_c))
     return gate, mixed
 
 
@@ -224,7 +297,7 @@ def gating_masks(q, k, layer):
         raise DimensionError(f"gating_masks: shapes {q.shape} and {k.shape} differ")
     hq = dc.matmul(q, layer.fc_q)
     hk = dc.matmul(k, layer.fc_k)
-    return dc.sigmoid(dc.matmul(dc.elementwise_mul(hq, hk), layer.fc_out))
+    return sigmoid(dc.matmul(dc.elementwise_mul(hq, hk), layer.fc_out))
 
 
 def gated_attention_composed(s, layer, mask_override=None):
@@ -234,8 +307,8 @@ def gated_attention_composed(s, layer, mask_override=None):
         m = dc.constant(np.asarray(mask_override, dtype=float))
     else:
         m = gating_masks(s, s, layer)
-    m_q = dc.slice_cols(m, 0, 1)
-    m_k = dc.slice_cols(m, 1, 2)
+    m_q = slice_cols(m, 0, 1)
+    m_k = slice_cols(m, 1, 2)
     scores = dc.scale(
         dc.matmul(dc.elementwise_mul(s, m_q), dc.transpose(dc.elementwise_mul(s, m_k))),
         1.0 / math.sqrt(s.cols),

@@ -63,16 +63,23 @@ class TestSmoothTargets:
             cal.smooth_targets(2, cal.SmoothingConfig(0.1, 2))
 
 
+def cross_entropy(probs, targets):
+    """The 1x1 loss node of ``ls_cross_entropy`` on constant probabilities."""
+    loss = cal.ls_cross_entropy(probs, targets)
+    assert loss.shape == (1, 1)
+    return loss.value[0, 0]
+
+
 class TestSmoothedCrossEntropy:
     def test_minimum_is_target_entropy(self):
         targets = cal.smooth_targets(0, cal.SmoothingConfig(0.2, 3))
-        loss = cal.ls_cross_entropy(targets, targets)
+        loss = cross_entropy(targets, targets)
         entropy = float(-(targets * np.log(targets)).sum())
         assert loss == pytest.approx(entropy, abs=1e-12)
 
     def test_confident_correct_is_near_zero(self):
         targets = cal.smooth_targets(0, cal.SmoothingConfig(0.0, 2))
-        loss = cal.ls_cross_entropy(np.array([1.0, 0.0]), targets)
+        loss = cross_entropy(np.array([1.0, 0.0]), targets)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_random_against_direct_summation(self):
@@ -83,7 +90,7 @@ class TestSmoothedCrossEntropy:
             t = rng.uniform(0.01, 1, 4)
             t /= t.sum()
             expected = -(t * np.log(p)).sum()
-            assert cal.ls_cross_entropy(p, t) == pytest.approx(expected, abs=1e-12)
+            assert cross_entropy(p, t) == pytest.approx(expected, abs=1e-12)
 
     def test_gibbs_inequality(self):
         rng = np.random.default_rng(1)
@@ -93,16 +100,7 @@ class TestSmoothedCrossEntropy:
             q = rng.uniform(0.01, 1, 3)
             q /= q.sum()
             entropy = -(t * np.log(t)).sum()
-            assert cal.ls_cross_entropy(q, t) >= entropy - 1e-9
-
-    def test_node_path_matches_numpy_path(self):
-        rng = np.random.default_rng(2)
-        p = rng.uniform(0.05, 1, 3)
-        p /= p.sum()
-        t = rng.uniform(0.05, 1, 3)
-        t /= t.sum()
-        node_loss = cal.ls_cross_entropy(dc.constant(p.reshape(1, 3)), t)
-        assert node_loss.value[0, 0] == pytest.approx(cal.ls_cross_entropy(p, t), abs=1e-15)
+            assert cross_entropy(q, t) >= entropy - 1e-9
 
     def test_differentiable_through_probs(self):
         rng = np.random.default_rng(3)

@@ -53,6 +53,15 @@ class TestTrainCommand:
         assert payload["label"] == "tiny"
         assert len(payload["runs"]) == 2
 
+    def test_nan_otk_eps_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + "model.otk_eps = nan\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "out")]) == 3

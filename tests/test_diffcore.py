@@ -1,9 +1,14 @@
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import elementwise_div, exp_ew, sigmoid, slice_cols, sub, sum_cols
 from otfusion import diffcore as dc
 from otfusion.diffcore import Node, Parameter, backward, grad_check
 from otfusion.errors import ContractViolationError, DimensionError, ParameterError
@@ -66,12 +71,12 @@ class TestSoftmaxRows:
 
 class TestElementwiseOps:
     def test_sigmoid_at_zero(self):
-        assert dc.sigmoid(dc.constant([[0.0]])).value[0, 0] == 0.5
+        assert dc._sigmoid(np.array([[0.0]]))[0, 0] == 0.5
 
     def test_sigmoid_exact_and_finite_at_extremes(self):
         v = np.array([[-800.0, -30.0, -1e-3, 0.0, 1e-3, 30.0, 800.0]])
         with np.errstate(over="raise"):
-            out = dc.sigmoid(dc.constant(v)).value
+            out = dc._sigmoid(v)
         pos = v >= 0
         expected = np.empty_like(v)
         expected[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
@@ -97,10 +102,10 @@ class TestElementwiseOps:
             dc.add(dc.constant(np.zeros((2, 3))), dc.constant(np.zeros((2, 4))))
 
     @pytest.mark.parametrize("op,arity", [
-        (dc.sigmoid, 1), (dc.tanh_ew, 1), (dc.relu, 1), (dc.exp_ew, 1),
+        (sigmoid, 1), (dc.tanh_ew, 1), (dc.relu, 1), (exp_ew, 1),
         (dc.softmax_rows, 1), (dc.mean_rows, 1),
-        (dc.sum_cols, 1), (dc.transpose, 1),
-        (dc.add, 2), (dc.sub, 2), (dc.elementwise_mul, 2),
+        (sum_cols, 1), (dc.transpose, 1),
+        (dc.add, 2), (sub, 2), (dc.elementwise_mul, 2),
         (dc.concat_cols, 2),
     ])
     def test_gradients_match_finite_differences(self, op, arity):
@@ -119,7 +124,7 @@ class TestElementwiseOps:
         b = Parameter(rng.uniform(0.5, 2.0, (3, 4)), "b")
 
         def loss():
-            out = dc.log_ew(dc.clamp_min(dc.elementwise_div(a, b), 1e-12))
+            out = dc.log_ew(dc.clamp_min(elementwise_div(a, b), 1e-12))
             return dc.sum_all(dc.elementwise_mul(out, out))
 
         fd_check(loss, [a, b])
@@ -133,7 +138,7 @@ class TestElementwiseOps:
         def loss():
             wide = dc.elementwise_mul(col, row)
             assert wide.shape == (4, 3)
-            return dc.sum_all(dc.elementwise_mul(dc.slice_cols(wide, 1, 3), dc.slice_cols(wide, 0, 2)))
+            return dc.sum_all(dc.elementwise_mul(slice_cols(wide, 1, 3), slice_cols(wide, 0, 2)))
 
         fd_check(loss, [col, row])
 
@@ -267,6 +272,12 @@ class TestGradCheck:
         with pytest.raises(DimensionError):
             backward(dc.constant(np.zeros((2, 2))))
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan")])
+    def test_non_positive_eps_is_rejected(self, eps):
+        w = Parameter(np.ones((2, 2)), "w")
+        with pytest.raises(ParameterError):
+            grad_check(lambda: dc.sum_all(w), [w], eps=eps)
+
 
 def test_parameter_zero_grad():
     p = Parameter(np.ones((2, 2)), "p")
@@ -277,7 +288,36 @@ def test_parameter_zero_grad():
     npt.assert_array_equal(p.grad, np.zeros((2, 2)))
 
 
-@pytest.mark.parametrize("op", [dc.add, dc.sub, dc.elementwise_mul, dc.elementwise_div])
+def test_backward_adds_into_the_parameter_gradient_buffer():
+    rng = np.random.default_rng(19)
+    p = Parameter(rand(rng, 3, 4), "p")
+    buffer = p.grad
+    backward(dc.sum_all(dc.elementwise_mul(p, p)))
+    assert p.grad is buffer
+    once = p.grad.copy()
+    npt.assert_array_equal(once, 2.0 * p.value)
+    backward(dc.sum_all(dc.elementwise_mul(p, p)))  # no zero_grad in between
+    assert p.grad is buffer
+    npt.assert_array_equal(p.grad, 2.0 * once)
+
+
+def test_every_public_function_has_a_library_caller():
+    """Ops that only tests use belong in ``tests/oracles.py``, not here."""
+    package = Path(dc.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "diffcore.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        used.update(re.findall(r"\bdc\.(\w+)", text))
+        for names in re.findall(r"from \.diffcore import (\([^)]*\)|.*)", text):
+            used.update(re.findall(r"\w+", names))
+    public = {name for name, f in inspect.getmembers(dc, inspect.isfunction)
+              if f.__module__ == dc.__name__ and not name.startswith("_")}
+    assert public - used == set()
+
+
+@pytest.mark.parametrize("op", [dc.add, sub, dc.elementwise_mul, elementwise_div])
 def test_binary_vjp_skips_constant_operand(op):
     rng = np.random.default_rng(18)
     p = Parameter(rng.uniform(0.5, 2.0, (3, 4)), "p")
@@ -304,7 +344,7 @@ def test_inference_records_no_graph_and_restores_parameters():
 def test_finite_outputs_on_finite_inputs():
     rng = np.random.default_rng(16)
     a = dc.constant(rand(rng, 3, 3))
-    chain = dc.softmax_rows(dc.tanh_ew(dc.matmul(a, dc.sigmoid(a))))
+    chain = dc.softmax_rows(dc.tanh_ew(dc.matmul(a, sigmoid(a))))
     assert np.all(np.isfinite(chain.value))
 
 
@@ -315,32 +355,32 @@ def test_finite_outputs_on_finite_inputs():
 # are functions of (r, c), and ``positive`` keeps log/div inputs away from 0.
 # The ``_row``/``_col``/``_scalar`` cases broadcast a size-1 axis of ``p``.
 BATCH_CASES = {
-    "sigmoid": (lambda a, p: dc.sigmoid(a), None),
+    "sigmoid": (lambda a, p: sigmoid(a), None),
     "tanh_ew": (lambda a, p: dc.tanh_ew(a), None),
     "relu": (lambda a, p: dc.relu(a), None),
-    "exp_ew": (lambda a, p: dc.exp_ew(a), None),
+    "exp_ew": (lambda a, p: exp_ew(a), None),
     "log_ew": (lambda a, p: dc.log_ew(a), None),
     "softmax_rows": (lambda a, p: dc.softmax_rows(a), None),
     "transpose": (lambda a, p: dc.transpose(a), None),
     "mean_rows": (lambda a, p: dc.mean_rows(a), None),
-    "sum_cols": (lambda a, p: dc.sum_cols(a), None),
+    "sum_cols": (lambda a, p: sum_cols(a), None),
     "sum_all": (lambda a, p: dc.sum_all(a), None),
     "scale": (lambda a, p: dc.scale(a, -1.7), None),
     "clamp_min": (lambda a, p: dc.clamp_min(a, 1.0), None),
-    "slice_cols": (lambda a, p: dc.slice_cols(a, 1, a.cols), None),
+    "slice_cols": (lambda a, p: slice_cols(a, 1, a.cols), None),
     "dropout_eval": (lambda a, p: dc.dropout(a, 0.5, False), None),
     "concat_cols": (lambda a, p: dc.concat_cols(a, dc.scale(a, 2.0)), None),
     "matmul_batch_batch": (lambda a, p: dc.matmul(a, dc.transpose(a)), None),
     "matmul_param_right": (lambda a, p: dc.matmul(a, p), lambda r, c: (c, 3)),
     "matmul_param_left": (lambda a, p: dc.matmul(p, a), lambda r, c: (2, r)),
     "add": (lambda a, p: dc.add(a, p), lambda r, c: (r, c)),
-    "sub": (lambda a, p: dc.sub(p, a), lambda r, c: (r, c)),
+    "sub": (lambda a, p: sub(p, a), lambda r, c: (r, c)),
     "elementwise_mul": (lambda a, p: dc.elementwise_mul(a, p), lambda r, c: (r, c)),
-    "elementwise_div": (lambda a, p: dc.elementwise_div(p, a), lambda r, c: (r, c)),
+    "elementwise_div": (lambda a, p: elementwise_div(p, a), lambda r, c: (r, c)),
     "add_row": (lambda a, p: dc.add(a, p), lambda r, c: (1, c)),
-    "sub_row": (lambda a, p: dc.sub(p, a), lambda r, c: (1, c)),
+    "sub_row": (lambda a, p: sub(p, a), lambda r, c: (1, c)),
     "elementwise_mul_col": (lambda a, p: dc.elementwise_mul(a, p), lambda r, c: (r, 1)),
-    "elementwise_div_scalar": (lambda a, p: dc.elementwise_div(p, a), lambda r, c: (1, 1)),
+    "elementwise_div_scalar": (lambda a, p: elementwise_div(p, a), lambda r, c: (1, 1)),
     "layer_norm": (lambda a, p: dc.layer_norm(a, p, p), lambda r, c: (1, c)),
 }
 

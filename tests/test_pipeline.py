@@ -79,6 +79,11 @@ class TestGenerateTask:
         with pytest.raises(ParameterError):
             tiny_task(train_size=0)
 
+    @pytest.mark.parametrize("noise_std", [0.0, -1.0, np.nan])
+    def test_non_positive_noise_std_rejected(self, noise_std):
+        with pytest.raises(ParameterError, match="noise_std"):
+            tiny_task(noise_std=noise_std)
+
 
 class TestAssembleModel:
     @pytest.mark.parametrize("fusion", ["co_attention", "attn_fusion", "concat"])
@@ -93,6 +98,13 @@ class TestAssembleModel:
         dict(d_g=0), dict(fusion="co_attention", k=0), dict(d_z=0), dict(seq_len=-1),
     ])
     def test_sizes_below_one_rejected(self, overrides):
+        with pytest.raises(ParameterError):
+            tiny_model(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(otk_eps=0.0), dict(otk_eps=-0.1), dict(otk_eps=np.nan), dict(otk_iters=0),
+    ])
+    def test_bad_otk_settings_rejected_at_construction(self, overrides):
         with pytest.raises(ParameterError):
             tiny_model(**overrides)
 

@@ -246,6 +246,11 @@ class TestSinkhorn:
         with pytest.raises(ParameterError):
             tr.sinkhorn(uniform(2), uniform(2), np.zeros((2, 2)), eps=0.0)
 
+    @pytest.mark.parametrize("eps", [-1e-3, np.nan])
+    def test_non_positive_eps_rejected_before_iterating(self, eps):
+        with pytest.raises(ParameterError, match="eps must be positive"):
+            tr.sinkhorn(uniform(4), uniform(4), np.ones((4, 4)), eps=eps, max_iters=5000)
+
     @pytest.mark.parametrize("which,value", NON_FINITE)
     def test_non_finite_input_rejected(self, which, value):
         rng = np.random.default_rng(25)
@@ -499,3 +504,8 @@ class TestOtkEmbed:
             tr.OTKConfig(0)
         with pytest.raises(ParameterError):
             tr.OTKConfig(3, entropic_eps=-1.0)
+
+    @pytest.mark.parametrize("eps", [0.0, np.nan])
+    def test_non_positive_entropic_eps_rejected(self, eps):
+        with pytest.raises(ParameterError, match="entropic_eps"):
+            tr.OTKConfig(3, entropic_eps=eps)
