@@ -58,6 +58,8 @@ def violation_ratio(scores_a, scores_b, grid: int = QUANTILE_GRID) -> float:
     Returns 0.5 when the squared Wasserstein denominator is zero (identical
     empirical distributions: no order determinable).
     """
+    if not grid >= 1:
+        raise ParameterError(f"grid must be >= 1, got {grid}")
     a = np.asarray(scores_a, dtype=float).ravel()
     b = np.asarray(scores_b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
@@ -91,6 +93,8 @@ def aso(scores_a, scores_b, confidence: float = 0.95, bootstrap_iters: int = 100
         raise ParameterError("bootstrap_iters must be >= 1")
     if num_comparisons < 1:
         raise ParameterError("num_comparisons must be >= 1")
+    if not grid >= 1:
+        raise ParameterError(f"grid must be >= 1, got {grid}")
     a = np.asarray(scores_a, dtype=float).ravel()
     b = np.asarray(scores_b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:

@@ -2,6 +2,10 @@
 domain-adaptation maps, and the transport-kernel embedding that equalizes
 sequence lengths.
 
+``sinkhorn`` runs stabilized scaling: matrix-vector steps on a kernel into
+which the log-domain duals are absorbed. Its one log-domain kernel,
+``_log_step``, starts it and takes over whenever a scaling leaves its range.
+
 The exact solvers work on plain arrays and are not differentiated through:
 a plan is a constant, and gradients flow through the barycentric averaging
 of the target features only. ``transport_weights`` is the one weight path,
@@ -18,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csc_matrix
-from scipy.special import logsumexp
 
 from . import diffcore as dc
 from .diffcore import Node, _t, _unbroadcast
 from .errors import DimensionError, InputError, NumericalError, ParameterError
 
 OTK_MARGINAL_TOL = 1e-3  # otk_embed reports converged below this violation
+_SCALING_MIN, _SCALING_MAX = 1e-50, 1e50  # sinkhorn absorbs a scaling outside this range
 
 
 @dataclass
@@ -137,11 +141,37 @@ def _round_to_feasible(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
     return p
 
 
+def _log_step(k: np.ndarray, dual: np.ndarray, log_marginal: np.ndarray) -> np.ndarray:
+    """One log-domain Sinkhorn half-step over the last axis of the log-kernel
+    ``k`` (``(n, m)`` or ``(B, n, m)``): ``log_marginal - logsumexp(k + dual)``.
+    The max shift keeps every exponent <= 0, so no term overflows and a row
+    whose kernel underflows everywhere still gets a finite dual."""
+    z = k + dual[..., None, :]
+    top = z.max(axis=-1, keepdims=True)
+    return log_marginal - (top[..., 0] + np.log(np.exp(z - top).sum(axis=-1)))
+
+
+def _in_range(scaling: np.ndarray) -> bool:
+    """False outside the scaling range, and for a NaN, 0 or inf entry."""
+    return _SCALING_MIN <= scaling.min() and scaling.max() <= _SCALING_MAX
+
+
 def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
              tol: float = 1e-6) -> Coupling:
-    """Entropic-regularized transport via log-domain Sinkhorn iterations.
+    """Entropic-regularized transport by stabilized scaling (Schmitzer,
+    arXiv 1610.06519).
 
-    Stops when the worst marginal violation drops below ``tol``; a plan that
+    The plan is ``diag(u) K diag(v)`` with the absorbed kernel
+    ``K = exp(-cost/eps + alpha (+) beta)``. One iteration is a row scaling
+    ``u = a / (K v)`` and a column scaling ``v = b / (K^T u)``: two
+    matrix-vector products. A scaling that leaves [1e-50, 1e50] or turns
+    non-finite is redone as a log-domain half-step (``_log_step``) that
+    absorbs ``log u`` and ``log v`` into the duals and rebuilds ``K``; the
+    first row scaling is one such step. Zero-mass rows and columns are left
+    out and keep all-zero plan rows and columns.
+
+    Stops when the worst marginal violation of the current iterate, read
+    from ``u * (K v)`` and ``v * (K^T u)``, drops below ``tol``; a plan that
     did not converge is returned with ``converged=False`` rather than
     silently. The returned plan is projected onto the exact marginal
     polytope after iterating, so its cost can never undercut the exact
@@ -150,33 +180,53 @@ def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
     """
     if not eps > 0:
         raise ParameterError(f"eps must be positive, got {eps}")
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     cost = np.asarray(cost, dtype=float)
     _check_marginals(a, b, cost)
-    log_a = np.log(np.where(a > 0, a, 1.0))
-    log_b = np.log(np.where(b > 0, b, 1.0))
-    f = np.zeros_like(a)
-    g = np.zeros_like(b)
-    k = -cost / eps
+    rows, cols = a > 0, b > 0
+    k = cost[rows] / -eps
+    a_s, b_s = a[rows], b[cols]
+    log_a, log_b = np.log(a_s), np.log(b_s)
+    # The first row step sees every column at dual 0; from then on the
+    # zero-mass columns have dual -inf and drop out.
+    alpha, beta = _log_step(k, np.zeros(b.size), log_a), np.zeros(b_s.size)
+    k = k[:, cols]
+    kernel = np.exp(k + alpha[:, None])
+    u = np.ones(a_s.size)
     converged = False
     violation = np.inf
-    zero_a = a == 0
-    zero_b = b == 0
-    for _ in range(max_iters):
-        f = eps * (log_a - logsumexp(k + g[None, :] / eps, axis=1))
-        f[zero_a] = -np.inf
-        g = eps * (log_b - logsumexp(k + f[:, None] / eps, axis=0))
-        g[zero_b] = -np.inf
-        plan = np.exp(k + f[:, None] / eps + g[None, :] / eps)
-        violation = _marginal_violation(plan, a, b)
-        if violation < tol:
-            converged = True
-            break
-    plan = _round_to_feasible(np.exp(k + f[:, None] / eps + g[None, :] / eps), a, b)
-    return Coupling(plan, a, b, float((plan * cost).sum()), converged, violation)
+    with np.errstate(divide="ignore", over="ignore"):
+        for it in range(max_iters):
+            if it:
+                u = a_s / kv
+                if not _in_range(u):
+                    beta = beta + np.log(v)
+                    alpha = _log_step(k, beta, log_a)
+                    kernel = np.exp(k + alpha[:, None] + beta)
+                    u = np.ones(a_s.size)
+            ktu = kernel.T @ u
+            v = b_s / ktu
+            if not _in_range(v):
+                alpha = alpha + np.log(u)
+                beta = _log_step(k.T, alpha, log_b)
+                kernel = np.exp(k + alpha[:, None] + beta)
+                u = np.ones(a_s.size)
+                v = np.ones(b_s.size)
+                ktu = kernel.sum(axis=0)
+            kv = kernel @ v
+            violation = max(np.abs(u * kv - a_s).max(), np.abs(v * ktu - b_s).max())
+            if violation < tol:
+                converged = True
+                break
+    plan = np.zeros_like(cost)
+    plan[np.ix_(rows, cols)] = u[:, None] * kernel * v
+    plan = _round_to_feasible(plan, a, b)
+    return Coupling(plan, a, b, float((plan * cost).sum()), converged, float(violation))
 
 
 def barycentric_map(coupling: Coupling, target_points: np.ndarray) -> np.ndarray:

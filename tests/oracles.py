@@ -3,11 +3,12 @@
 These deliberately avoid the library's own code paths: the transport
 oracle enumerates basic solutions of the transportation polytope, the
 assignment oracle enumerates permutations, the uniform-split oracle turns
-uniform transport of any shape into a square assignment, the OTK oracle
-builds the embedding as an unrolled graph of ``diffcore`` primitives, the
-attention oracles build the context, gated and pooling layers the same
-way, and the calibration oracles re-derive the binning from comparisons
-alone.
+uniform transport of any shape into a square assignment, the Sinkhorn
+oracle runs the log-domain loop with scipy's ``logsumexp``, the OTK
+oracle builds the embedding as an unrolled graph of ``diffcore``
+primitives, the attention oracles build the context, gated and pooling
+layers the same way, and the calibration oracles re-derive the binning
+from comparisons alone.
 
 The graph primitives that only these oracles use (``sub``,
 ``elementwise_div``, ``sigmoid``, ``exp_ew``, ``slice_cols`` and
@@ -20,6 +21,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.special import logsumexp
 
 from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
@@ -27,7 +29,7 @@ from otfusion.diffcore import Node, _require_broadcastable, _sigmoid, _unbroadca
 from otfusion.errors import DimensionError
 from otfusion.fusion import ATTN_MLP_DROPOUT
 from otfusion.model import ATTN_FUSION, CO_ATTENTION, OTK
-from otfusion.transport import OTK_MARGINAL_TOL
+from otfusion.transport import OTK_MARGINAL_TOL, Coupling, _round_to_feasible
 
 
 def emd_cost_bruteforce(a, b, cost):
@@ -115,6 +117,38 @@ def emd_cost_uniform_split(cost):
     split = np.repeat(np.repeat(cost, size // n, axis=0), size // m, axis=1)
     rows, cols = linear_sum_assignment(split)
     return float(split[rows, cols].sum() / size)
+
+
+def sinkhorn_log_domain(a, b, cost, eps, max_iters=5000, tol=1e-6):
+    """``transport.sinkhorn``'s contract by log-domain iterations: one
+    iteration updates the duals f (rows), then g (columns), each with a
+    full ``logsumexp``, and builds the plan to check its marginals. Stops
+    at the first plan within ``tol``; the plan then goes through the
+    library's own projection ``_round_to_feasible``. Zero-mass entries get
+    the dual -inf, so their plan rows and columns are zero."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    cost = np.asarray(cost, dtype=float)
+    log_a = np.log(np.where(a > 0, a, 1.0))
+    log_b = np.log(np.where(b > 0, b, 1.0))
+    f = np.zeros_like(a)
+    g = np.zeros_like(b)
+    k = -cost / eps
+    converged = False
+    violation = np.inf
+    for _ in range(max_iters):
+        f = eps * (log_a - logsumexp(k + g[None, :] / eps, axis=1))
+        f[a == 0] = -np.inf
+        g = eps * (log_b - logsumexp(k + f[:, None] / eps, axis=0))
+        g[b == 0] = -np.inf
+        plan = np.exp(k + f[:, None] / eps + g[None, :] / eps)
+        violation = float(max(np.abs(plan.sum(axis=1) - a).max(),
+                              np.abs(plan.sum(axis=0) - b).max()))
+        if violation < tol:
+            converged = True
+            break
+    plan = _round_to_feasible(np.exp(k + f[:, None] / eps + g[None, :] / eps), a, b)
+    return Coupling(plan, a, b, float((plan * cost).sum()), converged, violation)
 
 
 def ece_bruteforce(probs, labels, num_bins):

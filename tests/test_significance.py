@@ -43,6 +43,11 @@ class TestViolationRatio:
         with pytest.raises(InputError):
             violation_ratio([], [1.0])
 
+    @pytest.mark.parametrize("grid", [0, -3, np.nan])
+    def test_grid_below_one_rejected(self, grid):
+        with pytest.raises(ParameterError, match="grid must be >= 1"):
+            violation_ratio([1.0, 2.0, 3.0], [0.5, 1.5, 2.5], grid=grid)
+
 
 class TestASO:
     def test_nonoverlapping_shift_is_dominant(self):
@@ -122,6 +127,13 @@ class TestASO:
             aso([1.0] * 5, [2.0] * 5, bootstrap_iters=0)
         with pytest.raises(InputError):
             aso([], [1.0])
+
+    @pytest.mark.parametrize("grid", [0, -3, np.nan])
+    @pytest.mark.parametrize("a", [[1.0, 2.0, 3.0, 4.0, 5.0], [2.0] * 5],
+                             ids=["spread", "degenerate"])
+    def test_grid_below_one_rejected(self, a, grid):
+        with pytest.raises(ParameterError, match="grid must be >= 1"):
+            aso(a, [2.0] * 5, bootstrap_iters=10, grid=grid)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from oracles import (emd_cost_bruteforce, emd_cost_permutations, emd_cost_uniform_split,
-                     otk_embed_unrolled)
+                     otk_embed_unrolled, sinkhorn_log_domain)
 
 from otfusion import diffcore as dc
 from otfusion import transport as tr
@@ -258,6 +258,108 @@ class TestSinkhorn:
                                      which, value)
         with pytest.raises(InputError, match="finite"):
             tr.sinkhorn(a, b, cost, eps=0.1)
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+    def test_non_positive_tol_rejected_before_iterating(self, tol):
+        with pytest.raises(ParameterError, match="tol must be positive"):
+            tr.sinkhorn(uniform(3), uniform(2), np.ones((3, 2)), eps=0.1, tol=tol)
+
+    def test_row_whose_kernel_underflows_everywhere_converges(self):
+        rng = np.random.default_rng(31)
+        src = np.vstack([rng.uniform(0, 1, (4, 2)), [[100.0, 100.0]]])
+        cost = tr.cost_matrix(src, rng.uniform(0, 1, (3, 2)))
+        eps = 1e-3
+        assert np.exp(-cost[-1] / eps).max() == 0.0
+        coupling = tr.sinkhorn(uniform(5), uniform(3), cost, eps=eps)
+        assert coupling.converged
+        assert np.isfinite(coupling.plan).all()
+        npt.assert_allclose(coupling.plan.sum(axis=1), uniform(5), rtol=0, atol=1e-12)
+
+    def test_tiny_eps_on_large_cloud_is_finite_and_flagged(self):
+        rng = np.random.default_rng(32)
+        cost = tr.cost_matrix(rng.uniform(0, 1, (300, 2)), rng.uniform(0, 1, (200, 2)))
+        coupling = tr.sinkhorn(uniform(300), uniform(200), cost, eps=1e-4, max_iters=50)
+        assert not coupling.converged
+        assert np.isfinite(coupling.plan).all() and np.isfinite(coupling.cost)
+        npt.assert_allclose(coupling.plan.sum(axis=1), uniform(300), rtol=0, atol=1e-12)
+        npt.assert_allclose(coupling.plan.sum(axis=0), uniform(200), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.05, 1e-3])
+    def test_zero_mass_rows_and_columns_stay_zero(self, eps):
+        rng = np.random.default_rng(33)
+        a = random_marginal(rng, 6)
+        b = random_marginal(rng, 5)
+        a[[1, 4]] = 0.0
+        b[[0, 3]] = 0.0
+        a /= a.sum()
+        b /= b.sum()
+        coupling = tr.sinkhorn(a, b, rng.uniform(0, 2, (6, 5)), eps=eps)
+        assert coupling.converged
+        assert np.isfinite(coupling.plan).all()
+        assert (coupling.plan[[1, 4], :] == 0.0).all()
+        assert (coupling.plan[:, [0, 3]] == 0.0).all()
+
+
+def random_instance(seed, zero_mass):
+    """Random marginals and unit-scale costs of size 3..7 a side; with
+    ``zero_mass``, one or two entries of each marginal are zero and at
+    least two are positive."""
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(3, 8, size=2)
+    a, b = random_marginal(rng, n), random_marginal(rng, m)
+    if zero_mass:
+        a[rng.choice(n, size=min(2, n - 2), replace=False)] = 0.0
+        b[rng.choice(m, size=min(2, m - 2), replace=False)] = 0.0
+        a /= a.sum()
+        b /= b.sum()
+    return a, b, rng.uniform(0, 2, (n, m))
+
+
+class TestSinkhornMatchesLogDomain:
+    """The scaling kernel against the log-domain loop it replaced
+    (``oracles.sinkhorn_log_domain``): the same stopping iteration, so the
+    same flag, cost and plan up to rounding."""
+
+    @staticmethod
+    def check(a, b, cost, eps, **kw):
+        got = tr.sinkhorn(a, b, cost, eps, **kw)
+        want = sinkhorn_log_domain(a, b, cost, eps, **kw)
+        assert got.converged == want.converged
+        assert np.isfinite(got.plan).all()
+        if want.converged:
+            assert got.cost == pytest.approx(want.cost, rel=1e-12, abs=0)
+            npt.assert_allclose(got.plan, want.plan, rtol=0, atol=1e-12)
+        else:
+            npt.assert_allclose(got.plan.sum(axis=1), a, rtol=0, atol=1e-12)
+            npt.assert_allclose(got.plan.sum(axis=0), b, rtol=0, atol=1e-12)
+        return want
+
+    @pytest.mark.parametrize("seed", [1501, 1502, 1503])
+    def test_benchmark_shaped_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        cost = tr.cost_matrix(rng.uniform(0, 1, (300, 2)), rng.uniform(0, 1, (200, 2)))
+        self.check(uniform(300), uniform(200), cost, 0.01)
+
+    @pytest.mark.parametrize("zero_mass", [False, True], ids=["positive", "zero_mass"])
+    @pytest.mark.parametrize("eps", [1.0, 0.05, 1e-3])
+    @pytest.mark.parametrize("seed", range(1600, 1608))
+    def test_random_small_instances(self, seed, eps, zero_mass):
+        self.check(*random_instance(seed, zero_mass), eps)
+
+    @pytest.mark.parametrize("zero_mass", [False, True], ids=["positive", "zero_mass"])
+    def test_absorbed_scalings(self, zero_mass, monkeypatch):
+        steps = []
+        log_step = tr._log_step
+        monkeypatch.setattr(tr, "_log_step", lambda *args: steps.append(1) or log_step(*args))
+        want = self.check(*random_instance(1900, zero_mass), 1e-3)
+        assert want.converged
+        assert len(steps) > 1  # scalings left their range after the first step
+
+    @pytest.mark.parametrize("zero_mass", [False, True], ids=["positive", "zero_mass"])
+    @pytest.mark.parametrize("seed", range(1700, 1704))
+    def test_unconverged(self, seed, zero_mass):
+        want = self.check(*random_instance(seed, zero_mass), 1e-3, max_iters=5, tol=1e-9)
+        assert not want.converged
 
 
 class TestBarycentricMap:
