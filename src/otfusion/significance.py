@@ -12,6 +12,7 @@ comparisons, so dominance claims (eps_min < 0.5) stay conservative.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -51,6 +52,13 @@ def _empirical_quantiles(scores: np.ndarray, t: np.ndarray) -> np.ndarray:
     return s[np.clip(idx, 0, s.size - 1)]
 
 
+def _require_count(name: str, value) -> None:
+    """A grid size or iteration count must be an integer >= 1: a fraction
+    would build a wrong grid or fail inside numpy, and NaN fails too."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ParameterError(f"{name} must be >= 1 and an integer, got {value!r}")
+
+
 def violation_ratio(scores_a, scores_b, grid: int = QUANTILE_GRID) -> float:
     """Share of the squared quantile gap where sample b sits above sample a.
 
@@ -58,8 +66,7 @@ def violation_ratio(scores_a, scores_b, grid: int = QUANTILE_GRID) -> float:
     Returns 0.5 when the squared Wasserstein denominator is zero (identical
     empirical distributions: no order determinable).
     """
-    if not grid >= 1:
-        raise ParameterError(f"grid must be >= 1, got {grid}")
+    _require_count("grid", grid)
     a = np.asarray(scores_a, dtype=float).ravel()
     b = np.asarray(scores_b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
@@ -89,12 +96,10 @@ def aso(scores_a, scores_b, confidence: float = 0.95, bootstrap_iters: int = 100
     """
     if not 0.0 < confidence < 1.0:
         raise ParameterError(f"confidence must be in (0, 1), got {confidence}")
-    if bootstrap_iters < 1:
-        raise ParameterError("bootstrap_iters must be >= 1")
+    _require_count("bootstrap_iters", bootstrap_iters)
     if num_comparisons < 1:
         raise ParameterError("num_comparisons must be >= 1")
-    if not grid >= 1:
-        raise ParameterError(f"grid must be >= 1, got {grid}")
+    _require_count("grid", grid)
     a = np.asarray(scores_a, dtype=float).ravel()
     b = np.asarray(scores_b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:

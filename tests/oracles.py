@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: the transport
 oracle enumerates basic solutions of the transportation polytope, the
 assignment oracle enumerates permutations, the uniform-split oracle turns
-uniform transport of any shape into a square assignment, the Sinkhorn
+uniform transport of any shape into a square assignment, the LP oracle
+hands the whole transport program to HiGHS as it stands, the Sinkhorn
 oracle runs the log-domain loop with scipy's ``logsumexp``, the OTK
 oracle builds the embedding as an unrolled graph of ``diffcore``
 primitives, the attention oracles build the context, gated and pooling
@@ -20,7 +21,8 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
 from otfusion import context_attention as ctx
@@ -117,6 +119,19 @@ def emd_cost_uniform_split(cost):
     split = np.repeat(np.repeat(cost, size // n, axis=0), size // m, axis=1)
     rows, cols = linear_sum_assignment(split)
     return float(split[rows, cols].sum() / size)
+
+
+def emd_cost_lp(a, b, cost):
+    """Optimal transport cost from one HiGHS solve of the full LP: all n row
+    sums and all m column sums as equalities (the redundant one kept), on a
+    constraint matrix built as two Kronecker products."""
+    n, m = cost.shape
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m))])
+    res = linprog(np.ravel(cost), A_eq=a_eq, b_eq=np.concatenate([a, b]), bounds=(0, None),
+                  method="highs")
+    assert res.success, res.message
+    return float(res.fun)
 
 
 def sinkhorn_log_domain(a, b, cost, eps, max_iters=5000, tol=1e-6):

@@ -48,6 +48,14 @@ class TestViolationRatio:
         with pytest.raises(ParameterError, match="grid must be >= 1"):
             violation_ratio([1.0, 2.0, 3.0], [0.5, 1.5, 2.5], grid=grid)
 
+    def test_fractional_grid_rejected(self):
+        # grid=2.5 would build the points [0.2, 0.6, 1.0], one of them at t = 1
+        with pytest.raises(ParameterError, match="grid must be >= 1"):
+            violation_ratio([1.0, 2.0, 3.0], [0.5, 1.5, 3.5], grid=2.5)
+
+    def test_numpy_integer_grid_accepted(self):
+        assert violation_ratio([1.0, 2.0, 3.0], [0.5, 1.5, 3.5], grid=np.int64(2)) == 0.5
+
 
 class TestASO:
     def test_nonoverlapping_shift_is_dominant(self):
@@ -134,6 +142,14 @@ class TestASO:
     def test_grid_below_one_rejected(self, a, grid):
         with pytest.raises(ParameterError, match="grid must be >= 1"):
             aso(a, [2.0] * 5, bootstrap_iters=10, grid=grid)
+
+    def test_fractional_grid_rejected(self):
+        with pytest.raises(ParameterError, match="grid must be >= 1"):
+            aso([1.0, 2.0, 3.0, 4.0, 5.0], [2.0] * 5, bootstrap_iters=10, grid=2.5)
+
+    def test_fractional_bootstrap_iters_rejected(self):
+        with pytest.raises(ParameterError, match="bootstrap_iters must be >= 1"):
+            aso([1.0, 2.0, 3.0, 4.0, 5.0], [2.0] * 5, bootstrap_iters=2.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):

@@ -1,11 +1,14 @@
+import math
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import (emd_cost_bruteforce, emd_cost_permutations, emd_cost_uniform_split,
-                     otk_embed_unrolled, sinkhorn_log_domain)
+from oracles import (emd_cost_bruteforce, emd_cost_lp, emd_cost_permutations,
+                     emd_cost_uniform_split, otk_embed_unrolled, sinkhorn_log_domain)
 
 from otfusion import diffcore as dc
 from otfusion import transport as tr
@@ -167,7 +170,21 @@ class TestEmdExact:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
-    @pytest.mark.parametrize("n,m", [(3, 2), (3, 3)], ids=["lp", "assignment"])
+    def test_lp_memory_peak_is_small_on_non_uniform_masses(self):
+        # Non-uniform masses always take the LP, whatever the sizes.
+        rng = np.random.default_rng(23)
+        n, m = 300, 200
+        cost = tr.cost_matrix(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (m, 2)))
+        a, b = random_marginal(rng, n), random_marginal(rng, m)
+        tracemalloc.start()
+        try:
+            tr.emd_exact(a, b, cost)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("n,m", [(3, 4), (3, 3)], ids=["lp", "assignment"])
     @pytest.mark.parametrize("which,value", NON_FINITE)
     def test_non_finite_input_rejected(self, n, m, which, value):
         rng = np.random.default_rng(24)
@@ -175,6 +192,87 @@ class TestEmdExact:
                                      which, value)
         with pytest.raises(InputError, match="finite"):
             tr.emd_exact(a, b, cost)
+
+
+def count_lp_calls(monkeypatch):
+    """Make ``transport.linprog`` count its calls; returns the count list."""
+    calls, linprog = [], tr.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "linprog", counting)
+    return calls
+
+
+class TestEmdUniformSplit:
+    """Uniform masses with lcm(n, m) <= 2 max(n, m) take one split assignment;
+    every other input takes the LP."""
+
+    @pytest.mark.parametrize("n,m", [(300, 200), (200, 300), (240, 160), (96, 12), (12, 96),
+                                     (7, 7)])
+    def test_cost_matches_lp_oracle(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        cost = tr.cost_matrix(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (m, 2)))
+        coupling = tr.emd_exact(uniform(n), uniform(m), cost)
+        assert coupling.cost == pytest.approx(emd_cost_lp(uniform(n), uniform(m), cost),
+                                              rel=1e-9)
+        assert coupling.marginal_violation < 1e-12
+
+    @pytest.mark.parametrize("n,m", [(300, 200), (6, 4), (96, 12), (1, 1), (5, 5), (12, 12)])
+    def test_small_lcm_skips_the_lp(self, monkeypatch, n, m):
+        rng = np.random.default_rng(n + m)
+        cost = rng.uniform(0, 3, (n, m))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("emd_exact reached the LP")
+
+        monkeypatch.setattr(tr, "linprog", refuse)
+        coupling = tr.emd_exact(uniform(n), uniform(m), cost)
+        assert coupling.cost == pytest.approx(emd_cost_uniform_split(cost), abs=1e-9)
+        assert coupling.marginal_violation < 1e-12
+
+    def test_large_lcm_takes_the_lp(self, monkeypatch):
+        # lcm(7, 5) = 35 > 14: splitting would need a 35 x 35 assignment.
+        rng = np.random.default_rng(31)
+        cost = rng.uniform(0, 3, (7, 5))
+        calls = count_lp_calls(monkeypatch)
+        coupling = tr.emd_exact(uniform(7), uniform(5), cost)
+        assert calls == [1]
+        assert coupling.cost == pytest.approx(emd_cost_lp(uniform(7), uniform(5), cost),
+                                              abs=1e-9)
+        assert coupling.cost == pytest.approx(emd_cost_uniform_split(cost), abs=1e-9)
+
+    # Uniform (3, 4) and (4, 3) have lcm 12 > 8; any non-uniform pair takes
+    # the LP. All are small enough for the spanning-tree enumeration.
+    @pytest.mark.parametrize("masses,n,m", [("uniform", 3, 4), ("uniform", 4, 3),
+                                            ("random", 3, 3), ("random", 2, 4),
+                                            ("random", 4, 2)])
+    def test_lp_path_matches_bruteforce(self, monkeypatch, masses, n, m):
+        rng = np.random.default_rng(n * 10 + m)
+        if masses == "uniform":
+            a, b = uniform(n), uniform(m)
+        else:
+            a, b = random_marginal(rng, n), random_marginal(rng, m)
+        cost = rng.uniform(0, 3, (n, m))
+        calls = count_lp_calls(monkeypatch)
+        coupling = tr.emd_exact(a, b, cost)
+        assert calls == [1]
+        assert coupling.cost == pytest.approx(emd_cost_bruteforce(a, b, cost), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           integer_costs=st.booleans())
+    def test_split_cost_matches_bruteforce(self, n, m, seed, integer_costs):
+        assume(math.lcm(n, m) <= 2 * max(n, m))
+        rng = np.random.default_rng(seed)
+        # Integer costs make many optimal plans tie.
+        cost = rng.integers(0, 4, (n, m)) if integer_costs else rng.uniform(0, 3, (n, m))
+        coupling = tr.emd_exact(uniform(n), uniform(m), cost)
+        assert coupling.cost == pytest.approx(emd_cost_bruteforce(uniform(n), uniform(m), cost),
+                                              abs=1e-9)
+        assert coupling.marginal_violation < 1e-12
 
 
 class TestSinkhorn:
@@ -460,7 +558,7 @@ class TestTransportWeights:
         with pytest.raises(DimensionError):
             tr.transport_weights(np.zeros(src_shape), np.zeros(tgt_shape))
 
-    def test_unequal_pair_takes_the_lp(self):
+    def test_unequal_pair_takes_emd_exact(self):
         rng = np.random.default_rng(4)
         src, tgt = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
         exact = tr.emd_exact(uniform(6), uniform(4), tr.cost_matrix(src, tgt))
