@@ -23,26 +23,7 @@ GLOBAL = "global"
 DEEP = "deep"
 DEEP_GLOBAL = "deep_global"
 
-_DEFAULT_LAYERS = {GLOBAL: 1, DEEP: 3, DEEP_GLOBAL: 2}
-
-
-@dataclass(frozen=True)
-class ContextStrategy:
-    """Which context construction to use and how many layers to stack."""
-
-    variant: str
-    layers: int
-
-    def __post_init__(self):
-        if self.variant not in _DEFAULT_LAYERS:
-            raise ParameterError(f"unknown context strategy {self.variant!r}")
-        if self.layers < 1:
-            raise ParameterError(f"layer count must be >= 1, got {self.layers}")
-
-    @classmethod
-    def default(cls, variant: str) -> "ContextStrategy":
-        # an unknown name gets a placeholder count and fails in __post_init__
-        return cls(variant, _DEFAULT_LAYERS.get(variant, 1))
+DEFAULT_LAYERS = {GLOBAL: 1, DEEP: 3, DEEP_GLOBAL: 2}
 
 
 class ContextAttentionLayer:
@@ -89,12 +70,7 @@ def deep_context(history: list[Node], w_c0: Node) -> Node:
 def deep_global_context(history: list[Node], w_c0: Node) -> Node:
     """Pool each history member to a row, concatenate and project to one
     context row."""
-    if not history:
-        raise ParameterError("deep_global_context needs a nonempty history")
-    pooled = dc.mean_rows(history[0])
-    for h in history[1:]:
-        pooled = dc.concat_cols(pooled, dc.mean_rows(h))
-    return dc.matmul(pooled, w_c0)
+    return deep_context([dc.mean_rows(h) for h in history], w_c0)
 
 
 def _gate_vjp(g_mixed, a, a_c, gate, w_a, w_ac, learned: bool):
@@ -178,25 +154,31 @@ def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
 class ContextStack:
     """A stack of context-attention layers sharing one context strategy.
 
-    For the deep variants, layer j builds its context from the inputs of
-    layers 0..j (so the first layer sees a one-element history); its
-    projection matrix therefore has (j + 1) * d rows.
+    ``variant`` is the context construction, one of ``DEFAULT_LAYERS``'s
+    keys, and the layer count is ``len(layers)``. For the deep variants,
+    layer j builds its context from the inputs of layers 0..j (so the first
+    layer sees a one-element history); its projection matrix therefore has
+    (j + 1) * d rows.
     """
 
     layers: list[ContextAttentionLayer]
-    strategy: ContextStrategy
+    variant: str
     context_projections: list[Parameter] = field(default_factory=list)
 
     @classmethod
-    def build(cls, d: int, d_q: int, d_k: int, strategy: ContextStrategy,
+    def build(cls, d: int, d_q: int, d_k: int, variant: str, layers: int,
               rng: np.random.Generator, name: str = "stack") -> "ContextStack":
-        layers = [ContextAttentionLayer(d, d, d_q, d_k, rng, f"{name}.L{j}")
-                  for j in range(strategy.layers)]
+        if variant not in DEFAULT_LAYERS:
+            raise ParameterError(f"unknown context strategy {variant!r}")
+        if layers < 1:
+            raise ParameterError(f"layer count must be >= 1, got {layers}")
+        attention = [ContextAttentionLayer(d, d, d_q, d_k, rng, f"{name}.L{j}")
+                     for j in range(layers)]
         projections = []
-        if strategy.variant in (DEEP, DEEP_GLOBAL):
+        if variant in (DEEP, DEEP_GLOBAL):
             projections = [Parameter(dc.xavier_uniform(rng, (j + 1) * d, d), f"{name}.L{j}.w_c0")
-                           for j in range(strategy.layers)]
-        return cls(layers, strategy, projections)
+                           for j in range(layers)]
+        return cls(attention, variant, projections)
 
     def parameters(self) -> list[Parameter]:
         params = []
@@ -212,9 +194,9 @@ def stack_forward(x: Node, stack: ContextStack, gate_override: float | None = No
     out = x
     for j, layer in enumerate(stack.layers):
         current = history[-1]
-        if stack.strategy.variant == GLOBAL:
+        if stack.variant == GLOBAL:
             c = global_context(current)
-        elif stack.strategy.variant == DEEP:
+        elif stack.variant == DEEP:
             c = deep_context(history, stack.context_projections[j])
         else:
             c = deep_global_context(history, stack.context_projections[j])

@@ -21,7 +21,7 @@ arrays.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -456,8 +456,7 @@ class GradCheckReport:
 
     name: str
     max_rel_error: float
-    entry_errors: np.ndarray = field(repr=False)
-    passed: bool = False
+    passed: bool
 
 
 def grad_check(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4) -> list[GradCheckReport]:
@@ -496,5 +495,5 @@ def grad_check(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4) -> list[Gr
         denom = np.maximum(1.0, np.maximum(np.abs(g_ad), np.abs(g_fd)))
         errors = np.abs(g_ad - g_fd) / denom
         max_err = float(errors.max()) if errors.size else 0.0
-        reports.append(GradCheckReport(p.name, max_err, errors, max_err < tol))
+        reports.append(GradCheckReport(p.name, max_err, max_err < tol))
     return reports

@@ -47,8 +47,7 @@ def _check(name: str, loss_fn, params, tol: float) -> SuiteResult:
 
 def _context_check(variant: str, rng: np.random.Generator) -> SuiteResult:
     n, d = 4, 5
-    strategy = ctx.ContextStrategy(variant, {"global": 1, "deep": 3, "deep_global": 2}[variant])
-    stack = ctx.ContextStack.build(d, 4, 4, strategy, rng, f"gc.{variant}")
+    stack = ctx.ContextStack.build(d, 4, 4, variant, ctx.DEFAULT_LAYERS[variant], rng, f"gc.{variant}")
     x = rng.uniform(-2, 2, (n, d))
 
     def loss_fn():
@@ -120,10 +119,9 @@ def _otk_check(rng: np.random.Generator) -> SuiteResult:
     t, n, d = 5, 4, 3
     y = Parameter(rng.uniform(-2, 2, (t, d)), "gc.otk_y")
     z = Parameter(rng.uniform(-2, 2, (n, d)), "gc.otk_refs")
-    cfg = transport.OTKConfig(n, entropic_eps=0.2, sinkhorn_iters=10)
 
     def loss_fn():
-        return _sq_loss(transport.otk_embed(y, z, cfg).values)
+        return _sq_loss(transport.otk_embed(y, z, 0.2, 10).values)
 
     return _check("otk_embed[unrolled_sinkhorn]", loss_fn, [y, z], END_TO_END_TOL)
 

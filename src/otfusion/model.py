@@ -70,16 +70,18 @@ class ModelConfig:
             raise ParameterError(f"unknown otk_mode {self.otk_mode!r}")
         if not 0.0 <= self.label_smoothing_alpha <= 1.0:
             raise ParameterError("label_smoothing_alpha must be in [0, 1]")
-        for name in ("d", "seq_len", "d_q", "d_k", "d_g", "k", "d_z"):
+        for name in ("d", "seq_len", "d_q", "d_k", "d_g", "k", "d_z", "otk_iters"):
             if not getattr(self, name) >= 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        ctx.ContextStrategy.default(self.strategy)  # validates the name
-        transport.OTKConfig(self.seq_len, self.otk_eps, self.otk_iters)  # validates the OTK settings
-
-    def context_strategy(self) -> ctx.ContextStrategy:
-        if self.layers is None:
-            return ctx.ContextStrategy.default(self.strategy)
-        return ctx.ContextStrategy(self.strategy, self.layers)
+        if self.strategy not in ctx.DEFAULT_LAYERS:
+            raise ParameterError(f"unknown context strategy {self.strategy!r}")
+        if self.layers is not None and not (isinstance(self.layers, int) and self.layers >= 1):
+            raise ParameterError(f"layers must be None or an integer >= 1, got {self.layers!r}")
+        if not self.otk_eps > 0:
+            raise ParameterError(f"otk_eps must be positive, got {self.otk_eps}")
+        gate = self.context_gate_override
+        if gate is not None and not 0.0 <= gate <= 1.0:
+            raise ParameterError(f"context_gate_override must be None or in [0, 1], got {gate}")
 
 
 def _as_input(raw) -> np.ndarray:
@@ -107,8 +109,9 @@ class Model:
         self.e_text = _orthogonal(enc_rng, cfg.d)
         self.e_img = _orthogonal(enc_rng, cfg.d)
 
+        layers = ctx.DEFAULT_LAYERS[cfg.strategy] if cfg.layers is None else cfg.layers
         self.stack = ctx.ContextStack.build(
-            cfg.d, cfg.d_q, cfg.d_k, cfg.context_strategy(),
+            cfg.d, cfg.d_q, cfg.d_k, cfg.strategy, layers,
             np.random.default_rng(streams[1]), "text",
         )
         self.gated_layer = gated.GatedSelfAttentionLayer(
@@ -185,10 +188,7 @@ class Model:
         """Length-equalized image representation per the configured mode."""
         cfg = self.cfg
         if cfg.otk_mode == OTK:
-            return transport.otk_embed(
-                y_enc, self.references,
-                transport.OTKConfig(cfg.seq_len, cfg.otk_eps, cfg.otk_iters),
-            ).values
+            return transport.otk_embed(y_enc, self.references, cfg.otk_eps, cfg.otk_iters).values
         if cfg.otk_mode == REPEAT:
             return dc.constant(np.repeat(y_enc.mean(axis=-2, keepdims=True), cfg.seq_len, axis=-2))
         if y_enc.shape[-2] != cfg.seq_len:

@@ -35,6 +35,8 @@ class SyntheticTaskConfig:
             raise ParameterError("n, t, d must all be >= 1")
         if min(self.train_size, self.val_size, self.test_size) < 1:
             raise ParameterError("split sizes must be >= 1")
+        if not np.isfinite(self.class_separation):
+            raise ParameterError(f"class_separation must be finite, got {self.class_separation}")
         if not 0.0 <= self.cross_modal_correlation <= 1.0:
             raise ParameterError("cross_modal_correlation must lie in [0, 1]")
         if not self.noise_std > 0:

@@ -16,7 +16,9 @@ of the target features only. ``transport_weights`` is the one weight path,
 for a pair or a ``(B, n, d)`` stack (one batched cost, one assignment per
 sample). The transport-kernel embedding ``otk_embed`` is one graph node:
 its forward runs a fixed number of plain-domain Sinkhorn steps in numpy,
-and its backward replays the reverse pass of those steps.
+and its backward replays the reverse pass of those steps. It takes its
+entropic eps and step count as plain arguments; the model's live in
+``ModelConfig``.
 """
 
 from __future__ import annotations
@@ -288,29 +290,6 @@ def ot_adapt(src, tgt) -> np.ndarray:
 
 
 @dataclass
-class OTKConfig:
-    """Settings for the transport-kernel sequence embedding.
-
-    ``reference_count`` must equal the output sequence length. ``entropic_eps``
-    is relative to the mean pairwise cost (costs are mean-normalized before
-    the Gibbs kernel). The Sinkhorn loop runs exactly ``sinkhorn_iters``
-    steps, and the gradient is that of those steps.
-    """
-
-    reference_count: int
-    entropic_eps: float = 0.1
-    sinkhorn_iters: int = 30
-
-    def __post_init__(self):
-        if self.reference_count < 1:
-            raise ParameterError("reference_count must be >= 1")
-        if not self.entropic_eps > 0:
-            raise ParameterError("entropic_eps must be positive")
-        if self.sinkhorn_iters < 1:
-            raise ParameterError("sinkhorn_iters must be >= 1")
-
-
-@dataclass
 class OTKEmbedding:
     """Result of otk_embed: the embedded sequence plus solve diagnostics.
     For a batch, ``marginal_violation`` is the worst over its samples."""
@@ -320,28 +299,35 @@ class OTKEmbedding:
     converged: bool
 
 
-def otk_embed(y, references, cfg: OTKConfig) -> OTKEmbedding:
+def otk_embed(y, references, entropic_eps: float, sinkhorn_iters: int) -> OTKEmbedding:
     """Pool a length-T sequence against n references via an entropic plan.
 
     Output row i is the mass-renormalized plan-weighted average of y's rows
     attending to reference i, so each output row is a convex combination of
-    input rows and the result has exactly ``reference_count`` rows. ``y``
-    may be a ``(B, t, d)`` stack; each sample gets its own plan. The result
-    is one graph node: its forward runs ``sinkhorn_iters`` plain-domain steps
-    from u = 1 (``v = b / K^T u``, then ``u = a / K v``) in numpy, and its
-    backward replays their reverse pass, from iterates kept only when an
-    input requires a gradient. An underflowing kernel raises NumericalError.
+    input rows and the result has one row per reference. ``y`` may be a
+    ``(B, t, d)`` stack; each sample gets its own plan. ``entropic_eps`` is
+    relative to the mean pairwise cost (costs are mean-normalized before the
+    Gibbs kernel). The result is one graph node: its forward runs exactly
+    ``sinkhorn_iters`` plain-domain steps from u = 1 (``v = b / K^T u``, then
+    ``u = a / K v``) in numpy, and its backward replays their reverse pass,
+    from iterates kept only when an input requires a gradient, so the
+    gradient is that of those steps. An underflowing kernel raises
+    NumericalError.
     """
+    if not entropic_eps > 0:
+        raise ParameterError("entropic_eps must be positive")
+    if sinkhorn_iters < 1:
+        raise ParameterError("sinkhorn_iters must be >= 1")
     y = y if isinstance(y, Node) else dc.constant(y)
     z = references if isinstance(references, Node) else dc.constant(references)
     t, d = y.rows, y.cols
     n = z.rows
     if z.cols != d:
         raise DimensionError(f"references width {z.cols} != sequence width {d}")
-    if n != cfg.reference_count:
-        raise DimensionError(f"references rows {n} != configured count {cfg.reference_count}")
+    if min(t, n) < 1:
+        raise InputError(f"otk_embed needs nonempty sequences and references, got {t} and {n}")
 
-    yv, zv, eps = y.value, z.value, cfg.entropic_eps
+    yv, zv, eps = y.value, z.value, entropic_eps
     cost = cost_matrix(yv, np.broadcast_to(zv, yv.shape[:-2] + zv.shape[-2:]))
     mean = cost.sum(axis=-1, keepdims=True).mean(axis=-2, keepdims=True) * (1.0 / n)
     scaled = np.divide(cost, mean, out=cost)
@@ -351,7 +337,7 @@ def otk_embed(y, references, cfg: OTKConfig) -> OTKEmbedding:
     u = np.ones(yv.shape[:-1] + (1,))
     us, vs = [u], []  # the iterates, for the backward pass
     with np.errstate(all="ignore"):  # an underflowing kernel is caught below
-        for _ in range(cfg.sinkhorn_iters):
+        for _ in range(sinkhorn_iters):
             v = (1.0 / n) / (kernel_t @ u)
             kv = kernel @ v
             u = (1.0 / t) / kv
@@ -379,7 +365,7 @@ def otk_embed(y, references, cfg: OTKConfig) -> OTKEmbedding:
         # v = b / K^T u gives g_ktu = -g_v v^2 / b. The kernel's share of
         # each step, g_kv v^T + u g_ktu^T, is summed as two stacked products.
         g_kvs, g_ktus = [], []
-        for k in reversed(range(cfg.sinkhorn_iters)):
+        for k in reversed(range(sinkhorn_iters)):
             g_kvs.append(-t * g_u * us[k + 1] ** 2)
             g_ktus.append(-n * (kernel_t @ g_kvs[-1]) * vs[k] ** 2)
             g_u = kernel @ g_ktus[-1]

@@ -276,9 +276,9 @@ def sum_cols(a) -> Node:
     return Node(a.value.sum(axis=-1, keepdims=True), (a,), vjp)
 
 
-def otk_embed_unrolled(y, references, cfg):
+def otk_embed_unrolled(y, references, entropic_eps, sinkhorn_iters):
     """The OTK embedding as one graph node per primitive: the cost, the
-    mean-normalized Gibbs kernel and ``cfg.sinkhorn_iters`` plain-domain
+    mean-normalized Gibbs kernel and ``sinkhorn_iters`` plain-domain
     Sinkhorn steps from u = 1, each unrolled. ``backward`` differentiates
     it op by op. Returns ``(values, marginal_violation, converged)``."""
     y = y if isinstance(y, dc.Node) else dc.constant(y)
@@ -290,13 +290,13 @@ def otk_embed_unrolled(y, references, cfg):
     cross = dc.scale(dc.matmul(y, dc.transpose(z)), -2.0)
     cost = dc.add(dc.add(y_sq, dc.transpose(z_sq)), cross)
     mean = dc.scale(dc.mean_rows(sum_cols(cost)), 1.0 / n)
-    kernel = exp_ew(dc.scale(elementwise_div(cost, mean), -1.0 / cfg.entropic_eps))
+    kernel = exp_ew(dc.scale(elementwise_div(cost, mean), -1.0 / entropic_eps))
     kernel_t = dc.transpose(kernel)
 
     a = dc.constant(np.full((t, 1), 1.0 / t))
     b = dc.constant(np.full((n, 1), 1.0 / n))
     u = dc.constant(np.full((t, 1), 1.0))
-    for _ in range(cfg.sinkhorn_iters):
+    for _ in range(sinkhorn_iters):
         v = elementwise_div(b, dc.matmul(kernel_t, u))
         u = elementwise_div(a, dc.matmul(kernel, v))
     plan = dc.elementwise_mul(dc.elementwise_mul(u, kernel), dc.transpose(v))
@@ -383,14 +383,14 @@ def attentive_pool_composed(m, w1, b1, w2, b2, training, rng):
 
 def expected_parameter_count(cfg):
     """Closed-form parameter count of an assembled model from the declared
-    shapes; the heads' hidden width is written out as 128, not read from
-    the library."""
+    shapes; the heads' hidden width (128) and the default layer counts are
+    written out, not read from the library."""
     d, d_q, d_k = cfg.d, cfg.d_q, cfg.d_k
-    strat = cfg.context_strategy()
+    layers = cfg.layers or {"global": 1, "deep": 3, "deep_global": 2}[cfg.strategy]
     per_layer = d * d_q + d * d_k + d * d_q + d * d_k + 2 * d_q + 2 * d_k
-    total = strat.layers * per_layer
-    if strat.variant in (ctx.DEEP, ctx.DEEP_GLOBAL):
-        total += sum((j + 1) * d * d for j in range(strat.layers))
+    total = layers * per_layer
+    if cfg.strategy in (ctx.DEEP, ctx.DEEP_GLOBAL):
+        total += sum((j + 1) * d * d for j in range(layers))
     total += d * cfg.d_g * 2 + cfg.d_g * 2
     d_prime = 2 * d
     if cfg.fusion == CO_ATTENTION:

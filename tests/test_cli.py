@@ -92,6 +92,16 @@ class TestEvalCommand:
         assert captured.out == ""
         assert "error: " in captured.err
 
+    @pytest.mark.parametrize("setting", ["model.context_gate_override = nan",
+                                         "task.class_separation = nan"])
+    def test_nan_model_or_task_setting_is_usage_error(self, tmp_path, capsys, setting):
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + setting + "\n")
+        assert main(["eval", "--config", str(path), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
+
 
 class TestGradcheckCommand:
     def test_suite_passes(self, capsys):

@@ -187,17 +187,16 @@ class TestContextAttentionForward:
 
 class TestContextStack:
     def test_strategy_defaults(self):
-        assert ctx.ContextStrategy.default("global").layers == 1
-        assert ctx.ContextStrategy.default("deep").layers == 3
-        assert ctx.ContextStrategy.default("deep_global").layers == 2
+        assert ctx.DEFAULT_LAYERS == {"global": 1, "deep": 3, "deep_global": 2}
+        rng = np.random.default_rng(15)
         with pytest.raises(ParameterError):
-            ctx.ContextStrategy.default("bogus")
+            ctx.ContextStack.build(6, 4, 4, "bogus", 1, rng)
         with pytest.raises(ParameterError):
-            ctx.ContextStrategy("deep", 0)
+            ctx.ContextStack.build(6, 4, 4, "deep", 0, rng)
 
     def test_single_global_layer_equals_direct_forward(self):
         rng = np.random.default_rng(16)
-        stack = ctx.ContextStack.build(6, 4, 4, ctx.ContextStrategy("global", 1), rng)
+        stack = ctx.ContextStack.build(6, 4, 4, "global", 1, rng)
         x = rng.uniform(-2, 2, (5, 6))
         out = ctx.stack_forward(dc.constant(x), stack)
         direct = ctx.context_attention_forward(
@@ -207,7 +206,7 @@ class TestContextStack:
 
     def test_deep_stack_shape_and_finite(self):
         rng = np.random.default_rng(17)
-        stack = ctx.ContextStack.build(6, 4, 4, ctx.ContextStrategy("deep", 3), rng)
+        stack = ctx.ContextStack.build(6, 4, 4, "deep", 3, rng)
         x = rng.uniform(-2, 2, (5, 6))
         out = ctx.stack_forward(dc.constant(x), stack)
         assert out.shape == (5, 6)
@@ -215,13 +214,13 @@ class TestContextStack:
 
     def test_deep_projection_widths_grow(self):
         rng = np.random.default_rng(18)
-        stack = ctx.ContextStack.build(6, 4, 4, ctx.ContextStrategy("deep", 3), rng)
+        stack = ctx.ContextStack.build(6, 4, 4, "deep", 3, rng)
         assert [p.value.shape for p in stack.context_projections] == [(6, 6), (12, 6), (18, 6)]
 
     @pytest.mark.parametrize("variant,layers", [("global", 1), ("deep", 3), ("deep_global", 2)])
     def test_stack_gradients(self, variant, layers):
         rng = np.random.default_rng(19)
-        stack = ctx.ContextStack.build(4, 3, 3, ctx.ContextStrategy(variant, layers), rng)
+        stack = ctx.ContextStack.build(4, 3, 3, variant, layers, rng)
         x = rng.uniform(-2, 2, (3, 4))
 
         def loss():
@@ -251,7 +250,7 @@ def test_global_attention_permutation_equivariance():
 def test_one_row_context_equals_its_explicit_copy(variant, batch):
     """A layer fed the 1-row context gives what it gives on the n-row copy."""
     rng = np.random.default_rng(24)
-    stack = ctx.ContextStack.build(8, 6, 6, ctx.ContextStrategy.default(variant), rng)
+    stack = ctx.ContextStack.build(8, 6, 6, variant, ctx.DEFAULT_LAYERS[variant], rng)
     x = dc.constant(rng.uniform(-2, 2, batch + (5, 8)))
     if variant == ctx.GLOBAL:
         row = ctx.global_context(x)

@@ -84,6 +84,15 @@ class TestGenerateTask:
         with pytest.raises(ParameterError, match="noise_std"):
             tiny_task(noise_std=noise_std)
 
+    @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
+    def test_non_finite_class_separation_rejected(self, separation):
+        with pytest.raises(ParameterError, match="class_separation"):
+            tiny_task(class_separation=separation)
+
+    def test_zero_class_separation_accepted(self):
+        data = generate_task(tiny_task(class_separation=0.0))
+        assert np.isfinite(data.train[0].x).all()
+
 
 class TestAssembleModel:
     @pytest.mark.parametrize("fusion", ["co_attention", "attn_fusion", "concat"])
@@ -107,6 +116,22 @@ class TestAssembleModel:
     def test_bad_otk_settings_rejected_at_construction(self, overrides):
         with pytest.raises(ParameterError):
             tiny_model(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(context_gate_override=1.5), dict(context_gate_override=-0.1),
+        dict(context_gate_override=np.nan), dict(layers=0), dict(layers=2.5),
+    ])
+    def test_bad_gate_and_layers_rejected_at_construction(self, overrides):
+        with pytest.raises(ParameterError):
+            tiny_model(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(context_gate_override=0.0), dict(context_gate_override=1.0),
+        dict(layers=None), dict(layers=1),
+    ])
+    def test_gate_and_layers_at_the_edges_accepted(self, overrides):
+        model = assemble_model(tiny_model(**overrides), seed=0)
+        assert model.parameter_count() == expected_parameter_count(model.cfg)
 
     def test_sizes_of_one_accepted(self):
         cfg = tiny_model(d=1, seq_len=1, d_q=1, d_k=1, d_g=1, k=1, d_z=1)

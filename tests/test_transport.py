@@ -585,26 +585,27 @@ class TestOtAdapt:
 
 
 class TestOtkEmbed:
-    def cfg(self, n, **kw):
-        return tr.OTKConfig(n, **kw)
+    @staticmethod
+    def cfg(entropic_eps=0.1, sinkhorn_iters=30):
+        return entropic_eps, sinkhorn_iters
 
     def test_one_to_one(self):
         y = np.array([[1.5, -2.0]])
         z = np.array([[0.0, 0.0]])
-        emb = tr.otk_embed(y, z, self.cfg(1))
+        emb = tr.otk_embed(y, z, *self.cfg())
         npt.assert_allclose(emb.values.value, y, atol=1e-12)
 
     def test_identical_rows_collapse(self):
         y = np.tile([[2.0, -1.0, 0.5]], (6, 1))
         z = np.random.default_rng(21).uniform(-1, 1, (4, 3))
-        emb = tr.otk_embed(y, z, self.cfg(4))
+        emb = tr.otk_embed(y, z, *self.cfg())
         npt.assert_allclose(emb.values.value, np.tile(y[0], (4, 1)), atol=1e-9)
 
     def test_outputs_in_convex_hull_of_rows(self):
         rng = np.random.default_rng(22)
         y = rng.uniform(-2, 2, (7, 4))
         z = rng.uniform(-2, 2, (5, 4))
-        emb = tr.otk_embed(y, z, self.cfg(5))
+        emb = tr.otk_embed(y, z, *self.cfg())
         out = emb.values.value
         assert np.all(out >= y.min(axis=0) - 1e-9)
         assert np.all(out <= y.max(axis=0) + 1e-9)
@@ -613,18 +614,18 @@ class TestOtkEmbed:
         rng = np.random.default_rng(23)
         y = Parameter(rng.uniform(-1, 1, (5, 3)), "y")
         z = Parameter(rng.uniform(-1, 1, (4, 3)), "z")
-        cfg = self.cfg(4, entropic_eps=0.2, sinkhorn_iters=10)
+        cfg = self.cfg(entropic_eps=0.2, sinkhorn_iters=10)
 
         def loss():
-            out = tr.otk_embed(y, z, cfg).values
+            out = tr.otk_embed(y, z, *cfg).values
             return dc.sum_all(dc.elementwise_mul(out, out))
 
         reports = grad_check(loss, [y, z], tol=1e-3)
         assert all(r.passed for r in reports)
 
     @staticmethod
-    def fused(y, z, cfg):
-        emb = tr.otk_embed(y, z, cfg)
+    def fused(y, z, eps, iters):
+        emb = tr.otk_embed(y, z, eps, iters)
         return emb.values, emb.marginal_violation, emb.converged
 
     @pytest.mark.parametrize("y_shape", [(7, 4), (3, 7, 4)])
@@ -634,12 +635,12 @@ class TestOtkEmbed:
         rng = np.random.default_rng(24)
         y_value, z_value = rng.uniform(-2, 2, y_shape), rng.uniform(-2, 2, (5, 4))
         upstream = dc.constant(rng.standard_normal(y_shape[:-2] + (5, 4)))
-        cfg = self.cfg(5, entropic_eps=eps, sinkhorn_iters=iters)
+        cfg = self.cfg(entropic_eps=eps, sinkhorn_iters=iters)
         results = []
         for embed in (self.fused, otk_embed_unrolled):
             y = Parameter(y_value.copy(), "y") if trained in ("y", "both") else y_value
             z = Parameter(z_value.copy(), "z") if trained in ("references", "both") else z_value
-            out, violation, converged = embed(y, z, cfg)
+            out, violation, converged = embed(y, z, *cfg)
             dc.backward(dc.sum_all(dc.elementwise_mul(out, upstream)))
             grads = [p.grad for p in (y, z) if isinstance(p, Parameter)]
             results.append((out.value, violation, converged, grads))
@@ -656,10 +657,10 @@ class TestOtkEmbed:
         rng = np.random.default_rng(25)
         y = Parameter(rng.uniform(-1, 1, (3, 5, 4)), "y")
         z = Parameter(rng.uniform(-1, 1, (4, 4)), "z")
-        cfg = self.cfg(4, entropic_eps=0.2, sinkhorn_iters=10)
+        cfg = self.cfg(entropic_eps=0.2, sinkhorn_iters=10)
 
         def loss():
-            out = tr.otk_embed(y, z, cfg).values
+            out = tr.otk_embed(y, z, *cfg).values
             return dc.sum_all(dc.elementwise_mul(out, out))
 
         reports = grad_check(loss, [y, z])
@@ -675,7 +676,7 @@ class TestOtkEmbed:
 
         monkeypatch.setattr(dc.Node, "__init__", counting_init)
         rng = np.random.default_rng(26)
-        tr.otk_embed(rng.standard_normal((4, 12, 8)), rng.standard_normal((12, 8)), self.cfg(12))
+        tr.otk_embed(rng.standard_normal((4, 12, 8)), rng.standard_normal((12, 8)), *self.cfg())
         assert len(built) <= 3
 
     @staticmethod
@@ -687,25 +688,27 @@ class TestOtkEmbed:
     @pytest.mark.parametrize("eps", [1e-3, 1e-4])
     def test_underflowing_kernel_raises(self, eps):
         with pytest.raises(NumericalError, match="entropic_eps"):
-            tr.otk_embed(*self.spread_costs(), self.cfg(12, entropic_eps=eps))
+            tr.otk_embed(*self.spread_costs(), *self.cfg(entropic_eps=eps))
 
     def test_small_eps_that_fits_reports_unconverged(self):
-        emb = tr.otk_embed(*self.spread_costs(), self.cfg(12, entropic_eps=1e-2))
+        emb = tr.otk_embed(*self.spread_costs(), *self.cfg(entropic_eps=1e-2))
         assert np.isfinite(emb.values.value).all()
         assert 9.0e-3 < emb.marginal_violation < 9.2e-3
         assert not emb.converged
 
-    def test_reference_count_must_match(self):
-        with pytest.raises(DimensionError):
-            tr.otk_embed(np.zeros((3, 2)), np.zeros((4, 2)), self.cfg(5))
-
     def test_config_validation(self):
+        y, z = np.zeros((3, 2)), np.zeros((3, 2))
         with pytest.raises(ParameterError):
-            tr.OTKConfig(0)
+            tr.otk_embed(y, z, *self.cfg(sinkhorn_iters=0))
         with pytest.raises(ParameterError):
-            tr.OTKConfig(3, entropic_eps=-1.0)
+            tr.otk_embed(y, z, *self.cfg(entropic_eps=-1.0))
+
+    @pytest.mark.parametrize("y_rows,z_rows", [(3, 0), (0, 3)])
+    def test_empty_inputs_rejected(self, y_rows, z_rows):
+        with pytest.raises(InputError, match="nonempty"):
+            tr.otk_embed(np.zeros((y_rows, 2)), np.zeros((z_rows, 2)), *self.cfg())
 
     @pytest.mark.parametrize("eps", [0.0, np.nan])
     def test_non_positive_entropic_eps_rejected(self, eps):
         with pytest.raises(ParameterError, match="entropic_eps"):
-            tr.OTKConfig(3, entropic_eps=eps)
+            tr.otk_embed(np.zeros((3, 2)), np.zeros((3, 2)), *self.cfg(entropic_eps=eps))
