@@ -8,10 +8,12 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, require_count
 
 IMAGE_SIZE = 224
+STFT_CHUNK = 64  # frames windowed and transformed together
 TENSOR_MAGIC = b"OTF1"
 
 
@@ -24,10 +26,11 @@ class Waveform:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float).ravel()
-        if self.sample_rate <= 0:
-            raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
+        require_count("sample_rate", self.sample_rate)
         if self.samples.size == 0:
             raise InputError("empty waveform")
+        if not np.isfinite(self.samples).all():
+            raise InputError("waveform samples must be finite")
 
 
 @dataclass
@@ -71,12 +74,11 @@ def stft(w: Waveform, n_fft: int = 2048, hop: int = 1024) -> np.ndarray:
         raise InputError(f"signal length {x.size} shorter than n_fft {n_fft}")
     pad = n_fft // 2
     x = np.pad(x, pad, mode="reflect")
-    frames = 1 + (x.size - n_fft) // hop
+    segments = sliding_window_view(x, n_fft)[::hop]
     window = _hann(n_fft)
-    out = np.empty((n_fft // 2 + 1, frames), dtype=complex)
-    for t in range(frames):
-        seg = x[t * hop:t * hop + n_fft] * window
-        out[:, t] = np.fft.rfft(seg)
+    out = np.empty((n_fft // 2 + 1, len(segments)), dtype=complex)
+    for t in range(0, len(segments), STFT_CHUNK):
+        out[:, t:t + STFT_CHUNK] = np.fft.rfft(segments[t:t + STFT_CHUNK] * window, axis=1).T
     return out
 
 
@@ -107,14 +109,11 @@ def mel_filterbank(n_mels: int, sample_rate: int, n_fft: int) -> np.ndarray:
     mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), n_mels + 2)
     hz_pts = _mel_to_hz(mel_pts)
     fft_freqs = np.linspace(0.0, sample_rate / 2.0, n_bins)
-    fb = np.zeros((n_mels, n_bins))
-    for m in range(n_mels):
-        lo, center, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
-        up = (fft_freqs - lo) / max(center - lo, 1e-12)
-        down = (hi - fft_freqs) / max(hi - center, 1e-12)
-        fb[m] = np.maximum(0.0, np.minimum(up, down))
-        fb[m] *= 2.0 / (hi - lo)
-    return fb
+    # one row per band: its lower, center and upper frequency
+    lo, center, hi = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
+    up = (fft_freqs - lo) / np.maximum(center - lo, 1e-12)
+    down = (hi - fft_freqs) / np.maximum(hi - center, 1e-12)
+    return np.maximum(0.0, np.minimum(up, down)) * (2.0 / (hi - lo))
 
 
 def log_mel(w: Waveform, params: FeatureParams | None = None) -> np.ndarray:
@@ -150,8 +149,19 @@ def delta(m: np.ndarray, width: int = 9) -> np.ndarray:
     return out / denom
 
 
+def _interp_rows(f: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``np.interp(pos, arange(len(f)), f[:, c])`` for every column c, in
+    np.interp's own arithmetic: f[j] at a grid point or the last row, else
+    (f[j+1] - f[j]) * (x - j) + f[j]. ``pos`` lies in [0, len(f) - 1]."""
+    j = np.minimum(pos.astype(int), len(f) - 1)
+    frac = (pos - j)[:, None]
+    lo = f[j]
+    return np.where(frac == 0.0, lo, (f[np.minimum(j + 1, len(f) - 1)] - lo) * frac + lo)
+
+
 def bilinear_resize(m: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Separable linear interpolation onto an endpoint-aligned grid.
+    """Separable linear interpolation onto an endpoint-aligned grid, along
+    each row first and then along each column.
 
     Resizing to the input's own shape reproduces it exactly.
     """
@@ -159,15 +169,7 @@ def bilinear_resize(m: np.ndarray, rows: int, cols: int) -> np.ndarray:
     in_r, in_c = m.shape
     row_pos = np.linspace(0.0, in_r - 1.0, rows) if in_r > 1 else np.zeros(rows)
     col_pos = np.linspace(0.0, in_c - 1.0, cols) if in_c > 1 else np.zeros(cols)
-    tmp = np.empty((in_r, cols))
-    src_c = np.arange(in_c, dtype=float)
-    for i in range(in_r):
-        tmp[i] = np.interp(col_pos, src_c, m[i])
-    out = np.empty((rows, cols))
-    src_r = np.arange(in_r, dtype=float)
-    for j in range(cols):
-        out[:, j] = np.interp(row_pos, src_r, tmp[:, j])
-    return out
+    return _interp_rows(_interp_rows(m.T, col_pos).T, row_pos)
 
 
 def to_image(w: Waveform, params: FeatureParams | None = None) -> SpectrogramImage:

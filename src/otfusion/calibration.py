@@ -10,7 +10,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Node
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, require_count
 
 PROB_FLOOR = 1e-12
 
@@ -48,7 +48,8 @@ class PredictionSet:
         return self.probs.shape[1]
 
     def confidences(self) -> np.ndarray:
-        return self.probs.max(axis=1)
+        # one contiguous row per class: a reduction over rows, not along them
+        return np.ascontiguousarray(self.probs.T).max(axis=0)
 
     def predicted(self) -> np.ndarray:
         return self.probs.argmax(axis=1)
@@ -120,27 +121,31 @@ def ece(preds: PredictionSet, num_bins: int = 10) -> tuple[float, ReliabilityBin
     label; ECE weights each bin's |accuracy - confidence| gap by its
     occupancy. Empty bins contribute zero.
     """
-    if num_bins < 1:
-        raise ParameterError("need at least one bin")
+    require_count("num_bins", num_bins)
     conf = preds.confidences()
     correct = preds.predicted() == preds.labels
     # bin m (1-based) covers ((m-1)/M, m/M]; edges are the exact floats m/M
     edges = np.arange(num_bins + 1) / num_bins
     idx = np.searchsorted(edges, conf, side="left") - 1
     idx = np.clip(idx, 0, num_bins - 1)
-    counts = np.zeros(num_bins, dtype=int)
-    acc = np.full(num_bins, np.nan)
-    mean_conf = np.full(num_bins, np.nan)
-    total = 0.0
-    for m in range(num_bins):
-        members = idx == m
-        counts[m] = members.sum()
-        if counts[m] == 0:
-            continue
-        acc[m] = correct[members].mean()
-        mean_conf[m] = conf[members].mean()
-        total += counts[m] / preds.n * abs(acc[m] - mean_conf[m])
-    return float(total), ReliabilityBins("equal_width", counts, acc, mean_conf, edges)
+    counts = np.bincount(idx, minlength=num_bins)
+    # a hit count is exact in float64, so hits / count is the bin's mean
+    acc = np.divide(np.bincount(idx, weights=correct, minlength=num_bins), counts,
+                    out=np.full(num_bins, np.nan), where=counts > 0)
+    # a stable (radix) sort keeps each bin's members in sample order, as a mask does
+    order = np.argsort(idx.astype(np.min_scalar_type(num_bins)), kind="stable")
+    mean_conf = np.array([members.mean() if members.size else np.nan
+                          for members in np.split(conf[order], np.cumsum(counts)[:-1])])
+    gaps = np.where(counts > 0, counts / preds.n * np.abs(acc - mean_conf), 0.0)
+    # cumsum adds left to right, as a scalar loop over the bins does
+    return float(np.cumsum(gaps)[-1]), ReliabilityBins("equal_width", counts, acc, mean_conf, edges)
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``. Without ties every sorting
+    order is the stable one, and the default sort is several times faster."""
+    order = np.argsort(values)
+    return np.argsort(values, kind="stable") if (np.diff(values[order]) == 0).any() else order
 
 
 def ace(preds: PredictionSet, num_ranges: int = 10) -> tuple[float, ReliabilityBins]:
@@ -152,21 +157,22 @@ def ace(preds: PredictionSet, num_ranges: int = 10) -> tuple[float, ReliabilityB
     count). The result is the unweighted mean of |accuracy - confidence|
     over all (class, range) cells.
     """
-    if num_ranges < 1:
-        raise ParameterError("need at least one range")
+    require_count("num_ranges", num_ranges)
     if num_ranges > preds.n:
         raise ParameterError(f"num_ranges {num_ranges} exceeds sample count {preds.n}")
     k = preds.k
-    counts = np.zeros((k, num_ranges), dtype=int)
-    acc = np.full((k, num_ranges), np.nan)
-    mean_conf = np.full((k, num_ranges), np.nan)
-    total = 0.0
+    # np.array_split's sizes: the first ``extra`` ranges hold one more
+    base, extra = divmod(preds.n, num_ranges)
+    split = extra * (base + 1)
+    counts = np.tile([base + 1] * extra + [base] * (num_ranges - extra), (k, 1))
+    acc = np.empty((k, num_ranges))
+    mean_conf = np.empty((k, num_ranges))
+    columns = np.ascontiguousarray(preds.probs.T)
     for cls in range(k):
-        conf = preds.probs[:, cls]
-        order = np.argsort(conf, kind="stable")
-        for r, chunk in enumerate(np.array_split(order, num_ranges)):
-            counts[cls, r] = chunk.size
-            acc[cls, r] = (preds.labels[chunk] == cls).mean()
-            mean_conf[cls, r] = conf[chunk].mean()
-            total += abs(acc[cls, r] - mean_conf[cls, r])
+        order = _stable_order(columns[cls])
+        # each range is one contiguous row, so its mean sums as a lone chunk's
+        for values, out in ((columns[cls][order], mean_conf), (preds.labels[order] == cls, acc)):
+            out[cls, :extra] = values[:split].reshape(extra, base + 1).mean(axis=1)
+            out[cls, extra:] = values[split:].reshape(num_ranges - extra, base).mean(axis=1)
+    total = np.cumsum(np.abs(acc - mean_conf))[-1]
     return float(total / (k * num_ranges)), ReliabilityBins("equal_mass", counts, acc, mean_conf)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
+
+import numbers
 
 
 class DimensionError(ValueError):
@@ -19,3 +22,10 @@ class ContractViolationError(RuntimeError):
 
 class NumericalError(RuntimeError):
     """A numerical failure (NaN/Inf loss, divergence) aborted a computation."""
+
+
+def require_count(name: str, value) -> None:
+    """A size, grid or iteration count must be an integer >= 1: a fraction
+    would build a wrong grid or fail inside numpy, and NaN fails too."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ParameterError(f"{name} must be >= 1 and an integer, got {value!r}")

@@ -27,7 +27,7 @@ from . import diffcore as dc
 from . import gated_attention as gated
 from . import transport
 from .diffcore import Node, Parameter
-from .errors import DimensionError, InputError, ParameterError
+from .errors import DimensionError, InputError, ParameterError, require_count
 from .fusion import (AttnFusionHead, CoAttentionHead, attn_fusion_forward,
                      build_fused_inputs, co_attention_forward)
 
@@ -71,12 +71,11 @@ class ModelConfig:
         if not 0.0 <= self.label_smoothing_alpha <= 1.0:
             raise ParameterError("label_smoothing_alpha must be in [0, 1]")
         for name in ("d", "seq_len", "d_q", "d_k", "d_g", "k", "d_z", "otk_iters"):
-            if not getattr(self, name) >= 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+            require_count(name, getattr(self, name))
         if self.strategy not in ctx.DEFAULT_LAYERS:
             raise ParameterError(f"unknown context strategy {self.strategy!r}")
-        if self.layers is not None and not (isinstance(self.layers, int) and self.layers >= 1):
-            raise ParameterError(f"layers must be None or an integer >= 1, got {self.layers!r}")
+        if self.layers is not None:
+            require_count("layers", self.layers)
         if not self.otk_eps > 0:
             raise ParameterError(f"otk_eps must be positive, got {self.otk_eps}")
         gate = self.context_gate_override

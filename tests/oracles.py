@@ -9,7 +9,11 @@ oracle runs the log-domain loop with scipy's ``logsumexp``, the OTK
 oracle builds the embedding as an unrolled graph of ``diffcore``
 primitives, the attention oracles build the context, gated and pooling
 layers the same way, and the calibration oracles re-derive the binning
-from comparisons alone.
+from comparisons alone. The loop oracles (``aso_loop``,
+``stft_per_frame``, ``mel_filterbank_per_band`` and
+``resize_by_interp``) do one bootstrap iteration, frame, band or line at
+a time, in the arithmetic the vectorized library code must reproduce bit
+for bit.
 
 The graph primitives that only these oracles use (``sub``,
 ``elementwise_div``, ``sigmoid``, ``exp_ew``, ``slice_cols`` and
@@ -19,6 +23,7 @@ layers compute the same values in one node each.
 
 import itertools
 import math
+from statistics import NormalDist
 
 import numpy as np
 from scipy import sparse
@@ -28,6 +33,7 @@ from scipy.special import logsumexp
 from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
 from otfusion.diffcore import Node, _require_broadcastable, _sigmoid, _unbroadcast, _wrap
+from otfusion.audio_features import _hz_to_mel, _mel_to_hz
 from otfusion.errors import DimensionError
 from otfusion.fusion import ATTN_MLP_DROPOUT
 from otfusion.model import ATTN_FUSION, CO_ATTENTION, OTK
@@ -207,6 +213,87 @@ def ace_bruteforce(probs, labels, num_ranges):
             total += abs(acc - mean_conf)
             cells += 1
     return total / cells
+
+
+def violation_ratio_1d(a, b, grid):
+    """The violation ratio of two score samples on a midpoint grid, from
+    one sort and one gather per sample."""
+    t = (np.arange(grid) + 0.5) / grid
+
+    def quantiles(scores):
+        s = np.sort(scores)
+        return s[np.clip(np.ceil(t * s.size).astype(int) - 1, 0, s.size - 1)]
+
+    diff = quantiles(np.asarray(a, dtype=float)) - quantiles(np.asarray(b, dtype=float))
+    w2_sq = float((diff * diff).mean())
+    if w2_sq == 0.0:
+        return 0.5
+    viol = np.maximum(-diff, 0.0)
+    return float((viol * viol).mean() / w2_sq)
+
+
+def aso_loop(a, b, confidence=0.95, bootstrap_iters=1000, num_comparisons=50, seed=0,
+             grid=1000):
+    """``(eps_min, violation_ratio)`` of ``significance.aso``, one bootstrap
+    iteration at a time with the generator ``default_rng((seed, it))``."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    if np.ptp(a) == 0.0 and np.ptp(b) == 0.0 and a[0] == b[0]:
+        return 0.5, 0.5
+    point = violation_ratio_1d(a, b, grid)
+    ratios = np.empty(bootstrap_iters)
+    for it in range(bootstrap_iters):
+        rng = np.random.default_rng((seed, it))
+        ra = a[rng.integers(0, a.size, a.size)]
+        rb = b[rng.integers(0, b.size, b.size)]
+        ratios[it] = violation_ratio_1d(ra, rb, grid)
+    z = NormalDist().inv_cdf(1.0 - (1.0 - confidence) / num_comparisons)
+    std_err = float(ratios.std()) / np.sqrt(bootstrap_iters)
+    return float(np.clip(point + z * std_err, 0.0, 1.0)), point
+
+
+def stft_per_frame(samples, n_fft, hop):
+    """Centered, reflect-padded, periodic-Hann STFT with one ``rfft`` call
+    per frame, as a (bins, frames) matrix."""
+    x = np.pad(np.asarray(samples, dtype=float), n_fft // 2, mode="reflect")
+    frames = 1 + (x.size - n_fft) // hop
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    out = np.empty((n_fft // 2 + 1, frames), dtype=complex)
+    for t in range(frames):
+        out[:, t] = np.fft.rfft(x[t * hop:t * hop + n_fft] * window)
+    return out
+
+
+def mel_filterbank_per_band(n_mels, sample_rate, n_fft):
+    """Triangular area-normalized mel filters, built one band at a time."""
+    n_bins = n_fft // 2 + 1
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), n_mels + 2)
+    hz_pts = _mel_to_hz(mel_pts)
+    fft_freqs = np.linspace(0.0, sample_rate / 2.0, n_bins)
+    fb = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
+        lo, center, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
+        up = (fft_freqs - lo) / max(center - lo, 1e-12)
+        down = (hi - fft_freqs) / max(hi - center, 1e-12)
+        fb[m] = np.maximum(0.0, np.minimum(up, down))
+        fb[m] *= 2.0 / (hi - lo)
+    return fb
+
+
+def resize_by_interp(m, rows, cols):
+    """Endpoint-aligned separable linear resize with one ``np.interp`` call
+    per input row, then one per output column."""
+    m = np.asarray(m, dtype=float)
+    in_r, in_c = m.shape
+    row_pos = np.linspace(0.0, in_r - 1.0, rows) if in_r > 1 else np.zeros(rows)
+    col_pos = np.linspace(0.0, in_c - 1.0, cols) if in_c > 1 else np.zeros(cols)
+    tmp = np.empty((in_r, cols))
+    for i in range(in_r):
+        tmp[i] = np.interp(col_pos, np.arange(in_c, dtype=float), m[i])
+    out = np.empty((rows, cols))
+    for j in range(cols):
+        out[:, j] = np.interp(row_pos, np.arange(in_r, dtype=float), tmp[:, j])
+    return out
 
 
 def sub(a, b) -> Node:

@@ -1,8 +1,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import window_slope_bruteforce
+from oracles import (mel_filterbank_per_band, resize_by_interp, stft_per_frame,
+                     window_slope_bruteforce)
 
 from otfusion import audio_features as af
 from otfusion.errors import InputError, ParameterError
@@ -56,8 +59,25 @@ class TestStft:
         with pytest.raises(ParameterError):
             af.stft(w, 128, 64)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n_fft=st.sampled_from([256, 512, 1024]), hop_ratio=st.floats(0.01, 3.0),
+           frames=st.integers(1, 3 * af.STFT_CHUNK), seed=st.integers(0, 2**32 - 1))
+    def test_chunked_frames_match_per_frame_rfft(self, n_fft, hop_ratio, frames, seed):
+        # hop up to 3 n_fft: frames that skip samples
+        hop = max(1, int(hop_ratio * n_fft))
+        x = np.random.default_rng(seed).standard_normal(max(n_fft, (frames - 1) * hop))
+        npt.assert_array_equal(af.stft(af.Waveform(x, 8000), n_fft, hop),
+                               stft_per_frame(x, n_fft, hop))
+
 
 class TestMelFilterbank:
+    @pytest.mark.parametrize("n_mels,sample_rate,n_fft", [
+        (224, 22050, 2048), (40, 8000, 512), (1, 16000, 256), (129, 44100, 256), (10, 100, 256),
+    ])
+    def test_broadcast_matches_per_band_loop(self, n_mels, sample_rate, n_fft):
+        npt.assert_array_equal(af.mel_filterbank(n_mels, sample_rate, n_fft),
+                               mel_filterbank_per_band(n_mels, sample_rate, n_fft))
+
     def test_nonnegative_weights(self):
         fb = af.mel_filterbank(32, 16000, 1024)
         assert fb.shape == (32, 513)
@@ -146,6 +166,31 @@ class TestBilinearResize:
         out = af.bilinear_resize(np.full((10, 17), 2.5), 224, 224)
         npt.assert_allclose(out, 2.5, atol=1e-12)
 
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+           size=st.tuples(st.integers(1, 300), st.integers(1, 300)),
+           seed=st.integers(0, 2**32 - 1), rounded=st.booleans())
+    def test_gather_passes_match_np_interp(self, shape, size, seed, rounded):
+        m = np.random.default_rng(seed).normal(0, 50, shape)
+        if rounded:
+            m = np.round(m)
+        npt.assert_array_equal(af.bilinear_resize(m, *size), resize_by_interp(m, *size))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 37), (37, 1)])
+    def test_single_row_or_column_input(self, shape):
+        m = np.random.default_rng(3).standard_normal(shape)
+        npt.assert_array_equal(af.bilinear_resize(m, 224, 224), resize_by_interp(m, 224, 224))
+
+    # the overflowing gaps warn; the branch np.where discards warns too
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_grid_points_keep_values_whose_gaps_overflow(self):
+        # f[j+1] - f[j] overflows to inf here, so inf * 0 + f[j] would be
+        # NaN at the grid points; np.interp returns f[j] there
+        m = np.where(np.indices((5, 5)).sum(axis=0) % 2, -1e308, 1e308)
+        out = af.bilinear_resize(m, 9, 9)
+        npt.assert_array_equal(out, resize_by_interp(m, 9, 9))
+        npt.assert_array_equal(out[::2, ::2], m)
+
 
 class TestToImage:
     def params(self):
@@ -193,3 +238,23 @@ def test_waveform_validation():
         af.Waveform(np.zeros(10), 0)
     with pytest.raises(InputError):
         af.Waveform(np.zeros(0), 8000)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_waveform_rejects_non_finite_samples(bad):
+    samples = np.zeros(4096)
+    samples[100] = bad
+    with pytest.raises(InputError, match="finite"):
+        af.Waveform(samples, 8000)
+    with pytest.raises(InputError, match="finite"):
+        af.Waveform(np.full(4096, bad), 8000)
+
+
+@pytest.mark.parametrize("rate", [np.nan, 8000.5, 8000.0, -8000])
+def test_waveform_rejects_non_integer_sample_rate(rate):
+    with pytest.raises(ParameterError, match="sample_rate must be >= 1"):
+        af.Waveform(np.zeros(4096), rate)
+
+
+def test_waveform_accepts_numpy_integer_rate():
+    assert af.Waveform(np.zeros(4096), np.int32(8000)).sample_rate == 8000

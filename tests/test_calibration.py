@@ -28,6 +28,13 @@ def random_prediction_set(rng, n, k=2):
     return cal.PredictionSet(probs, labels)
 
 
+def tied_prediction_set(rng, n):
+    """Two-class set whose probabilities are multiples of 0.1, so many
+    samples share one value and many sit on equal-width bin edges."""
+    p1 = np.round(rng.uniform(0, 1, n), 1)
+    return cal.PredictionSet(np.column_stack([1.0 - p1, p1]), rng.integers(0, 2, n))
+
+
 class TestSmoothTargets:
     def test_reference_alpha_exact(self):
         out = cal.smooth_targets(0, cal.SmoothingConfig(0.001, 2))
@@ -151,6 +158,36 @@ class TestECE:
         with pytest.raises(InputError):
             cal.PredictionSet(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("bad", [2.5, np.nan, 0])
+    def test_bad_bin_count_rejected(self, bad):
+        preds = preds_from([0.9, 0.8], [True, False])
+        with pytest.raises(ParameterError, match="num_bins must be >= 1"):
+            cal.ece(preds, bad)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bins_equal_masked_means(self, seed):
+        """Each bin's statistics are the plain means over a boolean mask
+        of its members, bit for bit; rounded probabilities put many
+        samples on one value and on the bin edges."""
+        rng = np.random.default_rng(200 + seed)
+        preds = random_prediction_set(rng, int(rng.integers(1, 300)), k=int(rng.integers(2, 4)))
+        if seed % 2:
+            preds = tied_prediction_set(rng, preds.n)
+        num_bins = int(rng.integers(1, 25))
+        _, bins = cal.ece(preds, num_bins)
+        conf = preds.probs.max(axis=1)
+        correct = preds.probs.argmax(axis=1) == preds.labels
+        for m in range(num_bins):
+            members = (conf > m / num_bins) & (conf <= (m + 1) / num_bins)
+            if m == 0:
+                members |= conf <= 0.0
+            assert bins.counts[m] == members.sum()
+            if members.any():
+                assert bins.accuracy[m] == correct[members].mean()
+                assert bins.confidence[m] == conf[members].mean()
+            else:
+                assert np.isnan(bins.accuracy[m]) and np.isnan(bins.confidence[m])
+
 
 class TestACE:
     def test_degenerate_one_class_perfect(self):
@@ -187,6 +224,31 @@ class TestACE:
             assert cls_counts.max() - cls_counts.min() <= 1
             assert cls_counts.sum() == preds.n
 
+    @pytest.mark.parametrize("bad", [2.5, np.nan, 0])
+    def test_bad_range_count_rejected(self, bad):
+        preds = random_prediction_set(np.random.default_rng(7), 10)
+        with pytest.raises(ParameterError, match="num_ranges must be >= 1"):
+            cal.ace(preds, bad)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_ranges_equal_array_split_chunks(self, seed):
+        """Each (class, range) cell holds the plain means over one
+        ``np.array_split`` chunk of the stable order, bit for bit, with
+        and without tied probabilities."""
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(1, 300))
+        preds = random_prediction_set(rng, n, k=int(rng.integers(2, 4)))
+        if seed % 2:
+            preds = tied_prediction_set(rng, preds.n)
+        ranges = int(rng.integers(1, min(n, 30) + 1))
+        _, bins = cal.ace(preds, ranges)
+        for cls in range(preds.k):
+            conf = preds.probs[:, cls]
+            for r, chunk in enumerate(np.array_split(np.argsort(conf, kind="stable"), ranges)):
+                assert bins.counts[cls, r] == chunk.size
+                assert bins.accuracy[cls, r] == (preds.labels[chunk] == cls).mean()
+                assert bins.confidence[cls, r] == conf[chunk].mean()
+
     def test_too_many_ranges(self):
         rng = np.random.default_rng(6)
         preds = random_prediction_set(rng, 4)
@@ -195,6 +257,12 @@ class TestACE:
 
 
 class TestPredictionSetValidation:
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_confidences_and_predicted_match_row_reductions(self, k):
+        preds = random_prediction_set(np.random.default_rng(k), 500, k)
+        npt.assert_array_equal(preds.confidences(), preds.probs.max(axis=1))
+        npt.assert_array_equal(preds.predicted(), preds.probs.argmax(axis=1))
+
     def test_rows_must_sum_to_one(self):
         with pytest.raises(InputError):
             cal.PredictionSet(np.array([[0.6, 0.6]]), np.array([0]))

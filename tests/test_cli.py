@@ -223,6 +223,16 @@ class TestFeaturesCommand:
         assert main(["features", "--wav", str(tmp_path / "nope.wav"),
                      "--out", str(tmp_path / "f.bin")]) == 3
 
+    def test_non_finite_float_wav_is_usage_error(self, tmp_path, capsys):
+        samples = np.zeros(8000, dtype=np.float32)
+        samples[10] = np.nan
+        wav = tmp_path / "nan.wav"
+        wavfile.write(wav, 8000, samples)
+        out = tmp_path / "f.bin"
+        assert main(["features", "--wav", str(wav), "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReportCommand:
     def test_merges_reports(self, tiny_config, tmp_path, capsys):

@@ -125,6 +125,13 @@ class TestAssembleModel:
         with pytest.raises(ParameterError):
             tiny_model(**overrides)
 
+    @pytest.mark.parametrize("name", ["d", "seq_len", "d_q", "d_k", "d_g", "k", "d_z",
+                                      "otk_iters", "layers"])
+    @pytest.mark.parametrize("bad", [2.5, np.nan])
+    def test_fractional_sizes_rejected_at_construction(self, name, bad):
+        with pytest.raises(ParameterError, match=f"{name} must be >= 1 and an integer"):
+            tiny_model(**{name: bad})
+
     @pytest.mark.parametrize("overrides", [
         dict(context_gate_override=0.0), dict(context_gate_override=1.0),
         dict(layers=None), dict(layers=1),

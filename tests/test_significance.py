@@ -1,8 +1,15 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import aso_loop, violation_ratio_1d
 
 from otfusion.errors import InputError, ParameterError
-from otfusion.significance import ASOResult, aso, violation_ratio
+from otfusion.significance import BOOTSTRAP_BLOCK, ASOResult, aso, violation_ratio
 
 
 class TestViolationRatio:
@@ -158,7 +165,71 @@ class TestASO:
         with pytest.raises(InputError):
             aso([0.5, 0.4, 0.3, 0.2, 0.1], [0.9, 0.8, 0.7, 0.6, bad])
 
+    @pytest.mark.parametrize("bad", [np.nan, 2.5, 0])
+    def test_bad_num_comparisons_rejected(self, bad):
+        with pytest.raises(ParameterError, match="num_comparisons must be >= 1"):
+            aso([1.0, 2.0, 3.0, 4.0, 5.0], [2.0] * 5, bootstrap_iters=10, num_comparisons=bad)
+
     def test_verdict_strings(self):
         assert ASOResult(0.0, 0.0, 0.95, 50, 100, 0).verdict == "stochastically dominant"
         assert ASOResult(0.2, 0.2, 0.95, 50, 100, 0).verdict == "almost stochastically dominant"
         assert ASOResult(0.6, 0.6, 0.95, 50, 100, 0).verdict == "no order determinable"
+
+
+scores = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=60)
+
+
+def assert_aso_matches_loop(a, b, **kwargs):
+    """The blocked bootstrap gives eps_min and the point ratio of the
+    one-iteration-at-a-time loop, to the last bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = aso(a, b, **kwargs)
+    assert (result.eps_min, result.violation_ratio) == aso_loop(a, b, **kwargs)
+
+
+class TestBlockedBootstrapMatchesLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(a=scores, b=scores, grid=st.integers(1, 1500), iters=st.integers(1, 3 * BOOTSTRAP_BLOCK),
+           seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([None, 0, 1]))
+    def test_random_samples(self, a, b, grid, iters, seed, decimals):
+        if decimals is not None:  # rounded scores tie
+            a, b = np.round(a, decimals), np.round(b, decimals)
+        assert violation_ratio(a, b, grid) == violation_ratio_1d(a, b, grid)
+        assert_aso_matches_loop(a, b, bootstrap_iters=iters, seed=seed, grid=grid)
+
+    @pytest.mark.parametrize("iters", [1, BOOTSTRAP_BLOCK - 1, BOOTSTRAP_BLOCK,
+                                       BOOTSTRAP_BLOCK + 1, 2 * BOOTSTRAP_BLOCK + 7])
+    def test_iteration_counts_around_the_block(self, iters):
+        rng = np.random.default_rng(iters)
+        assert_aso_matches_loop(rng.normal(0, 1, 40), rng.normal(0.2, 1, 37),
+                                bootstrap_iters=iters, seed=3)
+
+    def test_identical_samples(self):
+        # about 3 in 8 resample pairs of [1, 2] coincide, so w2 == 0 in those
+        # rows and their ratio is the 0.5 convention
+        assert_aso_matches_loop([1.0, 2.0], [1.0, 2.0], bootstrap_iters=100, seed=0, grid=7)
+        assert_aso_matches_loop([0.8, 0.8, 0.9], [0.9, 0.8, 0.8], bootstrap_iters=50, seed=4)
+
+    def test_default_settings(self):
+        rng = np.random.default_rng(8)
+        assert_aso_matches_loop(np.round(rng.normal(0.8, 0.03, 40), 3),
+                                np.round(rng.normal(0.78, 0.03, 40), 3), seed=8)
+
+
+def test_aso_memory_does_not_grow_with_iterations():
+    """The bootstrap is resampled one block at a time, so its peak
+    allocation at 5000 iterations stays near that at 200; a (5000, grid)
+    matrix would take 40 MB per temporary."""
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(0, 1, 40), rng.normal(0.1, 1, 40)
+
+    def peak_bytes(iters):
+        tracemalloc.start()
+        try:
+            aso(a, b, bootstrap_iters=iters, grid=1000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(5000) <= 2 * peak_bytes(200)
