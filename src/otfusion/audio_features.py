@@ -109,11 +109,14 @@ def mel_filterbank(n_mels: int, sample_rate: int, n_fft: int) -> np.ndarray:
     mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), n_mels + 2)
     hz_pts = _mel_to_hz(mel_pts)
     fft_freqs = np.linspace(0.0, sample_rate / 2.0, n_bins)
-    # one row per band: its lower, center and upper frequency
-    lo, center, hi = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
-    up = (fft_freqs - lo) / np.maximum(center - lo, 1e-12)
-    down = (hi - fft_freqs) / np.maximum(hi - center, 1e-12)
-    return np.maximum(0.0, np.minimum(up, down)) * (2.0 / (hi - lo))
+    fb = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
+        lo, center, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
+        up = (fft_freqs - lo) / max(center - lo, 1e-12)
+        down = (hi - fft_freqs) / max(hi - center, 1e-12)
+        fb[m] = np.maximum(0.0, np.minimum(up, down))
+        fb[m] *= 2.0 / (hi - lo)
+    return fb
 
 
 def log_mel(w: Waveform, params: FeatureParams | None = None) -> np.ndarray:
@@ -152,11 +155,18 @@ def delta(m: np.ndarray, width: int = 9) -> np.ndarray:
 def _interp_rows(f: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """``np.interp(pos, arange(len(f)), f[:, c])`` for every column c, in
     np.interp's own arithmetic: f[j] at a grid point or the last row, else
-    (f[j+1] - f[j]) * (x - j) + f[j]. ``pos`` lies in [0, len(f) - 1]."""
+    (f[j+1] - f[j]) * (x - j) + f[j]; where that is NaN, its fallbacks
+    from the upper point, then f[j] if f[j] == f[j+1]. ``pos`` lies in
+    [0, len(f) - 1]."""
     j = np.minimum(pos.astype(int), len(f) - 1)
     frac = (pos - j)[:, None]
-    lo = f[j]
-    return np.where(frac == 0.0, lo, (f[np.minimum(j + 1, len(f) - 1)] - lo) * frac + lo)
+    lo, hi = f[j], f[np.minimum(j + 1, len(f) - 1)]
+    out = (hi - lo) * frac + lo
+    nan = np.isnan(out)
+    if nan.any():  # only an infinite or NaN input gets here
+        out[nan] = ((hi - lo) * (frac - 1.0) + hi)[nan]
+        out = np.where(np.isnan(out) & (lo == hi), lo, out)
+    return np.where(frac == 0.0, lo, out)
 
 
 def bilinear_resize(m: np.ndarray, rows: int, cols: int) -> np.ndarray:

@@ -141,13 +141,6 @@ def ece(preds: PredictionSet, num_bins: int = 10) -> tuple[float, ReliabilityBin
     return float(np.cumsum(gaps)[-1]), ReliabilityBins("equal_width", counts, acc, mean_conf, edges)
 
 
-def _stable_order(values: np.ndarray) -> np.ndarray:
-    """``np.argsort(values, kind="stable")``. Without ties every sorting
-    order is the stable one, and the default sort is several times faster."""
-    order = np.argsort(values)
-    return np.argsort(values, kind="stable") if (np.diff(values[order]) == 0).any() else order
-
-
 def ace(preds: PredictionSet, num_ranges: int = 10) -> tuple[float, ReliabilityBins]:
     """Adaptive calibration error over equal-mass per-class ranges.
 
@@ -169,7 +162,7 @@ def ace(preds: PredictionSet, num_ranges: int = 10) -> tuple[float, ReliabilityB
     mean_conf = np.empty((k, num_ranges))
     columns = np.ascontiguousarray(preds.probs.T)
     for cls in range(k):
-        order = _stable_order(columns[cls])
+        order = np.argsort(columns[cls], kind="stable")
         # each range is one contiguous row, so its mean sums as a lone chunk's
         for values, out in ((columns[cls][order], mean_conf), (preds.labels[order] == cls, acc)):
             out[cls, :extra] = values[:split].reshape(extra, base + 1).mean(axis=1)

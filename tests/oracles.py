@@ -10,10 +10,9 @@ oracle builds the embedding as an unrolled graph of ``diffcore``
 primitives, the attention oracles build the context, gated and pooling
 layers the same way, and the calibration oracles re-derive the binning
 from comparisons alone. The loop oracles (``aso_loop``,
-``stft_per_frame``, ``mel_filterbank_per_band`` and
-``resize_by_interp``) do one bootstrap iteration, frame, band or line at
-a time, in the arithmetic the vectorized library code must reproduce bit
-for bit.
+``stft_per_frame`` and ``resize_by_interp``) do one bootstrap iteration,
+frame or line at a time, in the arithmetic the vectorized library code
+must reproduce bit for bit.
 
 The graph primitives that only these oracles use (``sub``,
 ``elementwise_div``, ``sigmoid``, ``exp_ew``, ``slice_cols`` and
@@ -33,7 +32,6 @@ from scipy.special import logsumexp
 from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
 from otfusion.diffcore import Node, _require_broadcastable, _sigmoid, _unbroadcast, _wrap
-from otfusion.audio_features import _hz_to_mel, _mel_to_hz
 from otfusion.errors import DimensionError
 from otfusion.fusion import ATTN_MLP_DROPOUT
 from otfusion.model import ATTN_FUSION, CO_ATTENTION, OTK
@@ -262,22 +260,6 @@ def stft_per_frame(samples, n_fft, hop):
     for t in range(frames):
         out[:, t] = np.fft.rfft(x[t * hop:t * hop + n_fft] * window)
     return out
-
-
-def mel_filterbank_per_band(n_mels, sample_rate, n_fft):
-    """Triangular area-normalized mel filters, built one band at a time."""
-    n_bins = n_fft // 2 + 1
-    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), n_mels + 2)
-    hz_pts = _mel_to_hz(mel_pts)
-    fft_freqs = np.linspace(0.0, sample_rate / 2.0, n_bins)
-    fb = np.zeros((n_mels, n_bins))
-    for m in range(n_mels):
-        lo, center, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
-        up = (fft_freqs - lo) / max(center - lo, 1e-12)
-        down = (hi - fft_freqs) / max(hi - center, 1e-12)
-        fb[m] = np.maximum(0.0, np.minimum(up, down))
-        fb[m] *= 2.0 / (hi - lo)
-    return fb
 
 
 def resize_by_interp(m, rows, cols):
