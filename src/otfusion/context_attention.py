@@ -108,6 +108,8 @@ def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
     The layer is one graph node with parents ``x``, ``c`` and the layer's
     eight parameters: its forward runs in numpy and its vjp is written out.
     """
+    if x.cols != layer.d:
+        raise DimensionError(f"input width {x.cols} != layer d {layer.d}")
     if c.rows not in (1, x.rows):
         raise DimensionError(f"context rows {c.rows} != input rows {x.rows} or 1")
     if c.cols != layer.d_c:

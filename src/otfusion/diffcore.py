@@ -253,26 +253,6 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0, 1.0 / denom, e / denom)
 
 
-def tanh_ew(a) -> Node:
-    a = _wrap(a)
-    out = np.tanh(a.value)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return Node(out, (a,), vjp)
-
-
-def relu(a) -> Node:
-    a = _wrap(a)
-    mask = a.value > 0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return Node(a.value * mask, (a,), vjp)
-
-
 def log_ew(a) -> Node:
     a = _wrap(a)
     v = a.value
@@ -303,15 +283,6 @@ def softmax_rows(a) -> Node:
         return (_softmax_vjp(out, g),)
 
     return Node(out, (a,), vjp)
-
-
-def transpose(a) -> Node:
-    a = _wrap(a)
-
-    def vjp(g):
-        return (_t(g),)
-
-    return Node(_t(a.value).copy(), (a,), vjp)
 
 
 def concat_cols(a, b) -> Node:
@@ -422,22 +393,6 @@ def _dropout_keep(shape, rate: float, training: bool, rng) -> np.ndarray | None:
     if rng is None:
         raise ParameterError("dropout in training mode needs an rng")
     return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = None) -> Node:
-    """Inverted dropout: train-time zeroing with 1/(1-rate) rescale; in eval
-    mode or at rate 0 it returns ``a`` itself.
-    One draw from ``rng`` covers every entry; pass a :class:`SampleMajorDraws`
-    to lay a batch's draws out sample by sample."""
-    a = _wrap(a)
-    keep = _dropout_keep(a.value.shape, rate, training, rng)
-    if keep is None:
-        return a
-
-    def vjp(g):
-        return (g * keep,)
-
-    return Node(a.value * keep, (a,), vjp)
 
 
 def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

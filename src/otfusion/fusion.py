@@ -3,11 +3,17 @@
 Both heads consume a pair of n x d' matrices (d' twice the branch width),
 or a pair of B x n x d' stacks for a minibatch: the text side [attended,
 transported-from-image] and the image side [attended,
-transported-from-text]. The co-attention head couples them with
-a tanh affinity matrix; the attentional-reduction head pools each side
-with an independent softmax-weighted MLP before a layer-normalized sum.
-Final dense layers emit raw 2-class logits; softmax lives in the loss and
+transported-from-text]. The co-attention head, the parallel
+co-attention of Lu et al. (arXiv 1606.00061), couples them with a tanh
+affinity matrix; the attentional-reduction head pools each side with an
+independent softmax-weighted MLP before a layer-normalized sum. Final
+dense layers emit raw 2-class logits; softmax lives in the loss and
 metric paths.
+
+The whole co-attention head is one graph node, and so is each side's
+attentive pooling: each runs its forward in numpy, has a hand-written vjp
+and draws its dropout masks inside the node. ``tests/oracles.py`` builds
+the same layers from ``diffcore`` primitives as test oracles.
 """
 
 from __future__ import annotations
@@ -48,13 +54,13 @@ def build_fused_inputs(f: Node, x_t: Node, h: Node, s_t: Node) -> FusedInputs:
 
 
 class CoAttentionHead:
-    """Affinity-matrix co-attention over the two fused branches.
+    """Parallel co-attention over the two fused branches.
 
-    The branch matrices enter in the column-major d' x n orientation used
-    by the defining equations; the row-major inputs are transposed at
-    entry. Attention weights over positions are produced for each side,
-    the attended feature vectors are concatenated and classified by a
-    dropout / dense(relu) / dropout / dense(2) tail.
+    An n x n tanh affinity couples the branches; each side's k x n hidden
+    map mixes its own projection with the other side's projection carried
+    through the affinity. Softmax weights over positions pool each side,
+    and the concatenated pooled rows are classified by a dropout /
+    dense(relu) / dropout / dense(2) tail.
     """
 
     def __init__(self, d_prime: int, k: int, rng: np.random.Generator, name: str = "co"):
@@ -77,28 +83,86 @@ class CoAttentionHead:
 def co_attention_forward(inputs: FusedInputs, head: CoAttentionHead, training: bool,
                          rng: np.random.Generator | None = None,
                          return_weights: bool = False):
-    """Logits (1 x 2, or B x 1 x 2 for a batch) from the co-attention head."""
-    c_row, s_row = inputs.c, inputs.s
-    c_col = dc.transpose(c_row)
-    s_col = dc.transpose(s_row)
-    affinity = dc.tanh_ew(dc.matmul(dc.matmul(c_row, head.w_l), s_col))
-    ws_s = dc.matmul(head.w_s, s_col)
-    wc_c = dc.matmul(head.w_c, c_col)
-    h_s = dc.tanh_ew(dc.add(ws_s, dc.matmul(wc_c, affinity)))
-    h_c = dc.tanh_ew(dc.add(wc_c, dc.matmul(ws_s, dc.transpose(affinity))))
-    a_s = dc.softmax_rows(dc.matmul(dc.transpose(head.w_hs), h_s))
-    a_c = dc.softmax_rows(dc.matmul(dc.transpose(head.w_hc), h_c))
-    s_hat = dc.matmul(a_s, s_row)
-    c_hat = dc.matmul(a_c, c_row)
-    p = dc.concat_cols(c_hat, s_hat)
+    """Logits (1 x 2, or B x 1 x 2 for a batch) from the co-attention head.
+    With ``return_weights`` the weights over c's and s's positions follow,
+    as constants.
+
+    With c and s as d' x n columns: ``C = tanh(cᵀ W_l s)``,
+    ``H_s = tanh(W_s s + (W_c c) C)``, ``H_c = tanh(W_c c + (W_s s) Cᵀ)``,
+    and the weights are ``softmax(w_hsᵀ H_s)`` and ``softmax(w_hcᵀ H_c)``.
+    The head is one graph node with parents ``c``, ``s`` and the head's nine
+    parameters: its forward runs in numpy, its vjp is written out, and both
+    dropout masks are drawn from ``rng`` inside the node.
+    """
+    c, s = inputs.c, inputs.s
+    if c.cols != head.d_prime:
+        raise DimensionError(f"fused width {c.cols} != head d' {head.d_prime}")
+    cv, sv = c.value, s.value
+    params = head.parameters()
+    w_l, w_s, w_c, w_hs, w_hc, w1, b1, w_out, b_out = (p.value for p in params)
+    # the transposed copies keep the layouts, and so the bits, of the
+    # composed graph this node replaced
+    c_col, s_col = _t(cv).copy(), _t(sv).copy()
+    affinity = np.tanh(cv @ w_l @ s_col)
+    ws_s, wc_c = w_s @ s_col, w_c @ c_col
+    h_s = np.tanh(ws_s + wc_c @ affinity)
+    h_c = np.tanh(wc_c + ws_s @ _t(affinity).copy())
+    a_s = dc._softmax(_t(w_hs) @ h_s)
+    a_c = dc._softmax(_t(w_hc) @ h_c)
+    p = np.concatenate([a_c @ cv, a_s @ sv], axis=-1)
     if training and rng is not None:
         rng = dc.SampleMajorDraws(rng, [p.shape, p.shape[:-1] + (HIDDEN,)])
-    p = dc.dropout(p, CO_DROPOUT_CONCAT, training, rng)
-    hidden = dc.relu(dc.add(dc.matmul(p, head.w1), head.b1))
-    hidden = dc.dropout(hidden, CO_DROPOUT_HIDDEN, training, rng)
-    logits = dc.add(dc.matmul(hidden, head.w_out), head.b_out)
+    keep_p = dc._dropout_keep(p.shape, CO_DROPOUT_CONCAT, training, rng)
+    if keep_p is not None:
+        p *= keep_p
+    hidden = p @ w1 + b1
+    relu_mask = hidden > 0
+    hidden *= relu_mask
+    keep_h = dc._dropout_keep(hidden.shape, CO_DROPOUT_HIDDEN, training, rng)
+    if keep_h is not None:
+        hidden *= keep_h
+
+    def vjp(g):
+        # every gradient sums its terms in the order in which the composed
+        # graph's backward added them, so the last bits match it too
+        g_h = g @ w_out.T
+        if keep_h is not None:
+            g_h *= keep_h
+        g_h *= relu_mask
+        g_p = g_h @ w1.T
+        if keep_p is not None:
+            g_p *= keep_p
+        g_chat, g_shat = g_p[..., :head.d_prime], g_p[..., head.d_prime:]
+        g_scores_c = dc._softmax_vjp(a_c, g_chat @ _t(cv))
+        g_hc = w_hc @ g_scores_c
+        g_hc *= 1.0 - h_c * h_c
+        g_scores_s = dc._softmax_vjp(a_s, g_shat @ _t(sv))
+        g_hs = w_hs @ g_scores_s
+        g_hs *= 1.0 - h_s * h_s
+        g_ws_s = g_hc @ _t(_t(affinity).copy()) + g_hs
+        g_wc_c = g_hc + g_hs @ _t(affinity)
+        g_aff = _t(_t(ws_s) @ g_hc) + _t(wc_c) @ g_hs
+        g_aff *= 1.0 - affinity * affinity
+        g_cwl = g_aff @ _t(s_col)
+        g_c = g_s = None
+        if c.requires_grad:
+            g_c = _t(a_c) @ g_chat + _t(_t(w_c) @ g_wc_c) + g_cwl @ w_l.T
+        if s.requires_grad:
+            g_s = _t(a_s) @ g_shat + _t(_t(w_s) @ g_ws_s + _t(cv @ w_l) @ g_aff)
+        return (g_c, g_s,
+                _unbroadcast(_t(cv) @ g_cwl, head.w_l),
+                _unbroadcast(g_ws_s @ _t(s_col), head.w_s),
+                _unbroadcast(g_wc_c @ _t(c_col), head.w_c),
+                _unbroadcast(_t(g_scores_s @ _t(h_s)), head.w_hs),
+                _unbroadcast(_t(g_scores_c @ _t(h_c)), head.w_hc),
+                _unbroadcast(_t(p) @ g_h, head.w1),
+                _unbroadcast(g_h, head.b1),
+                _unbroadcast(_t(hidden) @ g, head.w_out),
+                _unbroadcast(g, head.b_out))
+
+    logits = Node(hidden @ w_out + b_out, (c, s, *params), vjp)
     if return_weights:
-        return logits, a_c, a_s
+        return logits, dc.constant(a_c), dc.constant(a_s)
     return logits
 
 
@@ -169,6 +233,8 @@ def attn_fusion_forward(inputs: FusedInputs, head: AttnFusionHead, training: boo
                         return_weights: bool = False):
     """Logits (1 x 2, or B x 1 x 2 for a batch) from the attentional-reduction head.
     With ``return_weights`` the two sides' pooling weights follow, as constants."""
+    if inputs.c.cols != head.d_prime:
+        raise DimensionError(f"fused width {inputs.c.cols} != head d' {head.d_prime}")
     if training and rng is not None:
         rng = dc.SampleMajorDraws(rng, [inputs.c.shape[:-1] + (HIDDEN,),
                                         inputs.s.shape[:-1] + (HIDDEN,)])

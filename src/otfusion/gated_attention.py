@@ -51,6 +51,8 @@ def gated_attention(s: Node, layer: GatedSelfAttentionLayer,
     ``fc_out``: its forward runs in numpy and its vjp is written out.
     """
     t, d = s.rows, s.cols
+    if d != layer.d:
+        raise DimensionError(f"input width {d} != layer d {layer.d}")
     sv = s.value
     learned = mask_override is None
     if learned:

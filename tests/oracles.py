@@ -7,17 +7,18 @@ uniform transport of any shape into a square assignment, the LP oracle
 hands the whole transport program to HiGHS as it stands, the Sinkhorn
 oracle runs the log-domain loop with scipy's ``logsumexp``, the OTK
 oracle builds the embedding as an unrolled graph of ``diffcore``
-primitives, the attention oracles build the context, gated and pooling
-layers the same way, and the calibration oracles re-derive the binning
-from comparisons alone. The loop oracles (``aso_loop``,
+primitives, the attention oracles build the context, gated, pooling
+and co-attention layers the same way, and the calibration oracles
+re-derive the binning from comparisons alone. The loop oracles (``aso_loop``,
 ``stft_per_frame`` and ``resize_by_interp``) do one bootstrap iteration,
 frame or line at a time, in the arithmetic the vectorized library code
 must reproduce bit for bit.
 
 The graph primitives that only these oracles use (``sub``,
-``elementwise_div``, ``sigmoid``, ``exp_ew``, ``slice_cols`` and
-``sum_cols``) live here rather than in ``diffcore``: the library's fused
-layers compute the same values in one node each.
+``elementwise_div``, ``sigmoid``, ``exp_ew``, ``slice_cols``, ``sum_cols``,
+``tanh_ew``, ``relu``, ``transpose`` and ``dropout``) live here rather
+than in ``diffcore``: the library's fused layers compute the same values
+in one node each.
 """
 
 import itertools
@@ -31,9 +32,9 @@ from scipy.special import logsumexp
 
 from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
-from otfusion.diffcore import Node, _require_broadcastable, _sigmoid, _unbroadcast, _wrap
+from otfusion.diffcore import Node, _require_broadcastable, _sigmoid, _t, _unbroadcast, _wrap
 from otfusion.errors import DimensionError
-from otfusion.fusion import ATTN_MLP_DROPOUT
+from otfusion.fusion import ATTN_MLP_DROPOUT, CO_DROPOUT_CONCAT, CO_DROPOUT_HIDDEN, HIDDEN
 from otfusion.model import ATTN_FUSION, CO_ATTENTION, OTK
 from otfusion.transport import OTK_MARGINAL_TOL, Coupling, _round_to_feasible
 
@@ -345,6 +346,49 @@ def sum_cols(a) -> Node:
     return Node(a.value.sum(axis=-1, keepdims=True), (a,), vjp)
 
 
+def tanh_ew(a) -> Node:
+    a = _wrap(a)
+    out = np.tanh(a.value)
+
+    def vjp(g):
+        return (g * (1.0 - out * out),)
+
+    return Node(out, (a,), vjp)
+
+
+def relu(a) -> Node:
+    a = _wrap(a)
+    mask = a.value > 0
+
+    def vjp(g):
+        return (g * mask,)
+
+    return Node(a.value * mask, (a,), vjp)
+
+
+def transpose(a) -> Node:
+    a = _wrap(a)
+
+    def vjp(g):
+        return (_t(g),)
+
+    return Node(_t(a.value).copy(), (a,), vjp)
+
+
+def dropout(a, rate: float, training: bool, rng=None) -> Node:
+    """Inverted dropout with the library's masks (``diffcore._dropout_keep``);
+    in eval mode or at rate 0 it returns ``a`` itself."""
+    a = _wrap(a)
+    keep = dc._dropout_keep(a.value.shape, rate, training, rng)
+    if keep is None:
+        return a
+
+    def vjp(g):
+        return (g * keep,)
+
+    return Node(a.value * keep, (a,), vjp)
+
+
 def otk_embed_unrolled(y, references, entropic_eps, sinkhorn_iters):
     """The OTK embedding as one graph node per primitive: the cost, the
     mean-normalized Gibbs kernel and ``sinkhorn_iters`` plain-domain
@@ -356,11 +400,11 @@ def otk_embed_unrolled(y, references, entropic_eps, sinkhorn_iters):
 
     y_sq = sum_cols(dc.elementwise_mul(y, y))
     z_sq = sum_cols(dc.elementwise_mul(z, z))
-    cross = dc.scale(dc.matmul(y, dc.transpose(z)), -2.0)
-    cost = dc.add(dc.add(y_sq, dc.transpose(z_sq)), cross)
+    cross = dc.scale(dc.matmul(y, transpose(z)), -2.0)
+    cost = dc.add(dc.add(y_sq, transpose(z_sq)), cross)
     mean = dc.scale(dc.mean_rows(sum_cols(cost)), 1.0 / n)
     kernel = exp_ew(dc.scale(elementwise_div(cost, mean), -1.0 / entropic_eps))
-    kernel_t = dc.transpose(kernel)
+    kernel_t = transpose(kernel)
 
     a = dc.constant(np.full((t, 1), 1.0 / t))
     b = dc.constant(np.full((n, 1), 1.0 / n))
@@ -368,8 +412,8 @@ def otk_embed_unrolled(y, references, entropic_eps, sinkhorn_iters):
     for _ in range(sinkhorn_iters):
         v = elementwise_div(b, dc.matmul(kernel_t, u))
         u = elementwise_div(a, dc.matmul(kernel, v))
-    plan = dc.elementwise_mul(dc.elementwise_mul(u, kernel), dc.transpose(v))
-    weights = dc.transpose(plan)
+    plan = dc.elementwise_mul(dc.elementwise_mul(u, kernel), transpose(v))
+    weights = transpose(plan)
     weights = elementwise_div(weights, sum_cols(weights))
     out = dc.matmul(weights, y)
 
@@ -403,7 +447,7 @@ def context_attention_composed(x, c, layer, gate_override=None):
     k_c = dc.matmul(c, layer.w_kc)
     _, q_bar = gated_sum(q, q_c, layer.w_gq, layer.w_gqc, gate_override)
     _, k_bar = gated_sum(k, k_c, layer.w_gk, layer.w_gkc, gate_override)
-    scores = dc.scale(dc.matmul(q_bar, dc.transpose(k_bar)), 1.0 / math.sqrt(layer.d_k))
+    scores = dc.scale(dc.matmul(q_bar, transpose(k_bar)), 1.0 / math.sqrt(layer.d_k))
     attn = dc.softmax_rows(scores)
     return dc.matmul(attn, x), attn
 
@@ -428,7 +472,7 @@ def gated_attention_composed(s, layer, mask_override=None):
     m_q = slice_cols(m, 0, 1)
     m_k = slice_cols(m, 1, 2)
     scores = dc.scale(
-        dc.matmul(dc.elementwise_mul(s, m_q), dc.transpose(dc.elementwise_mul(s, m_k))),
+        dc.matmul(dc.elementwise_mul(s, m_q), transpose(dc.elementwise_mul(s, m_k))),
         1.0 / math.sqrt(s.cols),
     )
     attn = dc.softmax_rows(scores)
@@ -437,10 +481,10 @@ def gated_attention_composed(s, layer, mask_override=None):
 
 def reduction_weights(m, w1, b1, w2, b2, training, rng):
     """The attn-fusion head's 1 x n pooling weights as a graph of primitives."""
-    h = dc.relu(dc.add(dc.matmul(m, w1), b1))
-    h = dc.dropout(h, ATTN_MLP_DROPOUT, training, rng)
+    h = relu(dc.add(dc.matmul(m, w1), b1))
+    h = dropout(h, ATTN_MLP_DROPOUT, training, rng)
     scores = dc.add(dc.matmul(h, w2), b2)
-    return dc.softmax_rows(dc.transpose(scores))
+    return dc.softmax_rows(transpose(scores))
 
 
 def attentive_pool_composed(m, w1, b1, w2, b2, training, rng):
@@ -448,6 +492,33 @@ def attentive_pool_composed(m, w1, b1, w2, b2, training, rng):
     pooled rows and the weights."""
     alpha = reduction_weights(m, w1, b1, w2, b2, training, rng)
     return dc.matmul(alpha, m), alpha
+
+
+def co_attention_composed(inputs, head, training, rng=None):
+    """``fusion.co_attention_forward`` as a graph of primitives, with the
+    branches transposed to the column-major d' x n orientation of the
+    defining equations. Returns the logits and the weights over c's and
+    s's positions."""
+    c_row, s_row = inputs.c, inputs.s
+    c_col = transpose(c_row)
+    s_col = transpose(s_row)
+    affinity = tanh_ew(dc.matmul(dc.matmul(c_row, head.w_l), s_col))
+    ws_s = dc.matmul(head.w_s, s_col)
+    wc_c = dc.matmul(head.w_c, c_col)
+    h_s = tanh_ew(dc.add(ws_s, dc.matmul(wc_c, affinity)))
+    h_c = tanh_ew(dc.add(wc_c, dc.matmul(ws_s, transpose(affinity))))
+    a_s = dc.softmax_rows(dc.matmul(transpose(head.w_hs), h_s))
+    a_c = dc.softmax_rows(dc.matmul(transpose(head.w_hc), h_c))
+    s_hat = dc.matmul(a_s, s_row)
+    c_hat = dc.matmul(a_c, c_row)
+    p = dc.concat_cols(c_hat, s_hat)
+    if training and rng is not None:
+        rng = dc.SampleMajorDraws(rng, [p.shape, p.shape[:-1] + (HIDDEN,)])
+    p = dropout(p, CO_DROPOUT_CONCAT, training, rng)
+    hidden = relu(dc.add(dc.matmul(p, head.w1), head.b1))
+    hidden = dropout(hidden, CO_DROPOUT_HIDDEN, training, rng)
+    logits = dc.add(dc.matmul(hidden, head.w_out), head.b_out)
+    return logits, a_c, a_s
 
 
 def expected_parameter_count(cfg):

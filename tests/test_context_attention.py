@@ -155,7 +155,7 @@ class TestContextAttentionForward:
         # same op order, computed with the same projections and V = x
         q = dc.matmul(dc.constant(x), layer.w_q)
         k = dc.matmul(dc.constant(x), layer.w_k)
-        scores = dc.scale(dc.matmul(q, dc.transpose(k)), 1.0 / np.sqrt(layer.d_k))
+        scores = dc.scale(dc.matmul(q, oracles.transpose(k)), 1.0 / np.sqrt(layer.d_k))
         vanilla = dc.matmul(dc.softmax_rows(scores), dc.constant(x))
         npt.assert_array_equal(out.value, vanilla.value)
 
@@ -176,6 +176,13 @@ class TestContextAttentionForward:
             dc.constant(x), dc.constant(c), layer, return_attention=True
         )
         npt.assert_allclose(attn.value.sum(axis=1), np.ones(5), rtol=0, atol=1e-12)
+
+    def test_input_width_mismatch(self):
+        layer = make_layer()
+        with pytest.raises(DimensionError, match="input width 7"):
+            ctx.context_attention_forward(
+                dc.constant(np.zeros((4, 7))), dc.constant(np.zeros((4, 8))), layer
+            )
 
     def test_row_count_mismatch(self):
         layer = make_layer()

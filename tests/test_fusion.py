@@ -115,6 +115,11 @@ class TestCoAttention:
         second = fusion.co_attention_forward(inputs, head, training=False).value
         npt.assert_array_equal(first, second)
 
+    def test_width_mismatch(self):
+        _, _, inputs = make_inputs(d_prime=5)
+        with pytest.raises(DimensionError, match="fused width 5"):
+            fusion.co_attention_forward(inputs, co_head(), training=False)
+
     def test_training_mode_uses_dropout(self):
         _, _, inputs = make_inputs(n=3, seed=10)
         head = co_head()
@@ -173,6 +178,11 @@ class TestAttnFusion:
         first = fusion.attn_fusion_forward(inputs, head, training=False).value
         second = fusion.attn_fusion_forward(inputs, head, training=False).value
         npt.assert_array_equal(first, second)
+
+    def test_width_mismatch(self):
+        _, _, inputs = make_inputs(d_prime=5)
+        with pytest.raises(DimensionError, match="fused width 5"):
+            fusion.attn_fusion_forward(inputs, attn_head(), training=False)
 
     def test_reduction_models_are_independent(self):
         head = attn_head()

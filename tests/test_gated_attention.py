@@ -88,6 +88,13 @@ class TestGatedAttention:
         _, attn = ga.gated_attention(dc.constant(s), layer, return_attention=True)
         npt.assert_allclose(attn.value.sum(axis=1), np.ones(6), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("ones_mask", [False, True])
+    def test_input_width_mismatch(self, ones_mask):
+        layer = make_layer()
+        mask = np.ones((4, 2)) if ones_mask else None
+        with pytest.raises(DimensionError, match="input width 7"):
+            ga.gated_attention(dc.constant(np.zeros((4, 7))), layer, mask_override=mask)
+
     def test_mask_override_shape_checked(self):
         layer = make_layer()
         with pytest.raises(DimensionError):
