@@ -8,12 +8,8 @@ co-attention of Lu et al. (arXiv 1606.00061), couples them with a tanh
 affinity matrix; the attentional-reduction head pools each side with an
 independent softmax-weighted MLP before a layer-normalized sum. Final
 dense layers emit raw 2-class logits; softmax lives in the loss and
-metric paths.
-
-The whole co-attention head is one graph node, and so is each side's
-attentive pooling: each runs its forward in numpy, has a hand-written vjp
-and draws its dropout masks inside the node. ``tests/oracles.py`` builds
-the same layers from ``diffcore`` primitives as test oracles.
+metric paths. The co-attention head, and each side's pooling, is one
+graph node with a hand-written vjp.
 """
 
 from __future__ import annotations
@@ -56,10 +52,10 @@ def build_fused_inputs(f: Node, x_t: Node, h: Node, s_t: Node) -> FusedInputs:
 class CoAttentionHead:
     """Parallel co-attention over the two fused branches.
 
-    An n x n tanh affinity couples the branches; each side's k x n hidden
-    map mixes its own projection with the other side's projection carried
-    through the affinity. Softmax weights over positions pool each side,
-    and the concatenated pooled rows are classified by a dropout /
+    With c and s as d' x n columns, ``C = tanh(cᵀ W_l s)``,
+    ``H_s = tanh(W_s s + (W_c c) C)`` and ``H_c = tanh(W_c c + (W_s s) Cᵀ)``;
+    ``softmax(w_hsᵀ H_s)`` and ``softmax(w_hcᵀ H_c)`` weigh each side's
+    positions, and the two pooled rows, concatenated, pass a dropout /
     dense(relu) / dropout / dense(2) tail.
     """
 
@@ -85,15 +81,8 @@ def co_attention_forward(inputs: FusedInputs, head: CoAttentionHead, training: b
                          return_weights: bool = False):
     """Logits (1 x 2, or B x 1 x 2 for a batch) from the co-attention head.
     With ``return_weights`` the weights over c's and s's positions follow,
-    as constants.
-
-    With c and s as d' x n columns: ``C = tanh(cᵀ W_l s)``,
-    ``H_s = tanh(W_s s + (W_c c) C)``, ``H_c = tanh(W_c c + (W_s s) Cᵀ)``,
-    and the weights are ``softmax(w_hsᵀ H_s)`` and ``softmax(w_hcᵀ H_c)``.
-    The head is one graph node with parents ``c``, ``s`` and the head's nine
-    parameters: its forward runs in numpy, its vjp is written out, and both
-    dropout masks are drawn from ``rng`` inside the node.
-    """
+    as constants. The head is one graph node with parents ``c``, ``s`` and
+    its nine parameters, and it draws both dropout masks from ``rng``."""
     c, s = inputs.c, inputs.s
     if c.cols != head.d_prime:
         raise DimensionError(f"fused width {c.cols} != head d' {head.d_prime}")
@@ -134,22 +123,15 @@ def co_attention_forward(inputs: FusedInputs, head: CoAttentionHead, training: b
             g_p *= keep_p
         g_chat, g_shat = g_p[..., :head.d_prime], g_p[..., head.d_prime:]
         g_scores_c = dc._softmax_vjp(a_c, g_chat @ _t(cv))
-        g_hc = w_hc @ g_scores_c
-        g_hc *= 1.0 - h_c * h_c
+        g_hc = (w_hc @ g_scores_c) * (1.0 - h_c * h_c)
         g_scores_s = dc._softmax_vjp(a_s, g_shat @ _t(sv))
-        g_hs = w_hs @ g_scores_s
-        g_hs *= 1.0 - h_s * h_s
+        g_hs = (w_hs @ g_scores_s) * (1.0 - h_s * h_s)
         g_ws_s = g_hc @ _t(_t(affinity).copy()) + g_hs
         g_wc_c = g_hc + g_hs @ _t(affinity)
-        g_aff = _t(_t(ws_s) @ g_hc) + _t(wc_c) @ g_hs
-        g_aff *= 1.0 - affinity * affinity
+        g_aff = (_t(_t(ws_s) @ g_hc) + _t(wc_c) @ g_hs) * (1.0 - affinity * affinity)
         g_cwl = g_aff @ _t(s_col)
-        g_c = g_s = None
-        if c.requires_grad:
-            g_c = _t(a_c) @ g_chat + _t(_t(w_c) @ g_wc_c) + g_cwl @ w_l.T
-        if s.requires_grad:
-            g_s = _t(a_s) @ g_shat + _t(_t(w_s) @ g_ws_s + _t(cv @ w_l) @ g_aff)
-        return (g_c, g_s,
+        return (_t(a_c) @ g_chat + _t(_t(w_c) @ g_wc_c) + g_cwl @ w_l.T,
+                _t(a_s) @ g_shat + _t(_t(w_s) @ g_ws_s + _t(cv @ w_l) @ g_aff),
                 _unbroadcast(_t(cv) @ g_cwl, head.w_l),
                 _unbroadcast(g_ws_s @ _t(s_col), head.w_s),
                 _unbroadcast(g_wc_c @ _t(c_col), head.w_c),
