@@ -1,6 +1,11 @@
 """Label smoothing, the smoothed cross-entropy loss, and calibration
 metrics (equal-width ECE, equal-mass per-class ACE) with reliability-bin
-data for reporting."""
+data for reporting.
+
+The loss is one graph node on the logits: its forward takes the softmax,
+floors it at ``PROB_FLOOR`` and averages the cross-entropy over the rows,
+and its vjp is written out in the same arithmetic.
+"""
 
 from __future__ import annotations
 
@@ -84,18 +89,33 @@ def smooth_targets(label: int, cfg: SmoothingConfig) -> np.ndarray:
     return t
 
 
-def ls_cross_entropy(probs, smoothed: np.ndarray) -> Node:
-    """Cross-entropy sum_k -target_k * log(p_k) with a 1e-12 floor on p, as
-    a differentiable 1x1 node (an array ``probs`` is wrapped as a constant).
-    ``probs`` may hold a batch of probability rows with one target row
-    each; the result is then the sum over the batch.
+def ls_cross_entropy(logits, targets: np.ndarray) -> Node:
+    """Mean smoothed cross-entropy of softmax rows against target rows, as
+    one differentiable 1x1 node (an array ``logits`` is wrapped as a
+    constant).
+
+    ``logits`` holds N rows of class scores (``(1, K)``, or ``(B, 1, K)``
+    for a batch) and ``targets`` one target row each. With
+    ``p = softmax(z)`` and ``p_fl = max(p, 1e-12)`` the value is
+    ``-sum(t * log p_fl) / N``; the gradient of the logits is the softmax
+    vjp of ``-(t / p_fl) * [p > 1e-12] / N``, so it is zero for a
+    probability below the floor.
     """
-    probs = dc._wrap(probs)
-    smoothed = np.asarray(smoothed, dtype=float).ravel()
-    if probs.value.size != smoothed.size:
-        raise InputError("probs and targets disagree in length")
-    logp = dc.log_ew(dc.clamp_min(probs, PROB_FLOOR))
-    return dc.scale(dc.sum_all(dc.elementwise_mul(dc.constant(smoothed.reshape(probs.shape)), logp)), -1.0)
+    logits = dc._wrap(logits)
+    z = logits.value
+    targets = np.asarray(targets, dtype=float)
+    if z.size != targets.size:
+        raise InputError("logits and targets disagree in length")
+    t = targets.reshape(z.shape)
+    inv_n = 1.0 / (z.size // z.shape[-1])
+    p = dc._softmax(z)
+    floored = np.maximum(p, PROB_FLOOR)
+
+    def vjp(g):
+        g_p = np.full_like(p, g[0, 0] * inv_n * -1.0) * t / floored * (p > PROB_FLOOR)
+        return (dc._softmax_vjp(p, g_p),)
+
+    return Node((t * np.log(floored)).sum().reshape(1, 1) * -1.0 * inv_n, (logits,), vjp)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import Node, Parameter, _t, _unbroadcast
+from .diffcore import Node, Parameter, _t
 from .errors import DimensionError, ParameterError
 
 GLOBAL = "global"
@@ -86,11 +86,11 @@ def _gate_vjp(g_mixed, a, a_c, gate, w_a, w_ac, learned: bool):
         return g_a, g_ac, None, None
     g_pre = (g_mixed * (a_c - a)).sum(axis=-1, keepdims=True) * gate * (1.0 - gate)
     g_a += g_pre @ w_a.value.T
-    g_wa = _unbroadcast(_t(a) @ g_pre, w_a)
+    g_wa = _t(a) @ g_pre
     if shared:
         g_pre = g_pre.sum(axis=-2, keepdims=True)
     g_ac += g_pre @ w_ac.value.T
-    return g_a, g_ac, g_wa, _unbroadcast(_t(a_c) @ g_pre, w_ac)
+    return g_a, g_ac, g_wa, _t(a_c) @ g_pre
 
 
 def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
@@ -138,12 +138,10 @@ def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
                                              w_gk, w_gkc, learned)
         g_x = g_c = None
         if x.requires_grad:
-            g_x = _unbroadcast(_t(attn) @ g + g_q @ w_q.value.T + g_k @ w_k.value.T, x)
+            g_x = _t(attn) @ g + g_q @ w_q.value.T + g_k @ w_k.value.T
         if c.requires_grad:
-            g_c = _unbroadcast(g_qc @ w_qc.value.T + g_kc @ w_kc.value.T, c)
-        return (g_x, g_c,
-                _unbroadcast(_t(xv) @ g_q, w_q), _unbroadcast(_t(xv) @ g_k, w_k),
-                _unbroadcast(_t(cv) @ g_qc, w_qc), _unbroadcast(_t(cv) @ g_kc, w_kc),
+            g_c = g_qc @ w_qc.value.T + g_kc @ w_kc.value.T
+        return (g_x, g_c, _t(xv) @ g_q, _t(xv) @ g_k, _t(cv) @ g_qc, _t(cv) @ g_kc,
                 g_wgq, g_wgqc, g_wgk, g_wgkc)
 
     out = Node(attn @ xv, (x, c, *params), vjp)

@@ -8,9 +8,9 @@ call; a per-sample call is simply the same op without the batch axis
 matrix in a stack, and its gradient is summed over the batch.
 :func:`add` and :func:`elementwise_mul` follow numpy's broadcasting
 rule on the last two axes: an axis of size 1 stretches to the other
-operand's size (a 1 x d row, an n x 1 column or a 1 x 1 scalar), and the
-gradient of a stretched operand is summed over every axis it was
-stretched along.
+operand's size (a 1 x d row, an n x 1 column or a 1 x 1 scalar), and
+:func:`backward` sums the gradient of a stretched operand over every axis
+it was stretched along.
 Operations build a graph on the fly; calling :func:`backward` on a 1x1
 node fills in ``grad`` on every node that (transitively) depends on a
 trainable :class:`Parameter`. Gradients are checked against central
@@ -138,8 +138,10 @@ def backward(root: Node):
 
     ``root`` must be 1x1. Traversal is a depth-first topological order over
     the sub-graph that requires gradients; nodes outside it are skipped.
-    A Parameter's gradient is added into its buffer in place, so calls
-    accumulate until :func:`zero_grads`.
+    A vjp returns each parent's gradient in the shape of its own output;
+    backward sums it over the axes along which that parent was stretched
+    (:func:`_unbroadcast`). A Parameter's gradient is added into its buffer
+    in place, so calls accumulate until :func:`zero_grads`.
     """
     if root.value.shape != (1, 1):
         raise DimensionError(f"backward root must be 1x1, got {root.value.shape}")
@@ -167,6 +169,7 @@ def backward(root: Node):
         for parent, contrib in zip(node._parents, node._vjp(node.grad)):
             if not parent.requires_grad or contrib is None:
                 continue
+            contrib = _unbroadcast(contrib, parent)
             if isinstance(parent, Parameter):
                 parent.grad += contrib
             elif parent.grad is None:
@@ -207,8 +210,8 @@ def matmul(a, b) -> Node:
     av, bv = a.value, b.value
 
     def vjp(g):
-        return (_unbroadcast(g @ _t(bv), a) if a.requires_grad else None,
-                _unbroadcast(_t(av) @ g, b) if b.requires_grad else None)
+        return (g @ _t(bv) if a.requires_grad else None,
+                _t(av) @ g if b.requires_grad else None)
 
     return Node(av @ bv, (a, b), vjp)
 
@@ -218,20 +221,10 @@ def add(a, b) -> Node:
     _require_broadcastable(a, b, "add")
 
     def vjp(g):
-        return (_unbroadcast(g, a) if a.requires_grad else None,
-                _unbroadcast(g, b) if b.requires_grad else None)
+        return (g if a.requires_grad else None,
+                g if b.requires_grad else None)
 
     return Node(a.value + b.value, (a, b), vjp)
-
-
-def scale(a, s: float) -> Node:
-    a = _wrap(a)
-    s = float(s)
-
-    def vjp(g):
-        return (g * s,)
-
-    return Node(a.value * s, (a,), vjp)
 
 
 def elementwise_mul(a, b) -> Node:
@@ -240,8 +233,8 @@ def elementwise_mul(a, b) -> Node:
     av, bv = a.value, b.value
 
     def vjp(g):
-        return (_unbroadcast(g * bv, a) if a.requires_grad else None,
-                _unbroadcast(g * av, b) if b.requires_grad else None)
+        return (g * bv if a.requires_grad else None,
+                g * av if b.requires_grad else None)
 
     return Node(av * bv, (a, b), vjp)
 
@@ -253,16 +246,6 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0, 1.0 / denom, e / denom)
 
 
-def log_ew(a) -> Node:
-    a = _wrap(a)
-    v = a.value
-
-    def vjp(g):
-        return (g / v,)
-
-    return Node(np.log(v), (a,), vjp)
-
-
 def _softmax(v: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting each row's max."""
     e = np.exp(v - v.max(axis=-1, keepdims=True))
@@ -272,17 +255,6 @@ def _softmax(v: np.ndarray) -> np.ndarray:
 def _softmax_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient of a row-wise softmax's input, given its output ``out``."""
     return out * (g - (g * out).sum(axis=-1, keepdims=True))
-
-
-def softmax_rows(a) -> Node:
-    """Row-wise softmax, stabilized by subtracting each row's max."""
-    a = _wrap(a)
-    out = _softmax(a.value)
-
-    def vjp(g):
-        return (_softmax_vjp(out, g),)
-
-    return Node(out, (a,), vjp)
 
 
 def concat_cols(a, b) -> Node:
@@ -319,17 +291,6 @@ def sum_all(a) -> Node:
     return Node(a.value.sum().reshape(1, 1), (a,), vjp)
 
 
-def clamp_min(a, floor: float) -> Node:
-    """Elementwise max(a, floor); gradient is zero where the floor is active."""
-    a = _wrap(a)
-    mask = a.value > floor
-
-    def vjp(g):
-        return (g * mask,)
-
-    return Node(np.maximum(a.value, floor), (a,), vjp)
-
-
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Node:
     """Per-row normalization to zero mean / unit variance, then affine gain/bias."""
     a, gain, bias = _wrap(a), _wrap(gain), _wrap(bias)
@@ -348,8 +309,8 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Node:
         gx = g * gv
         dxhat_term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
         da = dxhat_term * inv
-        dgain = _unbroadcast((g * xhat).sum(axis=-2, keepdims=True), gain)
-        dbias = _unbroadcast(g.sum(axis=-2, keepdims=True), bias)
+        dgain = (g * xhat).sum(axis=-2, keepdims=True)
+        dbias = g.sum(axis=-2, keepdims=True)
         return da, dgain, dbias
 
     return Node(xhat * gv + bias.value, (a, gain, bias), vjp)

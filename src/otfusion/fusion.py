@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import Node, Parameter, _t, _unbroadcast
+from .diffcore import Node, Parameter, _t
 from .errors import DimensionError
 
 # Width of the heads' hidden layers and their dropout rates.
@@ -132,15 +132,9 @@ def co_attention_forward(inputs: FusedInputs, head: CoAttentionHead, training: b
         g_cwl = g_aff @ _t(s_col)
         return (_t(a_c) @ g_chat + _t(_t(w_c) @ g_wc_c) + g_cwl @ w_l.T,
                 _t(a_s) @ g_shat + _t(_t(w_s) @ g_ws_s + _t(cv @ w_l) @ g_aff),
-                _unbroadcast(_t(cv) @ g_cwl, head.w_l),
-                _unbroadcast(g_ws_s @ _t(s_col), head.w_s),
-                _unbroadcast(g_wc_c @ _t(c_col), head.w_c),
-                _unbroadcast(_t(g_scores_s @ _t(h_s)), head.w_hs),
-                _unbroadcast(_t(g_scores_c @ _t(h_c)), head.w_hc),
-                _unbroadcast(_t(p) @ g_h, head.w1),
-                _unbroadcast(g_h, head.b1),
-                _unbroadcast(_t(hidden) @ g, head.w_out),
-                _unbroadcast(g, head.b_out))
+                _t(cv) @ g_cwl, g_ws_s @ _t(s_col), g_wc_c @ _t(c_col),
+                _t(g_scores_s @ _t(h_s)), _t(g_scores_c @ _t(h_c)),
+                _t(p) @ g_h, g_h, _t(hidden) @ g, g)
 
     logits = Node(hidden @ w_out + b_out, (c, s, *params), vjp)
     if return_weights:
@@ -204,8 +198,7 @@ def _attentive_pool(m: Node, w1: Parameter, b1: Parameter, w2: Parameter, b2: Pa
             g_h *= keep
         g_pre = g_h * relu_mask
         g_m = _t(alpha) @ g + g_pre @ w1.value.T if m.requires_grad else None
-        return (g_m, _unbroadcast(_t(mv) @ g_pre, w1), _unbroadcast(g_pre, b1),
-                _unbroadcast(_t(h) @ g_scores, w2), _unbroadcast(g_scores, b2))
+        return g_m, _t(mv) @ g_pre, g_pre, _t(h) @ g_scores, g_scores
 
     return Node(alpha @ mv, (m, w1, b1, w2, b2), vjp), alpha
 

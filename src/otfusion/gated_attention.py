@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import Node, Parameter, _t, _unbroadcast
+from .diffcore import Node, Parameter, _t
 from .errors import DimensionError
 
 
@@ -81,9 +81,7 @@ def gated_attention(s: Node, layer: GatedSelfAttentionLayer,
         g_hq, g_hk = g_h * h_k, g_h * h_q
         if s.requires_grad:
             g_s += g_hq @ layer.fc_q.value.T + g_hk @ layer.fc_k.value.T
-        return (g_s, _unbroadcast(_t(sv) @ g_hq, layer.fc_q),
-                _unbroadcast(_t(sv) @ g_hk, layer.fc_k),
-                _unbroadcast(_t(h_q * h_k) @ g_pre, layer.fc_out))
+        return g_s, _t(sv) @ g_hq, _t(sv) @ g_hk, _t(h_q * h_k) @ g_pre
 
     out = Node(attn @ sv, (s, *layer.parameters()), vjp)
     if return_attention:

@@ -110,7 +110,7 @@ def _smoothed_ce_check(rng: np.random.Generator) -> SuiteResult:
     targets = calib.smooth_targets(1, calib.SmoothingConfig(0.001, 2))
 
     def loss_fn():
-        return calib.ls_cross_entropy(dc.softmax_rows(logits), targets)
+        return calib.ls_cross_entropy(logits, targets)
 
     return _check("smoothed_cross_entropy", loss_fn, [logits], LAYER_TOL)
 

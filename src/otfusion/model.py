@@ -247,8 +247,7 @@ class Model:
         if not np.array_equal(labels, np.round(labels)):
             raise InputError(f"labels must be integers, got {labels.tolist()}")
         targets = np.stack([calib.smooth_targets(int(l), self.smoothing) for l in labels])
-        ce = calib.ls_cross_entropy(dc.softmax_rows(logits), targets)
-        return dc.scale(ce, 1.0 / labels.size)
+        return calib.ls_cross_entropy(logits, targets)
 
 
 def assemble_model(cfg: ModelConfig, seed: int = 0) -> Model:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_count
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,8 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n, self.t, self.d) < 1:
-            raise ParameterError("n, t, d must all be >= 1")
-        if min(self.train_size, self.val_size, self.test_size) < 1:
-            raise ParameterError("split sizes must be >= 1")
+        for name in ("n", "t", "d", "train_size", "val_size", "test_size"):
+            require_count(name, getattr(self, name))
         if not np.isfinite(self.class_separation):
             raise ParameterError(f"class_separation must be finite, got {self.class_separation}")
         if not 0.0 <= self.cross_modal_correlation <= 1.0:

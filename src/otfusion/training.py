@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .calibration import PredictionSet, ace, ece
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, require_count
 from .model import Model, ModelConfig, ablation_variant, assemble_model
 from .synthetic import Sample, SyntheticTaskConfig, TaskData, generate_task
 
@@ -41,14 +41,8 @@ class TrainConfig:
     seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ParameterError("batch_size and max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ParameterError("patience must be >= 1")
-        if self.runs < 1:
-            raise ParameterError("runs must be >= 1")
-        if self.step_size < 1:
-            raise ParameterError("step_size must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience", "runs", "step_size"):
+            require_count(name, getattr(self, name))
         if not (0 < self.lr < np.inf and 0 < self.gamma < np.inf and 0 <= self.momentum < 1):
             raise ParameterError("lr and gamma must be positive and finite, momentum in [0, 1); "
                                  f"got {self.lr}, {self.gamma}, {self.momentum}")

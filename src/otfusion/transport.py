@@ -31,8 +31,8 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csc_matrix
 
 from . import diffcore as dc
-from .diffcore import Node, _t, _unbroadcast
-from .errors import DimensionError, InputError, NumericalError, ParameterError
+from .diffcore import Node, _t
+from .errors import DimensionError, InputError, NumericalError, ParameterError, require_count
 
 OTK_MARGINAL_TOL = 1e-3  # otk_embed reports converged below this violation
 _SCALING_MIN, _SCALING_MAX = 1e-50, 1e50  # sinkhorn absorbs a scaling outside this range
@@ -201,8 +201,7 @@ def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
         raise ParameterError(f"eps must be positive, got {eps}")
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
-    if max_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
+    require_count("max_iters", max_iters)
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     cost = np.asarray(cost, dtype=float)
@@ -316,8 +315,7 @@ def otk_embed(y, references, entropic_eps: float, sinkhorn_iters: int) -> OTKEmb
     """
     if not entropic_eps > 0:
         raise ParameterError("entropic_eps must be positive")
-    if sinkhorn_iters < 1:
-        raise ParameterError("sinkhorn_iters must be >= 1")
+    require_count("sinkhorn_iters", sinkhorn_iters)
     y = y if isinstance(y, Node) else dc.constant(y)
     z = references if isinstance(references, Node) else dc.constant(references)
     t, d = y.rows, y.cols
@@ -378,8 +376,7 @@ def otk_embed(y, references, entropic_eps: float, sinkhorn_iters: int) -> OTKEmb
         if y.requires_grad:
             g_y = weights @ g + 2.0 * (yv * g_cost.sum(axis=-1, keepdims=True) - g_cost @ zv)
         if z.requires_grad:
-            g_z = _unbroadcast(2.0 * (zv * _t(g_cost.sum(axis=-2, keepdims=True))
-                                      - _t(g_cost) @ yv), z)
+            g_z = 2.0 * (zv * _t(g_cost.sum(axis=-2, keepdims=True)) - _t(g_cost) @ yv)
         return g_y, g_z
 
     return OTKEmbedding(Node(out, (y, z), vjp), violation, violation < OTK_MARGINAL_TOL)

@@ -8,17 +8,19 @@ hands the whole transport program to HiGHS as it stands, the Sinkhorn
 oracle runs the log-domain loop with scipy's ``logsumexp``, the OTK
 oracle builds the embedding as an unrolled graph of ``diffcore``
 primitives, the attention oracles build the context, gated, pooling
-and co-attention layers the same way, and the calibration oracles
+and co-attention layers the same way, as the loss oracle builds the
+smoothed cross-entropy, and the calibration oracles
 re-derive the binning from comparisons alone. The loop oracles (``aso_loop``,
 ``stft_per_frame`` and ``resize_by_interp``) do one bootstrap iteration,
 frame or line at a time, in the arithmetic the vectorized library code
 must reproduce bit for bit.
 
 The graph primitives that only these oracles use (``sub``,
-``elementwise_div``, ``sigmoid``, ``exp_ew``, ``slice_cols``, ``sum_cols``,
+``elementwise_div``, ``scale``, ``log_ew``, ``softmax_rows``,
+``clamp_min``, ``sigmoid``, ``exp_ew``, ``slice_cols``, ``sum_cols``,
 ``tanh_ew``, ``relu``, ``transpose`` and ``dropout``) live here rather
-than in ``diffcore``: the library's fused layers compute the same values
-in one node each.
+than in ``diffcore``: the library's fused layers and its loss compute the
+same values in one node each.
 """
 
 import itertools
@@ -32,7 +34,9 @@ from scipy.special import logsumexp
 
 from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
-from otfusion.diffcore import Node, _require_broadcastable, _sigmoid, _t, _unbroadcast, _wrap
+from otfusion.calibration import PROB_FLOOR
+from otfusion.diffcore import (Node, _require_broadcastable, _sigmoid, _softmax, _softmax_vjp, _t,
+                               _wrap)
 from otfusion.errors import DimensionError
 from otfusion.fusion import ATTN_MLP_DROPOUT, CO_DROPOUT_CONCAT, CO_DROPOUT_HIDDEN, HIDDEN
 from otfusion.model import ATTN_FUSION, CO_ATTENTION, OTK
@@ -284,8 +288,8 @@ def sub(a, b) -> Node:
     _require_broadcastable(a, b, "sub")
 
     def vjp(g):
-        return (_unbroadcast(g, a) if a.requires_grad else None,
-                _unbroadcast(-g, b) if b.requires_grad else None)
+        return (g if a.requires_grad else None,
+                -g if b.requires_grad else None)
 
     return Node(a.value - b.value, (a, b), vjp)
 
@@ -297,8 +301,8 @@ def elementwise_div(a, b) -> Node:
     out = av / bv
 
     def vjp(g):
-        return (_unbroadcast(g / bv, a) if a.requires_grad else None,
-                _unbroadcast(-g * out / bv, b) if b.requires_grad else None)
+        return (g / bv if a.requires_grad else None,
+                -g * out / bv if b.requires_grad else None)
 
     return Node(out, (a, b), vjp)
 
@@ -311,6 +315,48 @@ def sigmoid(a) -> Node:
         return (g * out * (1.0 - out),)
 
     return Node(out, (a,), vjp)
+
+
+def scale(a, s: float) -> Node:
+    a = _wrap(a)
+    s = float(s)
+
+    def vjp(g):
+        return (g * s,)
+
+    return Node(a.value * s, (a,), vjp)
+
+
+def log_ew(a) -> Node:
+    a = _wrap(a)
+    v = a.value
+
+    def vjp(g):
+        return (g / v,)
+
+    return Node(np.log(v), (a,), vjp)
+
+
+def softmax_rows(a) -> Node:
+    """Row-wise softmax, stabilized by subtracting each row's max."""
+    a = _wrap(a)
+    out = _softmax(a.value)
+
+    def vjp(g):
+        return (_softmax_vjp(out, g),)
+
+    return Node(out, (a,), vjp)
+
+
+def clamp_min(a, floor: float) -> Node:
+    """Elementwise max(a, floor); gradient is zero where the floor is active."""
+    a = _wrap(a)
+    mask = a.value > floor
+
+    def vjp(g):
+        return (g * mask,)
+
+    return Node(np.maximum(a.value, floor), (a,), vjp)
 
 
 def exp_ew(a) -> Node:
@@ -400,10 +446,10 @@ def otk_embed_unrolled(y, references, entropic_eps, sinkhorn_iters):
 
     y_sq = sum_cols(dc.elementwise_mul(y, y))
     z_sq = sum_cols(dc.elementwise_mul(z, z))
-    cross = dc.scale(dc.matmul(y, transpose(z)), -2.0)
+    cross = scale(dc.matmul(y, transpose(z)), -2.0)
     cost = dc.add(dc.add(y_sq, transpose(z_sq)), cross)
-    mean = dc.scale(dc.mean_rows(sum_cols(cost)), 1.0 / n)
-    kernel = exp_ew(dc.scale(elementwise_div(cost, mean), -1.0 / entropic_eps))
+    mean = scale(dc.mean_rows(sum_cols(cost)), 1.0 / n)
+    kernel = exp_ew(scale(elementwise_div(cost, mean), -1.0 / entropic_eps))
     kernel_t = transpose(kernel)
 
     a = dc.constant(np.full((t, 1), 1.0 / t))
@@ -447,8 +493,8 @@ def context_attention_composed(x, c, layer, gate_override=None):
     k_c = dc.matmul(c, layer.w_kc)
     _, q_bar = gated_sum(q, q_c, layer.w_gq, layer.w_gqc, gate_override)
     _, k_bar = gated_sum(k, k_c, layer.w_gk, layer.w_gkc, gate_override)
-    scores = dc.scale(dc.matmul(q_bar, transpose(k_bar)), 1.0 / math.sqrt(layer.d_k))
-    attn = dc.softmax_rows(scores)
+    scores = scale(dc.matmul(q_bar, transpose(k_bar)), 1.0 / math.sqrt(layer.d_k))
+    attn = softmax_rows(scores)
     return dc.matmul(attn, x), attn
 
 
@@ -471,11 +517,11 @@ def gated_attention_composed(s, layer, mask_override=None):
         m = gating_masks(s, s, layer)
     m_q = slice_cols(m, 0, 1)
     m_k = slice_cols(m, 1, 2)
-    scores = dc.scale(
+    scores = scale(
         dc.matmul(dc.elementwise_mul(s, m_q), transpose(dc.elementwise_mul(s, m_k))),
         1.0 / math.sqrt(s.cols),
     )
-    attn = dc.softmax_rows(scores)
+    attn = softmax_rows(scores)
     return dc.matmul(attn, s), attn
 
 
@@ -484,7 +530,7 @@ def reduction_weights(m, w1, b1, w2, b2, training, rng):
     h = relu(dc.add(dc.matmul(m, w1), b1))
     h = dropout(h, ATTN_MLP_DROPOUT, training, rng)
     scores = dc.add(dc.matmul(h, w2), b2)
-    return dc.softmax_rows(transpose(scores))
+    return softmax_rows(transpose(scores))
 
 
 def attentive_pool_composed(m, w1, b1, w2, b2, training, rng):
@@ -507,8 +553,8 @@ def co_attention_composed(inputs, head, training, rng=None):
     wc_c = dc.matmul(head.w_c, c_col)
     h_s = tanh_ew(dc.add(ws_s, dc.matmul(wc_c, affinity)))
     h_c = tanh_ew(dc.add(wc_c, dc.matmul(ws_s, transpose(affinity))))
-    a_s = dc.softmax_rows(dc.matmul(transpose(head.w_hs), h_s))
-    a_c = dc.softmax_rows(dc.matmul(transpose(head.w_hc), h_c))
+    a_s = softmax_rows(dc.matmul(transpose(head.w_hs), h_s))
+    a_c = softmax_rows(dc.matmul(transpose(head.w_hc), h_c))
     s_hat = dc.matmul(a_s, s_row)
     c_hat = dc.matmul(a_c, c_row)
     p = dc.concat_cols(c_hat, s_hat)
@@ -519,6 +565,17 @@ def co_attention_composed(inputs, head, training, rng=None):
     hidden = dropout(hidden, CO_DROPOUT_HIDDEN, training, rng)
     logits = dc.add(dc.matmul(hidden, head.w_out), head.b_out)
     return logits, a_c, a_s
+
+
+def ls_cross_entropy_composed(logits, targets):
+    """``calibration.ls_cross_entropy`` as a graph of primitives: softmax,
+    the probability floor, log, the product with the targets, the sum and
+    the scalings by -1 and by one over the row count."""
+    logits = _wrap(logits)
+    targets = dc.constant(np.asarray(targets, dtype=float).reshape(logits.shape))
+    logp = log_ew(clamp_min(softmax_rows(logits), PROB_FLOOR))
+    loss = scale(dc.sum_all(dc.elementwise_mul(targets, logp)), -1.0)
+    return scale(loss, 1.0 / (logits.value.size // logits.cols))
 
 
 def expected_parameter_count(cfg):

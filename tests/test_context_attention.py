@@ -155,8 +155,8 @@ class TestContextAttentionForward:
         # same op order, computed with the same projections and V = x
         q = dc.matmul(dc.constant(x), layer.w_q)
         k = dc.matmul(dc.constant(x), layer.w_k)
-        scores = dc.scale(dc.matmul(q, oracles.transpose(k)), 1.0 / np.sqrt(layer.d_k))
-        vanilla = dc.matmul(dc.softmax_rows(scores), dc.constant(x))
+        scores = oracles.scale(dc.matmul(q, oracles.transpose(k)), 1.0 / np.sqrt(layer.d_k))
+        vanilla = dc.matmul(oracles.softmax_rows(scores), dc.constant(x))
         npt.assert_array_equal(out.value, vanilla.value)
 
     def test_random_against_straight_line_oracle(self):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dropout, elementwise_div, exp_ew, relu, sigmoid, slice_cols, sub, sum_cols,
-                     tanh_ew, transpose)
+from oracles import (clamp_min, dropout, elementwise_div, exp_ew, log_ew, relu, scale, sigmoid,
+                     slice_cols, softmax_rows, sub, sum_cols, tanh_ew, transpose)
 from otfusion import diffcore as dc
 from otfusion.diffcore import Node, Parameter, backward, grad_check
 from otfusion.errors import ContractViolationError, DimensionError, ParameterError
@@ -48,17 +48,17 @@ class TestMatmul:
 
 class TestSoftmaxRows:
     def test_uniform_row(self):
-        out = dc.softmax_rows(dc.constant([[0.0, 0.0, 0.0]]))
+        out = softmax_rows(dc.constant([[0.0, 0.0, 0.0]]))
         npt.assert_allclose(out.value, [[1 / 3] * 3])
 
     def test_large_values_do_not_overflow(self):
-        out = dc.softmax_rows(dc.constant([[1000.0, 0.0]]))
+        out = softmax_rows(dc.constant([[1000.0, 0.0]]))
         assert np.all(np.isfinite(out.value))
         npt.assert_allclose(out.value, [[1.0, 0.0]], atol=1e-300)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        out = dc.softmax_rows(dc.constant(rand(rng, 4, 6)))
+        out = softmax_rows(dc.constant(rand(rng, 4, 6)))
         npt.assert_allclose(out.value.sum(axis=1), np.ones(4), rtol=0, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -66,7 +66,7 @@ class TestSoftmaxRows:
     def test_rows_sum_to_one_property(self, rows):
         width = len(rows[0])
         mat = np.array([r[:width] + [0.0] * (width - len(r)) for r in rows])
-        out = dc.softmax_rows(dc.constant(mat))
+        out = softmax_rows(dc.constant(mat))
         npt.assert_allclose(out.value.sum(axis=1), np.ones(mat.shape[0]), rtol=0, atol=1e-12)
 
 
@@ -104,7 +104,7 @@ class TestElementwiseOps:
 
     @pytest.mark.parametrize("op,arity", [
         (sigmoid, 1), (tanh_ew, 1), (relu, 1), (exp_ew, 1),
-        (dc.softmax_rows, 1), (dc.mean_rows, 1),
+        (softmax_rows, 1), (dc.mean_rows, 1),
         (sum_cols, 1), (transpose, 1),
         (dc.add, 2), (sub, 2), (dc.elementwise_mul, 2),
         (dc.concat_cols, 2),
@@ -125,7 +125,7 @@ class TestElementwiseOps:
         b = Parameter(rng.uniform(0.5, 2.0, (3, 4)), "b")
 
         def loss():
-            out = dc.log_ew(dc.clamp_min(elementwise_div(a, b), 1e-12))
+            out = log_ew(clamp_min(elementwise_div(a, b), 1e-12))
             return dc.sum_all(dc.elementwise_mul(out, out))
 
         fd_check(loss, [a, b])
@@ -302,6 +302,18 @@ def test_backward_adds_into_the_parameter_gradient_buffer():
     npt.assert_array_equal(p.grad, 2.0 * once)
 
 
+def test_backward_sums_a_batched_gradient_to_a_two_dimensional_parent():
+    # the root's vjp hands a (B, r, c) gradient to a 2-D node, as a fused
+    # layer's vjp does for a Parameter shared by the batch
+    rng = np.random.default_rng(20)
+    p = Parameter(rand(rng, 3, 4), "p")
+    shared = Node(p.value, (p,), lambda g: (g,))
+    batched = rng.uniform(-2, 2, (5, 3, 4))
+    backward(Node(np.zeros((1, 1)), (shared,), lambda g: (batched,)))
+    npt.assert_array_equal(shared.grad, batched.sum(axis=0))
+    npt.assert_array_equal(p.grad, batched.sum(axis=0))
+
+
 def test_every_public_function_has_a_library_caller():
     """Ops that only tests use belong in ``tests/oracles.py``, not here."""
     package = Path(dc.__file__).parent
@@ -345,7 +357,7 @@ def test_inference_records_no_graph_and_restores_parameters():
 def test_finite_outputs_on_finite_inputs():
     rng = np.random.default_rng(16)
     a = dc.constant(rand(rng, 3, 3))
-    chain = dc.softmax_rows(tanh_ew(dc.matmul(a, sigmoid(a))))
+    chain = softmax_rows(tanh_ew(dc.matmul(a, sigmoid(a))))
     assert np.all(np.isfinite(chain.value))
 
 
@@ -360,17 +372,17 @@ BATCH_CASES = {
     "tanh_ew": (lambda a, p: tanh_ew(a), None),
     "relu": (lambda a, p: relu(a), None),
     "exp_ew": (lambda a, p: exp_ew(a), None),
-    "log_ew": (lambda a, p: dc.log_ew(a), None),
-    "softmax_rows": (lambda a, p: dc.softmax_rows(a), None),
+    "log_ew": (lambda a, p: log_ew(a), None),
+    "softmax_rows": (lambda a, p: softmax_rows(a), None),
     "transpose": (lambda a, p: transpose(a), None),
     "mean_rows": (lambda a, p: dc.mean_rows(a), None),
     "sum_cols": (lambda a, p: sum_cols(a), None),
     "sum_all": (lambda a, p: dc.sum_all(a), None),
-    "scale": (lambda a, p: dc.scale(a, -1.7), None),
-    "clamp_min": (lambda a, p: dc.clamp_min(a, 1.0), None),
+    "scale": (lambda a, p: scale(a, -1.7), None),
+    "clamp_min": (lambda a, p: clamp_min(a, 1.0), None),
     "slice_cols": (lambda a, p: slice_cols(a, 1, a.cols), None),
     "dropout_eval": (lambda a, p: dropout(a, 0.5, False), None),
-    "concat_cols": (lambda a, p: dc.concat_cols(a, dc.scale(a, 2.0)), None),
+    "concat_cols": (lambda a, p: dc.concat_cols(a, scale(a, 2.0)), None),
     "matmul_batch_batch": (lambda a, p: dc.matmul(a, transpose(a)), None),
     "matmul_param_right": (lambda a, p: dc.matmul(a, p), lambda r, c: (c, 3)),
     "matmul_param_left": (lambda a, p: dc.matmul(p, a), lambda r, c: (2, r)),

@@ -1,17 +1,23 @@
-"""The fused attention layers against their composed-graph oracles.
+"""The fused attention layers and the fused loss against their
+composed-graph oracles.
 
 Each of the context-attention layer, gated attention, the attn-fusion
 head's attentive pooling and the co-attention head is one graph node with
 a hand-written vjp. Its values must equal those of the same layer built
 from ``diffcore`` primitives (``tests/oracles.py``), and its gradients
 must agree with the oracle's within 1e-12 and with central differences.
+The smoothed cross-entropy is one node too; its value and gradients equal
+the composed loss's bit for bit.
 """
+
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import oracles
+from otfusion import calibration as calib
 from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
 from otfusion import fusion
@@ -19,7 +25,7 @@ from otfusion import gated_attention as ga
 from otfusion.diffcore import Parameter, grad_check
 from otfusion.gradsuite import FD_STEP, LAYER_TOL
 from otfusion.errors import ParameterError
-from otfusion.model import ATTN_FUSION, CO_ATTENTION, ModelConfig, assemble_model
+from otfusion.model import ATTN_FUSION, CO_ATTENTION, CONCAT, ModelConfig, assemble_model
 
 GRAD_ATOL = 1e-12
 BATCHES = [None, 1, 3]  # None: one sample without a batch axis
@@ -222,6 +228,68 @@ class TestCoAttention:
         assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
 
 
+class TestSmoothedCrossEntropy:
+    @staticmethod
+    def value_and_grad(loss_fn, logits, targets):
+        z = Parameter(logits, "z")
+        loss = loss_fn(z, targets)
+        dc.backward(loss)
+        return loss.value, z.grad
+
+    def assert_same(self, logits, targets):
+        fused = self.value_and_grad(calib.ls_cross_entropy, logits, targets)
+        composed = self.value_and_grad(oracles.ls_cross_entropy_composed, logits, targets)
+        npt.assert_array_equal(fused[0], composed[0])
+        npt.assert_array_equal(fused[1], composed[1])
+        return fused
+
+    @pytest.mark.parametrize("batch", BATCHES + [4])
+    @pytest.mark.parametrize("spread", [1.0, 30.0, 80.0])
+    def test_matches_composed_graph(self, batch, spread):
+        rng = np.random.default_rng(0)
+        logits = spread * rng.standard_normal(lead(batch) + (1, 2))
+        cfg = calib.SmoothingConfig(0.001, 2)
+        labels = rng.integers(0, 2, batch or 1)
+        self.assert_same(logits, np.stack([calib.smooth_targets(int(l), cfg) for l in labels]))
+
+    def test_probability_below_the_floor_passes_no_gradient(self):
+        # sample 0's true class has probability e^-40, below the floor, so
+        # its loss is -log(PROB_FLOOR) and its gradient is exactly 0
+        assert np.exp(-40.0) < calib.PROB_FLOOR
+        logits = np.array([[[0.0, -40.0]], [[0.3, -0.2]]])
+        value, grad = self.assert_same(logits, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert not grad[0].any() and grad[1].all()
+        sample_1 = -np.log(dc._softmax(logits[1])[0, 0])
+        assert value[0, 0] == pytest.approx((-np.log(calib.PROB_FLOOR) + sample_1) / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("head", [ATTN_FUSION, CO_ATTENTION, CONCAT])
+    def test_model_loss_matches_composed_graph(self, head):
+        model = assemble_model(ModelConfig(fusion=head), seed=0)
+        params = model.parameters()
+        x, y = TestGraphSize.batch()
+        labels = np.array([0, 1, 1, 0])
+        logits = model.forward(x, y, True, np.random.default_rng(1))
+        targets = np.stack([calib.smooth_targets(int(l), model.smoothing) for l in labels])
+        runs = []
+        for loss in (model.loss(logits, labels), oracles.ls_cross_entropy_composed(logits, targets)):
+            dc.zero_grads(params)
+            dc.backward(loss)
+            runs.append((loss.value, [p.grad.copy() for p in params]))
+        (value_f, grads_f), (value_c, grads_c) = runs
+        npt.assert_array_equal(value_f, value_c)
+        for p, g_f, g_c in zip(params, grads_f, grads_c):
+            npt.assert_array_equal(g_f, g_c, err_msg=p.name)
+
+
+def test_only_diffcore_reduces_gradients_to_a_parent_shape():
+    """A fused vjp returns each gradient in the shape of its own output;
+    ``backward`` alone sums it down to the parent's shape."""
+    package = Path(dc.__file__).parent
+    users = {path.name for path in package.glob("*.py")
+             if "_unbroadcast" in path.read_text(encoding="utf-8")}
+    assert users == {"diffcore.py"}
+
+
 class TestGraphSize:
     @staticmethod
     def batch(seed=0):
@@ -229,10 +297,10 @@ class TestGraphSize:
         return rng.standard_normal((4, 12, 32)), rng.standard_normal((4, 12, 32))
 
     def test_training_step_builds_few_nodes(self, monkeypatch):
-        # the composed layers built 130 grad-requiring nodes per step with
-        # the attn-fusion head, and the composed co-attention head 51
-        models = [assemble_model(ModelConfig(fusion=head), seed=0)
-                  for head in (ATTN_FUSION, CO_ATTENTION)]
+        # grad-requiring nodes of one training step, loss included: each
+        # heavy layer and the loss is one node, the rest is diffcore glue
+        budget = {ATTN_FUSION: 23, CO_ATTENTION: 16, CONCAT: 20}
+        models = {head: assemble_model(ModelConfig(fusion=head), seed=0) for head in budget}
         x, y = self.batch()
         built = []
         init = dc.Node.__init__
@@ -242,10 +310,10 @@ class TestGraphSize:
             built.append(node.requires_grad)
 
         monkeypatch.setattr(dc.Node, "__init__", counting_init)
-        for model in models:
+        for head, model in models.items():
             built.clear()
             model.loss(model.forward(x, y, True, np.random.default_rng(1)), np.array([0, 1, 1, 0]))
-            assert sum(built) <= 30
+            assert sum(built) == budget[head], head
 
     def test_inference_keeps_no_graph(self):
         rng = np.random.default_rng(2)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import expected_parameter_count
+from oracles import expected_parameter_count, scale
 
 from otfusion import diffcore as dc
 from otfusion import transport as tr
@@ -78,6 +78,12 @@ class TestGenerateTask:
             tiny_task(cross_modal_correlation=1.5)
         with pytest.raises(ParameterError):
             tiny_task(train_size=0)
+
+    @pytest.mark.parametrize("name", ["n", "t", "d", "train_size", "val_size", "test_size"])
+    @pytest.mark.parametrize("bad", [2.5, np.nan])
+    def test_fractional_sizes_rejected(self, name, bad):
+        with pytest.raises(ParameterError, match=f"{name} must be >= 1 and an integer"):
+            tiny_task(**{name: bad})
 
     @pytest.mark.parametrize("noise_std", [0.0, -1.0, np.nan])
     def test_non_positive_noise_std_rejected(self, noise_std):
@@ -340,7 +346,7 @@ class TestBatchedModel:
         mean = losses[0]
         for loss in losses[1:]:
             mean = dc.add(mean, loss)
-        mean = dc.scale(mean, 1.0 / len(losses))
+        mean = scale(mean, 1.0 / len(losses))
         dc.backward(mean)
         assert batched.value[0, 0] == pytest.approx(mean.value[0, 0], rel=0, abs=1e-12)
         for p, grad in zip(params, batched_grads):
@@ -373,6 +379,13 @@ class TestTrainMechanics:
     def test_out_of_range_optimizer_settings_rejected(self, field, value):
         with pytest.raises(ParameterError):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("name", ["batch_size", "max_epochs", "patience", "runs",
+                                      "step_size"])
+    @pytest.mark.parametrize("bad", [2.5, np.nan])
+    def test_fractional_counts_rejected(self, name, bad):
+        with pytest.raises(ParameterError, match=f"{name} must be >= 1 and an integer"):
+            TrainConfig(**{name: bad})
 
     @pytest.mark.parametrize("field,value", [("lr", 1e-6), ("momentum", 0.0),
                                              ("gamma", 1.0)])

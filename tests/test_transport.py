@@ -335,9 +335,9 @@ class TestSinkhorn:
                                eps=1e-4, max_iters=2, tol=1e-12)
         assert not coupling.converged
 
-    @pytest.mark.parametrize("max_iters", [0, -3])
+    @pytest.mark.parametrize("max_iters", [0, -3, 2.5, np.nan])
     def test_max_iters_below_one_rejected(self, max_iters):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="max_iters must be >= 1 and an integer"):
             tr.sinkhorn(uniform(2), uniform(2), np.ones((2, 2)), eps=0.1, max_iters=max_iters)
 
     def test_bad_eps(self):
@@ -698,8 +698,9 @@ class TestOtkEmbed:
 
     def test_config_validation(self):
         y, z = np.zeros((3, 2)), np.zeros((3, 2))
-        with pytest.raises(ParameterError):
-            tr.otk_embed(y, z, *self.cfg(sinkhorn_iters=0))
+        for iters in (0, 2.5, np.nan):
+            with pytest.raises(ParameterError, match="sinkhorn_iters must be >= 1 and an integer"):
+                tr.otk_embed(y, z, *self.cfg(sinkhorn_iters=iters))
         with pytest.raises(ParameterError):
             tr.otk_embed(y, z, *self.cfg(entropic_eps=-1.0))
 
