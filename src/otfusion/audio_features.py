@@ -4,6 +4,7 @@ branch. Everything is deterministic and pure numpy."""
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -42,6 +43,11 @@ class FeatureParams:
     n_mels: int = 224
     delta_width: int = 9
 
+    def __post_init__(self):
+        _check_frames(self.n_fft, self.hop)
+        require_count("n_mels", self.n_mels)
+        _check_delta_width("delta_width", self.delta_width)
+
 
 @dataclass
 class SpectrogramImage:
@@ -59,16 +65,27 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def _check_frames(n_fft, hop):
+    require_count("n_fft", n_fft)
+    if n_fft < 256 or n_fft & (n_fft - 1):
+        raise ParameterError(f"n_fft must be a power of two >= 256, got {n_fft}")
+    require_count("hop", hop)
+
+
+def _check_delta_width(name, width):
+    require_count(name, width)
+    if width % 2 == 0 or width < 3:
+        raise ParameterError(f"{name} must be odd and >= 3, got {width}")
+
+
 def stft(w: Waveform, n_fft: int = 2048, hop: int = 1024) -> np.ndarray:
     """Centered short-time Fourier transform with a Hanning window.
 
     Frames are reflect-padded at the signal edges; output is complex with
-    shape (n_fft // 2 + 1, frames).
+    shape (n_fft // 2 + 1, frames). It is the transposed view of a
+    row-major (frames, bins) array, each frame's spectrum one row.
     """
-    if n_fft < 256 or n_fft & (n_fft - 1):
-        raise ParameterError(f"n_fft must be a power of two >= 256, got {n_fft}")
-    if hop < 1:
-        raise ParameterError("hop must be >= 1")
+    _check_frames(n_fft, hop)
     x = w.samples
     if x.size < n_fft:
         raise InputError(f"signal length {x.size} shorter than n_fft {n_fft}")
@@ -76,10 +93,13 @@ def stft(w: Waveform, n_fft: int = 2048, hop: int = 1024) -> np.ndarray:
     x = np.pad(x, pad, mode="reflect")
     segments = sliding_window_view(x, n_fft)[::hop]
     window = _hann(n_fft)
-    out = np.empty((n_fft // 2 + 1, len(segments)), dtype=complex)
+    frames = np.empty((len(segments), n_fft // 2 + 1), dtype=complex)
+    windowed = np.empty((STFT_CHUNK, n_fft))
     for t in range(0, len(segments), STFT_CHUNK):
-        out[:, t:t + STFT_CHUNK] = np.fft.rfft(segments[t:t + STFT_CHUNK] * window, axis=1).T
-    return out
+        chunk = segments[t:t + STFT_CHUNK]
+        buf = np.multiply(chunk, window, out=windowed[:len(chunk)])
+        np.fft.rfft(buf, axis=1, out=frames[t:t + len(chunk)])
+    return frames.T
 
 
 def _hz_to_mel(f):
@@ -99,10 +119,11 @@ def _mel_to_hz(m):
     return f
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(n_mels: int, sample_rate: int, n_fft: int) -> np.ndarray:
-    """Triangular area-normalized mel filters spanning 0 to Nyquist."""
-    if n_mels < 1:
-        raise ParameterError("n_mels must be >= 1")
+    """Triangular area-normalized mel filters spanning 0 to Nyquist, built
+    once per setting and cached (the last 8): the array is shared and read-only."""
+    require_count("n_mels", n_mels)
     n_bins = n_fft // 2 + 1
     if n_mels > n_bins:
         raise ParameterError(f"n_mels {n_mels} exceeds the {n_bins} FFT bins")
@@ -116,6 +137,7 @@ def mel_filterbank(n_mels: int, sample_rate: int, n_fft: int) -> np.ndarray:
         down = (hi - fft_freqs) / max(hi - center, 1e-12)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
         fb[m] *= 2.0 / (hi - lo)
+    fb.flags.writeable = False
     return fb
 
 
@@ -123,7 +145,8 @@ def log_mel(w: Waveform, params: FeatureParams | None = None) -> np.ndarray:
     """Log-mel power spectrogram in dB, floored at 80 dB below the peak."""
     params = params or FeatureParams()
     spec = stft(w, params.n_fft, params.hop)
-    power = np.abs(spec) ** 2
+    power = np.abs(spec)
+    power *= power
     fb = mel_filterbank(params.n_mels, w.sample_rate, params.n_fft)
     mel_power = fb @ power
     db = 10.0 * np.log10(mel_power + 1e-10)
@@ -136,8 +159,7 @@ def delta(m: np.ndarray, width: int = 9) -> np.ndarray:
     Edges are handled by replicating the boundary columns. The second
     difference is just delta applied twice.
     """
-    if width % 2 == 0 or width < 3:
-        raise ParameterError(f"width must be odd and >= 3, got {width}")
+    _check_delta_width("width", width)
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ParameterError("delta expects a 2-D matrix")

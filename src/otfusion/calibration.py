@@ -29,10 +29,10 @@ class PredictionSet:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if self.probs.ndim != 2:
             raise InputError(f"probs must be N x K, got shape {self.probs.shape}")
-        if self.labels.shape != (self.probs.shape[0],):
+        if labels.shape != (self.probs.shape[0],):
             raise InputError("labels must be one index per prediction row")
         if self.probs.shape[0] == 0:
             raise InputError("prediction set is empty")
@@ -40,9 +40,12 @@ class PredictionSet:
             raise InputError("probabilities must be finite and nonnegative")
         if np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-9:
             raise InputError("probability rows must sum to 1 within 1e-9")
+        if not np.array_equal(labels, np.round(labels)):
+            raise InputError("labels must be integers")
         k = self.probs.shape[1]
-        if self.labels.min() < 0 or self.labels.max() >= k:
+        if labels.min() < 0 or labels.max() >= k:
             raise InputError(f"labels must lie in [0, {k})")
+        self.labels = labels.astype(int)
 
     @property
     def n(self) -> int:
@@ -169,6 +172,12 @@ def ace(preds: PredictionSet, num_ranges: int = 10) -> tuple[float, ReliabilityB
     at most one (none is empty: ``num_ranges`` may not exceed the sample
     count). The result is the unweighted mean of |accuracy - confidence|
     over all (class, range) cells.
+
+    The stable order comes from a default sort, repaired where it matters:
+    the indices of a tie run that straddles a range boundary are sorted
+    ascending. Each range then holds the stable sort's samples, and its
+    sorted confidences equal the stable ones position by position (a mean
+    sums -0.0 and 0.0 alike), so every mean is the same bits.
     """
     require_count("num_ranges", num_ranges)
     if num_ranges > preds.n:
@@ -177,14 +186,21 @@ def ace(preds: PredictionSet, num_ranges: int = 10) -> tuple[float, ReliabilityB
     # np.array_split's sizes: the first ``extra`` ranges hold one more
     base, extra = divmod(preds.n, num_ranges)
     split = extra * (base + 1)
-    counts = np.tile([base + 1] * extra + [base] * (num_ranges - extra), (k, 1))
+    sizes = [base + 1] * extra + [base] * (num_ranges - extra)
+    cuts = np.cumsum(sizes)[:-1]
+    counts = np.tile(sizes, (k, 1))
     acc = np.empty((k, num_ranges))
     mean_conf = np.empty((k, num_ranges))
     columns = np.ascontiguousarray(preds.probs.T)
     for cls in range(k):
-        order = np.argsort(columns[cls], kind="stable")
+        order = np.argsort(columns[cls])
+        values = columns[cls][order]
+        ties = values[cuts][values[cuts - 1] == values[cuts]]
+        lows, highs = np.searchsorted(values, ties, "left"), np.searchsorted(values, ties, "right")
+        for lo, hi in dict.fromkeys(zip(lows, highs)):  # a run over several cuts once
+            order[lo:hi].sort()
         # each range is one contiguous row, so its mean sums as a lone chunk's
-        for values, out in ((columns[cls][order], mean_conf), (preds.labels[order] == cls, acc)):
+        for values, out in ((values, mean_conf), (preds.labels[order] == cls, acc)):
             out[cls, :extra] = values[:split].reshape(extra, base + 1).mean(axis=1)
             out[cls, extra:] = values[split:].reshape(num_ranges - extra, base).mean(axis=1)
     total = np.cumsum(np.abs(acc - mean_conf))[-1]

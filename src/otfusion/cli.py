@@ -136,10 +136,7 @@ def cmd_calib(args) -> int:
         raise InputError(f"cannot parse {args.input}: {exc}") from exc
     if raw.shape[1] != 3:
         raise InputError("calibration CSV needs columns prob_class0,prob_class1,label")
-    labels = raw[:, 2]
-    if not np.array_equal(labels, np.round(labels)):
-        raise InputError("calibration CSV labels must be integers")
-    preds = PredictionSet(raw[:, :2], labels.astype(int))
+    preds = PredictionSet(raw[:, :2], raw[:, 2])
     ece_value, ece_bins = ece(preds, args.bins)
     ace_value, _ = ace(preds, args.ranges)
     print(json.dumps({"ece": ece_value, "ace": ace_value, "n": preds.n},

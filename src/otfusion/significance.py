@@ -66,18 +66,27 @@ def _ratios(sorted_a: np.ndarray, sorted_b: np.ndarray, pos_a, pos_b) -> np.ndar
     return np.where(zero, 0.5, (viol * viol).mean(axis=1) / np.where(zero, 1.0, w2_sq))
 
 
+def _score_samples(scores_a, scores_b) -> tuple[np.ndarray, np.ndarray]:
+    """Both score lists as flat float arrays, each nonempty and finite."""
+    a = np.asarray(scores_a, dtype=float).ravel()
+    b = np.asarray(scores_b, dtype=float).ravel()
+    if a.size == 0 or b.size == 0:
+        raise InputError("score samples must be nonempty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InputError("scores must be finite")
+    return a, b
+
+
 def violation_ratio(scores_a, scores_b, grid: int = QUANTILE_GRID) -> float:
     """Share of the squared quantile gap where sample b sits above sample a.
 
     Evaluated on a uniform midpoint grid over the empirical inverse CDFs.
     Returns 0.5 when the squared Wasserstein denominator is zero (identical
-    empirical distributions: no order determinable).
+    empirical distributions: no order determinable). An empty or non-finite
+    sample raises ``InputError``, as in ``aso``.
     """
     require_count("grid", grid)
-    a = np.asarray(scores_a, dtype=float).ravel()
-    b = np.asarray(scores_b, dtype=float).ravel()
-    if a.size == 0 or b.size == 0:
-        raise InputError("score samples must be nonempty")
+    a, b = _score_samples(scores_a, scores_b)
     return float(_ratios(np.sort(a)[None], np.sort(b)[None],
                          _grid_positions(a.size, grid), _grid_positions(b.size, grid))[0])
 
@@ -101,12 +110,7 @@ def aso(scores_a, scores_b, confidence: float = 0.95, bootstrap_iters: int = 100
     require_count("bootstrap_iters", bootstrap_iters)
     require_count("num_comparisons", num_comparisons)
     require_count("grid", grid)
-    a = np.asarray(scores_a, dtype=float).ravel()
-    b = np.asarray(scores_b, dtype=float).ravel()
-    if a.size == 0 or b.size == 0:
-        raise InputError("score samples must be nonempty")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InputError("scores must be finite")
+    a, b = _score_samples(scores_a, scores_b)
     if min(a.size, b.size) < 5:
         warnings.warn("fewer than 5 scores per sample; eps_min will be unstable", stacklevel=2)
 

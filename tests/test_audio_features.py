@@ -94,6 +94,24 @@ class TestMelFilterbank:
         with pytest.raises(ParameterError):
             af.mel_filterbank(600, 16000, 1024)
 
+    def test_cached_bank_equals_a_fresh_build_and_is_read_only(self):
+        fb = af.mel_filterbank(224, 22050, 2048)
+        assert af.mel_filterbank(224, np.int64(22050), 2048) is fb
+        npt.assert_array_equal(fb, af.mel_filterbank.__wrapped__(224, 22050, 2048))
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+
+
+class TestFeatureParams:
+    @pytest.mark.parametrize("field, bad", [
+        ("hop", 2.5), ("hop", 0), ("n_fft", 2048.0), ("n_fft", 1000), ("n_fft", 128),
+        ("n_mels", 0), ("n_mels", 40.0), ("delta_width", 9.0), ("delta_width", 8),
+        ("delta_width", 1),
+    ])
+    def test_bad_field_rejected_at_construction(self, field, bad):
+        with pytest.raises(ParameterError, match=field):
+            af.FeatureParams(**{field: bad})
+
 
 class TestLogMel:
     def test_silence_is_uniform_floor(self):

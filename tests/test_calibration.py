@@ -251,6 +251,36 @@ class TestACE:
                 assert bins.accuracy[cls, r] == (preds.labels[chunk] == cls).mean()
                 assert bins.confidence[cls, r] == conf[chunk].mean()
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 4), denominator=st.sampled_from([10, 100]))
+    def test_tie_runs_across_range_cuts_keep_the_stable_order(self, data, k, denominator):
+        """Probabilities on a 0.1 or 0.01 grid, so tie runs straddle range
+        cuts; column 0 holds many zeros of either sign, which tie too."""
+        n = data.draw(st.integers(1, 60))
+        points = data.draw(st.lists(st.lists(st.integers(0, denominator), min_size=k - 1,
+                                             max_size=k - 1), min_size=n, max_size=n))
+        # k - 1 sorted cut points of [0, denominator] give k counts summing to it
+        counts = np.diff(np.column_stack([np.zeros(n, int), np.sort(points, axis=1),
+                                          np.full(n, denominator)]), axis=1)
+        # sign 1 or -1 moves a row's class-0 mass to class 1, leaving 0.0 or -0.0
+        signs = np.array(data.draw(st.lists(st.sampled_from([0, 1, -1]), min_size=n, max_size=n)))
+        counts[signs != 0, 1] += counts[signs != 0, 0]
+        counts[signs != 0, 0] = 0
+        probs = counts / denominator
+        probs[signs < 0, 0] = -0.0
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        ranges = data.draw(st.integers(1, n))
+        preds = cal.PredictionSet(probs, labels)
+        value, bins = cal.ace(preds, ranges)
+        assert value == ace_bruteforce(probs, labels, ranges)
+        for cls in range(k):
+            chunks = np.array_split(np.argsort(probs[:, cls], kind="stable"), ranges)
+            npt.assert_array_equal(bins.counts[cls], [c.size for c in chunks])
+            npt.assert_array_equal(bins.accuracy[cls], [(labels[c] == cls).mean() for c in chunks])
+            # bit for bit, the sign of a zero mean included
+            expected = np.array([probs[c, cls].mean() for c in chunks])
+            assert bins.confidence[cls].tobytes() == expected.tobytes()
+
     def test_too_many_ranges(self):
         rng = np.random.default_rng(6)
         preds = random_prediction_set(rng, 4)
@@ -272,6 +302,16 @@ class TestPredictionSetValidation:
     def test_labels_in_range(self):
         with pytest.raises(InputError):
             cal.PredictionSet(np.array([[0.5, 0.5]]), np.array([2]))
+
+    @pytest.mark.parametrize("labels", [[0.7, 1.2], [0.0, np.nan], [1.0, np.inf]])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(InputError):
+            cal.PredictionSet(np.array([[0.5, 0.5], [0.2, 0.8]]), labels)
+
+    def test_integral_float_labels_become_integers(self):
+        preds = cal.PredictionSet(np.array([[0.5, 0.5], [0.2, 0.8]]), [1.0, 0.0])
+        assert preds.labels.dtype.kind == "i"
+        npt.assert_array_equal(preds.labels, [1, 0])
 
     @pytest.mark.parametrize("row", [[np.nan, np.nan], [-0.5, 1.5]])
     def test_nan_or_negative_probabilities_rejected(self, row):

@@ -60,6 +60,13 @@ class TestViolationRatio:
         with pytest.raises(ParameterError, match="grid must be >= 1"):
             violation_ratio([1.0, 2.0, 3.0], [0.5, 1.5, 3.5], grid=2.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            violation_ratio([0.9, bad, 0.8], [0.5, 0.4, 0.3])
+        with pytest.raises(InputError, match="finite"):
+            violation_ratio([0.5, 0.4, 0.3], [0.9, 0.8, bad])
+
     def test_numpy_integer_grid_accepted(self):
         assert violation_ratio([1.0, 2.0, 3.0], [0.5, 1.5, 3.5], grid=np.int64(2)) == 0.5
 
