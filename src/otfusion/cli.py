@@ -101,9 +101,12 @@ def cmd_gradcheck(args) -> int:
 
 def _load_points(path: str) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        points = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InputError(f"cannot parse point cloud {path}: {exc}") from exc
+    if points.shape[0] == 0:
+        raise InputError(f"point cloud {path} has no rows")
+    return points
 
 
 def cmd_ot(args) -> int:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the count check that
-raises one."""
+"""Exception types shared across the package, and the count and seed
+checks that raise one."""
 
 import numbers
 
@@ -29,3 +29,10 @@ def require_count(name: str, value) -> None:
     would build a wrong grid or fail inside numpy, and NaN fails too."""
     if not (isinstance(value, numbers.Integral) and value >= 1):
         raise ParameterError(f"{name} must be >= 1 and an integer, got {value!r}")
+
+
+def require_seed(name: str, value) -> None:
+    """A seed must be an integer >= 0, as numpy's ``SeedSequence`` takes
+    it; a negative one would otherwise fail deep inside numpy."""
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ParameterError(f"{name} must be an integer >= 0, got {value!r}")

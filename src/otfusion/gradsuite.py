@@ -15,6 +15,7 @@ from . import diffcore as dc
 from . import gated_attention as gated
 from . import transport
 from .diffcore import Parameter, grad_check
+from .errors import require_seed
 from .fusion import (AttnFusionHead, CoAttentionHead, FusedInputs,
                      attn_fusion_forward, co_attention_forward)
 from .model import ModelConfig, assemble_model
@@ -146,6 +147,7 @@ def _assembled_check(fusion: str, rng: np.random.Generator, batch: int | None = 
 
 
 def run_suite(seed: int = 0) -> list[SuiteResult]:
+    require_seed("seed", seed)
     rng = np.random.default_rng(seed)
     results = [
         _layer_norm_check(rng),

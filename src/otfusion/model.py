@@ -27,7 +27,7 @@ from . import diffcore as dc
 from . import gated_attention as gated
 from . import transport
 from .diffcore import Node, Parameter
-from .errors import DimensionError, InputError, ParameterError, require_count
+from .errors import DimensionError, InputError, ParameterError, require_count, require_seed
 from .fusion import (AttnFusionHead, CoAttentionHead, attn_fusion_forward,
                      build_fused_inputs, co_attention_forward)
 
@@ -102,6 +102,7 @@ class Model:
     """Trainable two-branch fusion classifier."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
+        require_seed("seed", seed)
         self.cfg = cfg
         streams = np.random.SeedSequence((seed, 17)).spawn(4)
         enc_rng = np.random.default_rng(streams[0])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, require_count
+from .errors import ParameterError, require_count, require_seed
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class SyntheticTaskConfig:
     def __post_init__(self):
         for name in ("n", "t", "d", "train_size", "val_size", "test_size"):
             require_count(name, getattr(self, name))
+        require_seed("seed", self.seed)
         if not np.isfinite(self.class_separation):
             raise ParameterError(f"class_separation must be finite, got {self.class_separation}")
         if not 0.0 <= self.cross_modal_correlation <= 1.0:

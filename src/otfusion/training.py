@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .calibration import PredictionSet, ace, ece
-from .errors import NumericalError, ParameterError, require_count
+from .errors import NumericalError, ParameterError, require_count, require_seed
 from .model import Model, ModelConfig, ablation_variant, assemble_model
 from .synthetic import Sample, SyntheticTaskConfig, TaskData, generate_task
 
@@ -43,6 +43,9 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("batch_size", "max_epochs", "patience", "runs", "step_size"):
             require_count(name, getattr(self, name))
+        require_seed("base_seed", self.base_seed)
+        for seed in self.seeds or ():
+            require_seed("seeds entry", seed)
         if not (0 < self.lr < np.inf and 0 < self.gamma < np.inf and 0 <= self.momentum < 1):
             raise ParameterError("lr and gamma must be positive and finite, momentum in [0, 1); "
                                  f"got {self.lr}, {self.gamma}, {self.momentum}")

@@ -62,6 +62,17 @@ class TestTrainCommand:
         assert "error: " in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting", ["task.seed = -1", "train.base_seed = -1",
+                                         "train.seeds = 3,-4"])
+    def test_negative_seed_in_config_is_usage_error(self, tmp_path, capsys, setting):
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + setting + "\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "out")]) == 3
@@ -73,6 +84,12 @@ class TestEvalCommand:
         out = loads_strict(capsys.readouterr().out)
         assert set(out) == {"train", "val", "test"}
         assert "accuracy" in out["test"]
+
+    def test_negative_seed_is_usage_error(self, tiny_config, capsys):
+        assert main(["eval", "--config", tiny_config, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
 
     def test_step_size_below_one_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
@@ -109,6 +126,12 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "[pass]" in out
         assert "FAIL" not in out
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
 
 
 class TestOtCommand:
@@ -161,6 +184,19 @@ class TestOtCommand:
         assert captured.out == ""
         assert "error: " in captured.err
 
+    @pytest.mark.parametrize("empty", [("src",), ("tgt",), ("src", "tgt")])
+    def test_empty_point_file_is_usage_error(self, tmp_path, capsys, empty):
+        paths = {}
+        for side in ("src", "tgt"):
+            paths[side] = tmp_path / f"{side}.csv"
+            paths[side].write_text("" if side in empty else "0.1,0.2\n0.5,0.6\n")
+        with pytest.warns(UserWarning, match="no data"):
+            code = main(["ot", "--src", str(paths["src"]), "--tgt", str(paths["tgt"])])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: point cloud {paths[empty[0]]} has no rows\n"
+
 
 class TestCalibCommand:
     def test_metrics_from_csv(self, tmp_path, capsys):
@@ -192,6 +228,14 @@ class TestAsoCommand:
         payload = loads_strict(capsys.readouterr().out)
         assert payload["eps_min"] < 0.05
         assert payload["verdict"] == "stochastically dominant"
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("0.9\n0.8\n0.7\n")
+        assert main(["aso", str(a), str(a), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_score_is_usage_error(self, tmp_path, capsys, bad):

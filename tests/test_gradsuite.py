@@ -1,6 +1,13 @@
 import pytest
 
+from otfusion.errors import ParameterError
 from otfusion.gradsuite import run_suite
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_negative_or_fractional_seed_rejected(seed):
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        run_suite(seed=seed)
 
 
 @pytest.mark.slow

@@ -43,6 +43,11 @@ class TestGenerateTask:
         npt.assert_array_equal(a.test[-1].y, b.test[-1].y)
         assert [s.label for s in a.train] == [s.label for s in b.train]
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_negative_or_fractional_seed_rejected(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            tiny_task(seed=seed)
+
     def test_different_seed_differs(self):
         a = generate_task(tiny_task())
         b = generate_task(tiny_task(seed=1))
@@ -107,6 +112,11 @@ class TestAssembleModel:
         cfg = tiny_model(fusion=fusion, strategy=strategy, layers=None)
         model = assemble_model(cfg, seed=0)
         assert model.parameter_count() == expected_parameter_count(cfg)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_negative_or_fractional_seed_rejected(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            assemble_model(tiny_model(), seed=seed)
 
     @pytest.mark.parametrize("overrides", [
         dict(seq_len=0, otk_mode="repeat"), dict(d=0), dict(d_q=0), dict(d_k=0),
@@ -386,6 +396,13 @@ class TestTrainMechanics:
     def test_fractional_counts_rejected(self, name, bad):
         with pytest.raises(ParameterError, match=f"{name} must be >= 1 and an integer"):
             TrainConfig(**{name: bad})
+
+    @pytest.mark.parametrize("overrides", [dict(base_seed=-1), dict(base_seed=1.5),
+                                           dict(runs=2, seeds=(3, -4)),
+                                           dict(runs=2, seeds=(3, 4.5))])
+    def test_negative_or_fractional_seeds_rejected(self, overrides):
+        with pytest.raises(ParameterError, match="must be an integer >= 0"):
+            TrainConfig(**overrides)
 
     @pytest.mark.parametrize("field,value", [("lr", 1e-6), ("momentum", 0.0),
                                              ("gamma", 1.0)])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from oracles import aso_loop, violation_ratio_1d
 
 from otfusion.errors import InputError, ParameterError
-from otfusion.significance import BOOTSTRAP_BLOCK, ASOResult, aso, violation_ratio
+from otfusion.significance import (BOOTSTRAP_BLOCK, DRAW_CHUNK, ASOResult, _bounded_draws,
+                                   _pcg64_raw, _seed_state, aso, violation_ratio)
 
 
 class TestViolationRatio:
@@ -142,6 +143,16 @@ class TestASO:
         with pytest.warns(UserWarning):
             aso([1.0, 2.0], [0.0, 1.0], seed=0, bootstrap_iters=10)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.nan, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            aso([1.0, 2.0, 3.0, 4.0, 5.0], [2.0] * 5, bootstrap_iters=10, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(0, 1, 6), rng.normal(0.2, 1, 6)
+        assert aso(a, b, seed=np.uint64(2**63 + 1)) == aso(a, b, seed=2**63 + 1)
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             aso([1.0] * 5, [2.0] * 5, confidence=1.0)
@@ -198,7 +209,7 @@ def assert_aso_matches_loop(a, b, **kwargs):
 class TestBlockedBootstrapMatchesLoop:
     @settings(max_examples=60, deadline=None)
     @given(a=scores, b=scores, grid=st.integers(1, 1500), iters=st.integers(1, 3 * BOOTSTRAP_BLOCK),
-           seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([None, 0, 1]))
+           seed=st.integers(0, 2**128), decimals=st.sampled_from([None, 0, 1]))
     def test_random_samples(self, a, b, grid, iters, seed, decimals):
         if decimals is not None:  # rounded scores tie
             a, b = np.round(a, decimals), np.round(b, decimals)
@@ -212,6 +223,13 @@ class TestBlockedBootstrapMatchesLoop:
         assert_aso_matches_loop(rng.normal(0, 1, 40), rng.normal(0.2, 1, 37),
                                 bootstrap_iters=iters, seed=3)
 
+    @pytest.mark.parametrize("iters", [DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1,
+                                       2 * DRAW_CHUNK + 5])
+    def test_iteration_counts_around_the_draw_chunk(self, iters):
+        rng = np.random.default_rng(iters)
+        assert_aso_matches_loop(rng.normal(0, 1, 9), rng.normal(0.2, 1, 1),
+                                bootstrap_iters=iters, seed=2**70 + iters, grid=50)
+
     def test_identical_samples(self):
         # about 3 in 8 resample pairs of [1, 2] coincide, so w2 == 0 in those
         # rows and their ratio is the 0.5 convention
@@ -222,6 +240,39 @@ class TestBlockedBootstrapMatchesLoop:
         rng = np.random.default_rng(8)
         assert_aso_matches_loop(np.round(rng.normal(0.8, 0.03, 40), 3),
                                 np.round(rng.normal(0.78, 0.03, 40), 3), seed=8)
+
+
+class TestVectorisedGenerator:
+    """The draw kernel against numpy's own ``SeedSequence``, ``PCG64`` and
+    ``Generator.integers``."""
+
+    ITS = np.array([0, 1, 2, 63, 2**31, 2**32 - 1], dtype=np.uint64)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 7, 2**100 + 5,
+                                      2**128 + 1])
+    def test_seed_words_and_raw_outputs_match_numpy(self, seed):
+        state = _seed_state(seed, self.ITS)
+        for row, it in enumerate(self.ITS):
+            words = np.random.SeedSequence((seed, int(it))).generate_state(4, np.uint64)
+            assert [int(w[row]) for w in state] == words.tolist()
+        expected = [np.random.PCG64((seed, int(it))).random_raw(9) for it in self.ITS]
+        np.testing.assert_array_equal(_pcg64_raw(state, 9), expected)
+
+    def test_rejected_rows_are_drawn_again_by_numpy(self, monkeypatch):
+        # Lemire's method rejects a 32-bit word below 2**32 % bound, which at
+        # bound 2**31 + 1 is about half of them; the odd counts carry a half
+        # output into the next draw, and a bound of 1 consumes nothing
+        draws = ((2**31 + 1, 3), (1, 2), (7, 5), (2**31 + 1, 1), (2**32, 2))
+        its = np.arange(200, dtype=np.uint64)
+        fallback = []
+        numpy_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: fallback.append(s) or numpy_rng(s))
+        got = _bounded_draws(5, its, draws)
+        assert 0 < len(fallback) < its.size
+        for row, it in enumerate(its):
+            rng = numpy_rng((5, int(it)))
+            for values, (bound, count) in zip(got, draws):
+                np.testing.assert_array_equal(values[row], rng.integers(0, bound, count))
 
 
 def test_aso_memory_does_not_grow_with_iterations():
