@@ -15,6 +15,7 @@ from .errors import InputError, ParameterError, require_count
 
 IMAGE_SIZE = 224
 STFT_CHUNK = 64  # frames windowed and transformed together
+MEL_BLOCKS = 16  # contiguous filter groups, each projected from its own bin span
 TENSOR_MAGIC = b"OTF1"
 
 
@@ -141,14 +142,31 @@ def mel_filterbank(n_mels: int, sample_rate: int, n_fft: int) -> np.ndarray:
     return fb
 
 
+@functools.lru_cache(maxsize=8)
+def _mel_blocks(n_mels: int, sample_rate: int, n_fft: int) -> tuple:
+    """``mel_filterbank``'s rows in ``MEL_BLOCKS`` contiguous groups, each cut to the
+    bins ``[lo, hi)`` its filters cover (none if all zero): read-only ``(rows, lo, hi, block)``."""
+    fb = mel_filterbank(n_mels, sample_rate, n_fft)
+    blocks = []
+    for group in np.array_split(np.arange(n_mels), min(MEL_BLOCKS, n_mels)):
+        rows = slice(group[0], group[-1] + 1)
+        cols = np.flatnonzero(fb[rows].any(axis=0))
+        lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
+        blocks.append((rows, lo, hi, fb[rows, lo:hi]))  # a view, read-only as fb is
+    return tuple(blocks)
+
+
 def log_mel(w: Waveform, params: FeatureParams | None = None) -> np.ndarray:
-    """Log-mel power spectrogram in dB, floored at 80 dB below the peak."""
+    """Log-mel power spectrogram in dB, floored at 80 dB below the peak. Each filter
+    group of ``_mel_blocks`` is projected from its own bins only: ``mel_filterbank @ power``
+    without the exact-zero terms, so summed in another order (within a few ulps)."""
     params = params or FeatureParams()
     spec = stft(w, params.n_fft, params.hop)
     power = np.abs(spec)
     power *= power
-    fb = mel_filterbank(params.n_mels, w.sample_rate, params.n_fft)
-    mel_power = fb @ power
+    mel_power = np.empty((params.n_mels, power.shape[1]))
+    for rows, lo, hi, block in _mel_blocks(params.n_mels, w.sample_rate, params.n_fft):
+        np.matmul(block, power[lo:hi], out=mel_power[rows])
     db = 10.0 * np.log10(mel_power + 1e-10)
     return np.maximum(db, db.max() - 80.0)
 
@@ -201,7 +219,11 @@ def bilinear_resize(m: np.ndarray, rows: int, cols: int) -> np.ndarray:
     in_r, in_c = m.shape
     row_pos = np.linspace(0.0, in_r - 1.0, rows) if in_r > 1 else np.zeros(rows)
     col_pos = np.linspace(0.0, in_c - 1.0, cols) if in_c > 1 else np.zeros(cols)
-    return _interp_rows(_interp_rows(m.T, col_pos).T, row_pos)
+    if cols != in_c:  # a kept axis's grid is its own integer points: its pass only copies
+        m = _interp_rows(m.T, col_pos).T
+    if rows != in_r:
+        m = _interp_rows(m, row_pos)
+    return m.copy() if (rows, cols) == (in_r, in_c) else m
 
 
 def to_image(w: Waveform, params: FeatureParams | None = None) -> SpectrogramImage:

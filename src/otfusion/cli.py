@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -99,11 +100,20 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _load_points(path: str) -> np.ndarray:
+def _loadtxt(path: str, what: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` with a parse failure as ``InputError``; an empty file
+    reads as an empty array for the caller's own check, without numpy's
+    "no data" warning."""
     try:
-        points = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(path, **kwargs)
     except ValueError as exc:
-        raise InputError(f"cannot parse point cloud {path}: {exc}") from exc
+        raise InputError(f"cannot parse {what} {path}: {exc}") from exc
+
+
+def _load_points(path: str) -> np.ndarray:
+    points = _loadtxt(path, "point cloud", delimiter=",", ndmin=2)
     if points.shape[0] == 0:
         raise InputError(f"point cloud {path} has no rows")
     return points
@@ -133,10 +143,7 @@ def cmd_ot(args) -> int:
 
 
 def cmd_calib(args) -> int:
-    try:
-        raw = np.loadtxt(args.input, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise InputError(f"cannot parse {args.input}: {exc}") from exc
+    raw = _loadtxt(args.input, "predictions", delimiter=",", ndmin=2)
     if raw.shape[1] != 3:
         raise InputError("calibration CSV needs columns prob_class0,prob_class1,label")
     preds = PredictionSet(raw[:, :2], raw[:, 2])
@@ -157,16 +164,9 @@ def cmd_calib(args) -> int:
     return EXIT_OK
 
 
-def _load_scores(path: str) -> np.ndarray:
-    try:
-        return np.loadtxt(path, ndmin=1)
-    except ValueError as exc:
-        raise InputError(f"cannot parse scores {path}: {exc}") from exc
-
-
 def cmd_aso(args) -> int:
     result = aso(
-        _load_scores(args.scores_a), _load_scores(args.scores_b),
+        _loadtxt(args.scores_a, "scores", ndmin=1), _loadtxt(args.scores_b, "scores", ndmin=1),
         confidence=args.confidence, bootstrap_iters=args.iterations,
         num_comparisons=args.comparisons, seed=args.seed,
     )

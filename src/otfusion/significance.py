@@ -67,13 +67,15 @@ def _ratios(sorted_a: np.ndarray, sorted_b: np.ndarray, pos_a, pos_b) -> np.ndar
     """The violation ratio of each row pair of sorted samples.
 
     ``np.take`` gives C-contiguous quantile rows, so each row's mean sums
-    in the same order as for a lone 1-D sample.
+    in the same order as for a lone 1-D sample; the gathered buffer is reused.
     """
-    diff = np.take(sorted_a, pos_a, axis=1) - np.take(sorted_b, pos_b, axis=1)
+    diff = np.take(sorted_a, pos_a, axis=1)
+    diff -= np.take(sorted_b, pos_b, axis=1)
     w2_sq = (diff * diff).mean(axis=1)
-    viol = np.maximum(-diff, 0.0)
+    viol = np.maximum(np.negative(diff, out=diff), 0.0, out=diff)
     zero = w2_sq == 0.0
-    return np.where(zero, 0.5, (viol * viol).mean(axis=1) / np.where(zero, 1.0, w2_sq))
+    viol_sq = np.multiply(viol, viol, out=viol).mean(axis=1)
+    return np.where(zero, 0.5, viol_sq / np.where(zero, 1.0, w2_sq))
 
 
 def _score_samples(scores_a, scores_b) -> tuple[np.ndarray, np.ndarray]:

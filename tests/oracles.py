@@ -13,7 +13,9 @@ smoothed cross-entropy, and the calibration oracles
 re-derive the binning from comparisons alone. The loop oracles (``aso_loop``,
 ``stft_per_frame`` and ``resize_by_interp``) do one bootstrap iteration,
 frame or line at a time, in the arithmetic the vectorized library code
-must reproduce bit for bit.
+must reproduce bit for bit. ``mel_power_dense`` is the mel projection
+over every FFT bin, which the band-blocked ``log_mel`` reproduces within
+rounding.
 
 The graph primitives that only these oracles use (``sub``,
 ``elementwise_div``, ``scale``, ``log_ew``, ``softmax_rows``,
@@ -265,6 +267,12 @@ def stft_per_frame(samples, n_fft, hop):
     for t in range(frames):
         out[:, t] = np.fft.rfft(x[t * hop:t * hop + n_fft] * window)
     return out
+
+
+def mel_power_dense(fb, power):
+    """The mel projection as one dense product over every FFT bin, the
+    filterbank's zero weights included."""
+    return fb @ power
 
 
 def resize_by_interp(m, rows, cols):

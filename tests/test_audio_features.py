@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import resize_by_interp, stft_per_frame, window_slope_bruteforce
+from oracles import mel_power_dense, resize_by_interp, stft_per_frame, window_slope_bruteforce
 
 from otfusion import audio_features as af
 from otfusion.errors import InputError, ParameterError
@@ -102,6 +102,50 @@ class TestMelFilterbank:
             fb[0, 0] = 1.0
 
 
+# (n_mels, sample_rate, n_fft); the last has 24 filters without a nonzero
+MEL_SETTINGS = [(224, 22050, 2048), (40, 8000, 512), (256, 16000, 512)]
+
+
+class TestMelBlocks:
+    @pytest.mark.parametrize("setting", MEL_SETTINGS)
+    def test_blocks_reassemble_the_filterbank(self, setting):
+        fb = af.mel_filterbank(*setting)
+        rebuilt = np.zeros_like(fb)
+        next_row = 0
+        for rows, lo, hi, block in af._mel_blocks(*setting):
+            assert rows.start == next_row and block.shape == (rows.stop - rows.start, hi - lo)
+            rebuilt[rows, lo:hi] = block
+            next_row = rows.stop
+        assert next_row == fb.shape[0]
+        npt.assert_array_equal(rebuilt, fb)
+
+    def test_blocks_are_cached_and_read_only(self):
+        blocks = af._mel_blocks(224, 22050, 2048)
+        assert af._mel_blocks(224, np.int64(22050), 2048) is blocks
+        for _, _, _, block in blocks:
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+    @pytest.mark.parametrize("setting", MEL_SETTINGS)
+    @pytest.mark.parametrize("silent", [False, True])
+    def test_log_mel_projects_within_rounding_of_the_dense_product(self, setting, silent):
+        n_mels, sr, n_fft = setting
+        samples = np.random.default_rng(n_mels).standard_normal(2 * sr)
+        w = af.Waveform(np.zeros(2 * sr) if silent else samples, sr)
+        params = af.FeatureParams(n_fft=n_fft, hop=n_fft // 2, n_mels=n_mels)
+        power = np.abs(af.stft(w, n_fft, n_fft // 2)) ** 2
+        # log_mel's projection, block by block
+        blocked = np.empty((n_mels, power.shape[1]))
+        for rows, lo, hi, block in af._mel_blocks(n_mels, sr, n_fft):
+            blocked[rows] = block @ power[lo:hi]
+        fb = af.mel_filterbank(n_mels, sr, n_fft)
+        # every term is >= 0, so the blocked sum's rounding is relative to each entry
+        npt.assert_allclose(blocked, mel_power_dense(fb, power), rtol=1e-14, atol=0)
+        npt.assert_array_equal(blocked[~fb.any(axis=1)], 0.0)
+        db = 10.0 * np.log10(blocked + 1e-10)
+        npt.assert_array_equal(af.log_mel(w, params), np.maximum(db, db.max() - 80.0))
+
+
 class TestFeatureParams:
     @pytest.mark.parametrize("field, bad", [
         ("hop", 2.5), ("hop", 0), ("n_fft", 2048.0), ("n_fft", 1000), ("n_fft", 128),
@@ -190,6 +234,22 @@ class TestBilinearResize:
     def test_single_row_or_column_input(self, shape):
         m = np.random.default_rng(3).standard_normal(shape)
         npt.assert_array_equal(af.bilinear_resize(m, 224, 224), resize_by_interp(m, 224, 224))
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("shape, size", [
+        ((9, 13), (9, 30)), ((9, 13), (20, 13)), ((9, 13), (9, 13)), ((1, 13), (1, 30)),
+        ((1, 13), (5, 13)), ((13, 1), (13, 4)), ((13, 1), (30, 1)), ((1, 1), (1, 1)),
+    ])
+    @pytest.mark.parametrize("special", [False, True])
+    def test_kept_axis_matches_np_interp_and_copies(self, shape, size, special):
+        m = np.random.default_rng(8).standard_normal(shape)
+        if special:
+            m.flat[::3], m.flat[1::5], m.flat[2::7] = np.inf, np.nan, -np.inf
+        before = m.copy()
+        out = af.bilinear_resize(m, *size)
+        npt.assert_array_equal(out, resize_by_interp(m, *size))
+        out[...] = 7.0
+        npt.assert_array_equal(m, before)
 
     # the overflowing gaps warn; the branch np.where discards warns too
     @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")

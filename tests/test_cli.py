@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,7 +195,8 @@ class TestOtCommand:
         for side in ("src", "tgt"):
             paths[side] = tmp_path / f"{side}.csv"
             paths[side].write_text("" if side in empty else "0.1,0.2\n0.5,0.6\n")
-        with pytest.warns(UserWarning, match="no data"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["ot", "--src", str(paths["src"]), "--tgt", str(paths["tgt"])])
         assert code == 1
         captured = capsys.readouterr()
@@ -247,6 +253,26 @@ class TestAsoCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: " in captured.err
+
+
+@pytest.mark.parametrize("command, full_text, message", [
+    ("aso", "0.1\n0.5\n", "error: score samples must be nonempty\n"),
+    ("ot", "0.1,0.2\n0.5,0.6\n", "error: point cloud {empty} has no rows\n"),
+], ids=["aso", "ot"])
+def test_empty_input_prints_only_the_error(tmp_path, command, full_text, message):
+    # a fresh interpreter, so stderr holds whatever a user would see
+    empty, full = tmp_path / "empty.txt", tmp_path / "full.txt"
+    empty.write_text("")
+    full.write_text(full_text)
+    args = ([str(empty), str(full)] if command == "aso"
+            else ["--src", str(empty), "--tgt", str(full)])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "otfusion.cli", command, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == message.format(empty=empty)
 
 
 class TestFeaturesCommand:
