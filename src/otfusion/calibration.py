@@ -2,6 +2,9 @@
 metrics (equal-width ECE, equal-mass per-class ACE) with reliability-bin
 data for reporting.
 
+``smooth_targets(labels, alpha, num_classes)`` builds a batch's smoothed
+target rows in one call.
+
 The loss is one graph node on the logits: its forward takes the softmax,
 floors it at ``PROB_FLOOR`` and averages the cross-entropy over the rows,
 and its vjp is written out in the same arithmetic.
@@ -63,32 +66,27 @@ class PredictionSet:
         return self.probs.argmax(axis=1)
 
 
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Smoothing strength alpha (0 = one-hot, 1 = uniform) and class count."""
-
-    alpha: float
-    num_classes: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.num_classes < 2:
-            raise ParameterError("need at least two classes")
-
-
-def smooth_targets(label: int, cfg: SmoothingConfig) -> np.ndarray:
-    """Smoothed one-hot target: y_k * (1 - alpha) + alpha / K.
+def smooth_targets(labels, alpha: float, num_classes: int) -> np.ndarray:
+    """Smoothed one-hot targets, one row per label (a plain int is one
+    label; an integral float is rejected, not cast): y_k * (1 - alpha) + alpha / K, with alpha in [0, 1] (0 =
+    one-hot, 1 = uniform).
 
     The true-class entry is evaluated as 1 - alpha * (K - 1) / K, which is
     algebraically identical but keeps the decimal values exact (e.g.
     alpha = 0.001, K = 2 gives precisely 0.9995 / 0.0005).
     """
-    if not 0 <= label < cfg.num_classes:
-        raise ParameterError(f"label {label} out of range for K={cfg.num_classes}")
-    k = cfg.num_classes
-    t = np.full(k, cfg.alpha / k)
-    t[label] = 1.0 - cfg.alpha * (k - 1) / k
+    labels = np.ravel(labels)
+    if labels.dtype.kind not in "iu":
+        raise InputError(f"labels must be of an integer type, got {labels.tolist()}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
+    k = num_classes
+    if k < 2:
+        raise ParameterError("need at least two classes")
+    if ((labels < 0) | (labels >= k)).any():
+        raise ParameterError(f"labels {labels.tolist()} out of range for K={k}")
+    t = np.full((labels.size, k), alpha / k)
+    t[np.arange(labels.size), labels] = 1.0 - alpha * (k - 1) / k
     return t
 
 

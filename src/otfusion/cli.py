@@ -24,7 +24,7 @@ from .errors import (ContractViolationError, DimensionError, InputError,
 from .significance import aso
 from .training import (RunReport, ablation_harness, evaluate, reports_to_csv,
                        run_experiment, train)
-from .model import assemble_model
+from .model import ABLATION_AXES, assemble_model
 from .synthetic import generate_task
 from . import gradsuite
 from . import transport
@@ -241,9 +241,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="run one ablation axis")
     p.add_argument("--config", required=True)
-    p.add_argument("--axis", required=True,
-                   choices=["no_context", "no_gate", "no_ot", "repeat_instead_of_otk",
-                            "no_fusion", "layer_sweep"])
+    p.add_argument("--axis", required=True, choices=list(ABLATION_AXES))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 

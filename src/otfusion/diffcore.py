@@ -15,7 +15,9 @@ Operations build a graph on the fly; calling :func:`backward` on a 1x1
 node fills in ``grad`` on every node that (transitively) depends on a
 trainable :class:`Parameter`. Gradients are checked against central
 finite differences by :func:`grad_check`; those checks assume 64-bit
-arrays.
+arrays. :func:`dropout_masks` builds the inverted-dropout multipliers of
+all of one forward's dropout sites from one draw, laid out sample by
+sample.
 """
 
 from __future__ import annotations
@@ -316,44 +318,33 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Node:
     return Node(xhat * gv + bias.value, (a, gain, bias), vjp)
 
 
-class SampleMajorDraws:
-    """Uniform draws for the dropout sites of one forward, from one call.
+def dropout_masks(rng: np.random.Generator | None, training: bool, sites) -> list:
+    """The inverted-dropout multiplier (0 or 1/(1-rate) per entry) of each
+    dropout site of one forward, or None for each in eval mode.
 
-    ``site_shapes`` lists each site's full shape, in the order the forward
-    reaches them; all carry the same batch axis, or none. The draws are laid
-    out sample by sample: sample b takes all of its sites' draws before
-    sample b + 1 takes any, the order in which one-sample forwards run one
-    after another consume ``rng``. Pass the object as a site's ``rng``:
-    :meth:`random` hands out the next site's block.
+    ``sites`` lists ``(shape, rate)`` in the order the forward reaches the
+    sites; every shape carries the same batch axis ``lead``, or none. All
+    draws come from one ``rng.random(lead + (total,))`` call, laid out
+    sample by sample: sample b takes all of its sites' draws before sample
+    b + 1 takes any, the order in which one-sample forwards run one after
+    another consume ``rng``.
     """
-
-    def __init__(self, rng: np.random.Generator, site_shapes):
-        shapes = [tuple(s) for s in site_shapes]
-        lead = shapes[0][:-2]
-        if any(s[:-2] != lead for s in shapes):
-            raise DimensionError(f"dropout sites disagree in batch axis: {shapes}")
-        sizes = [s[-2] * s[-1] for s in shapes]
-        flat = rng.random(lead + (sum(sizes),))
-        offsets = np.cumsum([0] + sizes)
-        self._blocks = [flat[..., o:o + n].reshape(s)
-                        for o, n, s in zip(offsets, sizes, shapes)]
-
-    def random(self, shape) -> np.ndarray:
-        if not self._blocks or self._blocks[0].shape != tuple(shape):
-            raise DimensionError(f"no pending dropout draw of shape {tuple(shape)}")
-        return self._blocks.pop(0)
-
-
-def _dropout_keep(shape, rate: float, training: bool, rng) -> np.ndarray | None:
-    """The inverted-dropout multiplier for one site (0 or 1/(1-rate) per
-    entry), or None where dropout is the identity (eval mode, rate 0)."""
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return None
+    shapes = [tuple(shape) for shape, _ in sites]
+    for _, rate in sites:
+        if not 0.0 <= rate < 1.0:
+            raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training:
+        return [None] * len(shapes)
     if rng is None:
         raise ParameterError("dropout in training mode needs an rng")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    lead = shapes[0][:-2]
+    if any(s[:-2] != lead for s in shapes):
+        raise DimensionError(f"dropout sites disagree in batch axis: {shapes}")
+    sizes = [s[-2] * s[-1] for s in shapes]
+    flat = rng.random(lead + (sum(sizes),))
+    offsets = np.cumsum([0] + sizes)
+    return [(flat[..., o:o + n].reshape(s) >= rate) / (1.0 - rate)
+            for o, n, s, (_, rate) in zip(offsets, sizes, shapes, sites)]
 
 
 def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -9,7 +9,8 @@ affinity matrix; the attentional-reduction head pools each side with an
 independent softmax-weighted MLP before a layer-normalized sum. Final
 dense layers emit raw 2-class logits; softmax lives in the loss and
 metric paths. The co-attention head, and each side's pooling, is one
-graph node with a hand-written vjp.
+graph node with a hand-written vjp. Each head gets all of its dropout
+masks for the batch from one ``diffcore.dropout_masks`` call.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def co_attention_forward(inputs: FusedInputs, head: CoAttentionHead, training: b
     """Logits (1 x 2, or B x 1 x 2 for a batch) from the co-attention head.
     With ``return_weights`` the weights over c's and s's positions follow,
     as constants. The head is one graph node with parents ``c``, ``s`` and
-    its nine parameters, and it draws both dropout masks from ``rng``."""
+    its nine parameters; both dropout masks come from one
+    ``dc.dropout_masks`` call on ``rng``."""
     c, s = inputs.c, inputs.s
     if c.cols != head.d_prime:
         raise DimensionError(f"fused width {c.cols} != head d' {head.d_prime}")
@@ -99,15 +101,13 @@ def co_attention_forward(inputs: FusedInputs, head: CoAttentionHead, training: b
     a_s = dc._softmax(_t(w_hs) @ h_s)
     a_c = dc._softmax(_t(w_hc) @ h_c)
     p = np.concatenate([a_c @ cv, a_s @ sv], axis=-1)
-    if training and rng is not None:
-        rng = dc.SampleMajorDraws(rng, [p.shape, p.shape[:-1] + (HIDDEN,)])
-    keep_p = dc._dropout_keep(p.shape, CO_DROPOUT_CONCAT, training, rng)
+    keep_p, keep_h = dc.dropout_masks(
+        rng, training, [(p.shape, CO_DROPOUT_CONCAT), (p.shape[:-1] + (HIDDEN,), CO_DROPOUT_HIDDEN)])
     if keep_p is not None:
         p *= keep_p
     hidden = p @ w1 + b1
     relu_mask = hidden > 0
     hidden *= relu_mask
-    keep_h = dc._dropout_keep(hidden.shape, CO_DROPOUT_HIDDEN, training, rng)
     if keep_h is not None:
         hidden *= keep_h
 
@@ -174,19 +174,18 @@ class AttnFusionHead:
 
 
 def _attentive_pool(m: Node, w1: Parameter, b1: Parameter, w2: Parameter, b2: Parameter,
-                    training: bool, rng) -> tuple[Node, np.ndarray]:
+                    keep: np.ndarray | None) -> tuple[Node, np.ndarray]:
     """Pool the rows of m (n x d', or a stack) by softmax weights over
     positions from the scorer FC(hidden)-ReLU-Dropout-FC(1).
 
     Returns the pooled 1 x d' rows as one graph node with parents
-    ``(m, w1, b1, w2, b2)``, and the 1 x n weights. The dropout mask is
-    drawn from ``rng`` inside the node.
+    ``(m, w1, b1, w2, b2)``, and the 1 x n weights. ``keep`` is the
+    dropout multiplier of the hidden layer, or None in eval mode.
     """
     mv = m.value
     pre = mv @ w1.value + b1.value
     relu_mask = pre > 0
     h = pre * relu_mask
-    keep = dc._dropout_keep(h.shape, ATTN_MLP_DROPOUT, training, rng)
     if keep is not None:
         h = h * keep
     alpha = dc._softmax(_t(h @ w2.value + b2.value).copy())
@@ -210,13 +209,10 @@ def attn_fusion_forward(inputs: FusedInputs, head: AttnFusionHead, training: boo
     With ``return_weights`` the two sides' pooling weights follow, as constants."""
     if inputs.c.cols != head.d_prime:
         raise DimensionError(f"fused width {inputs.c.cols} != head d' {head.d_prime}")
-    if training and rng is not None:
-        rng = dc.SampleMajorDraws(rng, [inputs.c.shape[:-1] + (HIDDEN,),
-                                        inputs.s.shape[:-1] + (HIDDEN,)])
-    c_tilde, alpha_c = _attentive_pool(inputs.c, head.c_w1, head.c_b1, head.c_w2, head.c_b2,
-                                       training, rng)
-    s_tilde, alpha_s = _attentive_pool(inputs.s, head.s_w1, head.s_b1, head.s_w2, head.s_b2,
-                                       training, rng)
+    site = (inputs.c.shape[:-1] + (HIDDEN,), ATTN_MLP_DROPOUT)  # c and s have one shape
+    keep_c, keep_s = dc.dropout_masks(rng, training, [site, site])
+    c_tilde, alpha_c = _attentive_pool(inputs.c, head.c_w1, head.c_b1, head.c_w2, head.c_b2, keep_c)
+    s_tilde, alpha_s = _attentive_pool(inputs.s, head.s_w1, head.s_b1, head.s_w2, head.s_b2, keep_s)
     z = dc.layer_norm(dc.add(dc.matmul(c_tilde, head.w_c), dc.matmul(s_tilde, head.w_s)),
                       head.ln_gain, head.ln_bias)
     logits = dc.add(dc.matmul(z, head.w_out), head.b_out)

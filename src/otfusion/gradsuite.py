@@ -108,7 +108,7 @@ def _layer_norm_check(rng: np.random.Generator) -> SuiteResult:
 
 def _smoothed_ce_check(rng: np.random.Generator) -> SuiteResult:
     logits = Parameter(rng.uniform(-2, 2, (1, 2)), "gc.logits")
-    targets = calib.smooth_targets(1, calib.SmoothingConfig(0.001, 2))
+    targets = calib.smooth_targets(1, 0.001, 2)
 
     def loss_fn():
         return calib.ls_cross_entropy(logits, targets)

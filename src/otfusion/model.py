@@ -134,7 +134,6 @@ class Model:
             self.references = Parameter(
                 dc.xavier_uniform(head_rng, cfg.seq_len, cfg.d), "otk.references",
             )
-        self.smoothing = calib.SmoothingConfig(cfg.label_smoothing_alpha, 2)
         self._frozen = False
         self._frozen_plan: np.ndarray | None = None
 
@@ -247,7 +246,7 @@ class Model:
         labels = np.atleast_1d(labels)
         if not np.array_equal(labels, np.round(labels)):
             raise InputError(f"labels must be integers, got {labels.tolist()}")
-        targets = np.stack([calib.smooth_targets(int(l), self.smoothing) for l in labels])
+        targets = calib.smooth_targets(labels.astype(int), self.cfg.label_smoothing_alpha, 2)
         return calib.ls_cross_entropy(logits, targets)
 
 
@@ -256,19 +255,19 @@ def assemble_model(cfg: ModelConfig, seed: int = 0) -> Model:
     return Model(cfg, seed)
 
 
+# each ablation axis: the config changes of its variants, by variant name
+ABLATION_AXES = {
+    "no_context": {"no_context": {"context_gate_override": 0.0}},
+    "no_gate": {"no_gate": {"image_mask_ones": True}},
+    "no_ot": {"no_ot": {"ot_enabled": False, "otk_mode": IDENTITY}},
+    "repeat_instead_of_otk": {"repeat_instead_of_otk": {"otk_mode": REPEAT}},
+    "no_fusion": {"no_fusion": {"fusion": CONCAT}},
+    "layer_sweep": {f"layers_{l}": {"strategy": ctx.DEEP, "layers": l} for l in range(1, 6)},
+}
+
+
 def ablation_variant(base: ModelConfig, axis: str) -> list[tuple[str, ModelConfig]]:
     """Named config variants for one ablation axis."""
-    if axis == "no_context":
-        return [("no_context", replace(base, context_gate_override=0.0))]
-    if axis == "no_gate":
-        return [("no_gate", replace(base, image_mask_ones=True))]
-    if axis == "no_ot":
-        return [("no_ot", replace(base, ot_enabled=False, otk_mode=IDENTITY))]
-    if axis == "repeat_instead_of_otk":
-        return [("repeat_instead_of_otk", replace(base, otk_mode=REPEAT))]
-    if axis == "no_fusion":
-        return [("no_fusion", replace(base, fusion=CONCAT))]
-    if axis == "layer_sweep":
-        return [(f"layers_{l}", replace(base, strategy=ctx.DEEP, layers=l))
-                for l in range(1, 6)]
-    raise ParameterError(f"unknown ablation axis {axis!r}")
+    if axis not in ABLATION_AXES:
+        raise ParameterError(f"unknown ablation axis {axis!r}")
+    return [(name, replace(base, **changes)) for name, changes in ABLATION_AXES[axis].items()]

@@ -13,10 +13,12 @@ numbers, never to make a defect pass:
 
     PYTHONPATH=src python tests/equivalence.py
 
-The digest mode checks bit identity of the evaluation tools instead: it
-runs ECE/ACE, ASO, the STFT, log-mel, the resize and the feature image on
-fixed seeded inputs, and writes the sha256 of each output's raw bytes to
-``OUT.json`` and the outputs themselves to ``OUT.npz``. The compare mode
+The digest mode checks bit identity instead. It records the logits, the
+loss and every named parameter gradient of each grid configuration in
+both modes, and the outputs of ECE/ACE, ASO, the STFT, log-mel, the
+resize and the feature image on fixed seeded inputs. It writes the sha256
+of each array's raw bytes to ``OUT.json`` and the arrays themselves to
+``OUT.npz``. The compare mode
 lists the entries of two digests that differ, with the largest absolute
 and relative gap between their arrays. Digests depend on the platform and
 its BLAS build, so they are compared between checkouts on one machine and
@@ -61,8 +63,9 @@ def grid() -> dict[str, ModelConfig]:
             for fusion, strategy, otk_mode, ot, mask in axes}
 
 
-def run(cfg: ModelConfig, training: bool) -> dict:
-    """One forward and backward of a fresh seed-0 model on the fixed batch."""
+def forward_backward(cfg: ModelConfig, training: bool):
+    """One forward and backward of a fresh seed-0 model on the fixed batch.
+    Returns the logits and loss nodes and the parameters, gradients filled."""
     model = assemble_model(cfg, seed=0)
     data = np.random.default_rng(1)
     x = data.standard_normal((BATCH, cfg.seq_len, cfg.d))
@@ -73,6 +76,12 @@ def run(cfg: ModelConfig, training: bool) -> dict:
     logits = model.forward(x, y, training, dropout_rng)
     loss = model.loss(logits, LABELS)
     dc.backward(loss)
+    return logits, loss, params
+
+
+def run(cfg: ModelConfig, training: bool) -> dict:
+    """The golden summary of one forward and backward."""
+    logits, loss, params = forward_backward(cfg, training)
     probe = np.random.default_rng(3)
     return {"logits": logits.value.ravel().tolist(),
             "loss": float(loss.value[0, 0]),
@@ -83,6 +92,20 @@ def run(cfg: ModelConfig, training: bool) -> dict:
 
 def run_config(cfg: ModelConfig) -> dict:
     return {mode: run(cfg, training) for mode, training in MODES.items()}
+
+
+def model_outputs() -> dict[str, np.ndarray]:
+    """The logits, the loss and every parameter's gradient of each grid
+    configuration in each mode, by entry name."""
+    out = {}
+    for key, cfg in grid().items():
+        for mode, training in MODES.items():
+            logits, loss, params = forward_backward(cfg, training)
+            prefix = f"model.{key}.{mode}"
+            out[f"{prefix}.logits"] = logits.value
+            out[f"{prefix}.loss"] = loss.value
+            out.update({f"{prefix}.grad.{p.name}": p.grad for p in params})
+    return out
 
 
 def tool_outputs() -> dict[str, np.ndarray]:
@@ -125,7 +148,7 @@ def _sha256(arr: np.ndarray) -> str:
 
 
 def digest(stem: str):
-    arrays = tool_outputs()
+    arrays = {**model_outputs(), **tool_outputs()}
     Path(f"{stem}.json").write_text(
         json.dumps({key: _sha256(arr) for key, arr in arrays.items()}, indent=1) + "\n",
         encoding="utf-8")

@@ -20,9 +20,11 @@ rounding.
 The graph primitives that only these oracles use (``sub``,
 ``elementwise_div``, ``scale``, ``log_ew``, ``softmax_rows``,
 ``clamp_min``, ``sigmoid``, ``exp_ew``, ``slice_cols``, ``sum_cols``,
-``tanh_ew``, ``relu``, ``transpose`` and ``dropout``) live here rather
-than in ``diffcore``: the library's fused layers and its loss compute the
-same values in one node each.
+``tanh_ew``, ``relu``, ``transpose``, ``apply_mask`` and ``dropout``)
+live here rather than in ``diffcore``: the library's fused layers and its
+loss compute the same values in one node each. ``dropout_masks_per_sample``
+draws a batch's dropout masks one sample and one site at a time, as the
+library's single draw must lay them out.
 """
 
 import itertools
@@ -40,7 +42,7 @@ from otfusion.calibration import PROB_FLOOR
 from otfusion.diffcore import (Node, _require_broadcastable, _sigmoid, _softmax, _softmax_vjp, _t,
                                _wrap)
 from otfusion.errors import DimensionError
-from otfusion.fusion import ATTN_MLP_DROPOUT, CO_DROPOUT_CONCAT, CO_DROPOUT_HIDDEN, HIDDEN
+from otfusion.fusion import CO_DROPOUT_CONCAT, CO_DROPOUT_HIDDEN, HIDDEN
 from otfusion.model import ATTN_FUSION, CO_ATTENTION, OTK
 from otfusion.transport import OTK_MARGINAL_TOL, Coupling, _round_to_feasible
 
@@ -429,11 +431,9 @@ def transpose(a) -> Node:
     return Node(_t(a.value).copy(), (a,), vjp)
 
 
-def dropout(a, rate: float, training: bool, rng=None) -> Node:
-    """Inverted dropout with the library's masks (``diffcore._dropout_keep``);
-    in eval mode or at rate 0 it returns ``a`` itself."""
+def apply_mask(a, keep) -> Node:
+    """``a`` times a dropout multiplier, or ``a`` itself where ``keep`` is None."""
     a = _wrap(a)
-    keep = dc._dropout_keep(a.value.shape, rate, training, rng)
     if keep is None:
         return a
 
@@ -441,6 +441,25 @@ def dropout(a, rate: float, training: bool, rng=None) -> Node:
         return (g * keep,)
 
     return Node(a.value * keep, (a,), vjp)
+
+
+def dropout(a, rate: float, training: bool, rng=None) -> Node:
+    """Inverted dropout with the library's mask (``diffcore.dropout_masks``
+    for one site); in eval mode or at rate 0 it returns ``a`` itself."""
+    a = _wrap(a)
+    (keep,) = dc.dropout_masks(rng, training and rate != 0.0, [(a.value.shape, rate)])
+    return apply_mask(a, keep)
+
+
+def dropout_masks_per_sample(rng, training, sites):
+    """``diffcore.dropout_masks`` drawn as one-sample forwards run in
+    sequence draw them: sample by sample, one ``rng.random`` call per site."""
+    if not training:
+        return [None] * len(sites)
+    count = int(np.prod(sites[0][0][:-2]))
+    draws = [[rng.random(shape[-2:]) for shape, _ in sites] for _ in range(count)]
+    return [(np.stack([d[i] for d in draws]).reshape(shape) >= rate) / (1.0 - rate)
+            for i, (shape, rate) in enumerate(sites)]
 
 
 def otk_embed_unrolled(y, references, entropic_eps, sinkhorn_iters):
@@ -533,18 +552,18 @@ def gated_attention_composed(s, layer, mask_override=None):
     return dc.matmul(attn, s), attn
 
 
-def reduction_weights(m, w1, b1, w2, b2, training, rng):
-    """The attn-fusion head's 1 x n pooling weights as a graph of primitives."""
-    h = relu(dc.add(dc.matmul(m, w1), b1))
-    h = dropout(h, ATTN_MLP_DROPOUT, training, rng)
+def reduction_weights(m, w1, b1, w2, b2, keep):
+    """The attn-fusion head's 1 x n pooling weights as a graph of
+    primitives, with the dropout multiplier ``keep`` (None in eval mode)."""
+    h = apply_mask(relu(dc.add(dc.matmul(m, w1), b1)), keep)
     scores = dc.add(dc.matmul(h, w2), b2)
     return softmax_rows(transpose(scores))
 
 
-def attentive_pool_composed(m, w1, b1, w2, b2, training, rng):
+def attentive_pool_composed(m, w1, b1, w2, b2, keep):
     """``fusion._attentive_pool`` as a graph of primitives. Returns the
     pooled rows and the weights."""
-    alpha = reduction_weights(m, w1, b1, w2, b2, training, rng)
+    alpha = reduction_weights(m, w1, b1, w2, b2, keep)
     return dc.matmul(alpha, m), alpha
 
 
@@ -566,11 +585,10 @@ def co_attention_composed(inputs, head, training, rng=None):
     s_hat = dc.matmul(a_s, s_row)
     c_hat = dc.matmul(a_c, c_row)
     p = dc.concat_cols(c_hat, s_hat)
-    if training and rng is not None:
-        rng = dc.SampleMajorDraws(rng, [p.shape, p.shape[:-1] + (HIDDEN,)])
-    p = dropout(p, CO_DROPOUT_CONCAT, training, rng)
-    hidden = relu(dc.add(dc.matmul(p, head.w1), head.b1))
-    hidden = dropout(hidden, CO_DROPOUT_HIDDEN, training, rng)
+    keep_p, keep_h = dropout_masks_per_sample(
+        rng, training, [(p.shape, CO_DROPOUT_CONCAT), (p.shape[:-1] + (HIDDEN,), CO_DROPOUT_HIDDEN)])
+    p = apply_mask(p, keep_p)
+    hidden = apply_mask(relu(dc.add(dc.matmul(p, head.w1), head.b1)), keep_h)
     logits = dc.add(dc.matmul(hidden, head.w_out), head.b_out)
     return logits, a_c, a_s
 

@@ -122,7 +122,7 @@ def test_criterion_2_ot_suite():
 
 
 def test_criterion_3_calibration_suite():
-    targets = cal.smooth_targets(0, cal.SmoothingConfig(0.001, 2))
+    targets = cal.smooth_targets(0, 0.001, 2)[0]
     smoothing_ok = targets[0] == 0.9995 and targets[1] == 0.0005
 
     perfect = cal.PredictionSet(np.tile([0.0, 1.0], (8, 1)), np.ones(8, dtype=int))

@@ -35,39 +35,61 @@ def tied_prediction_set(rng, n):
     return cal.PredictionSet(np.column_stack([1.0 - p1, p1]), rng.integers(0, 2, n))
 
 
+def smooth_target_row(label, alpha, k):
+    """One smoothed row built entry by entry, as the per-label loop built it."""
+    t = np.full(k, alpha / k)
+    t[label] = 1.0 - alpha * (k - 1) / k
+    return t
+
+
 class TestSmoothTargets:
     def test_reference_alpha_exact(self):
-        out = cal.smooth_targets(0, cal.SmoothingConfig(0.001, 2))
-        assert out[0] == 0.9995
-        assert out[1] == 0.0005
+        out = cal.smooth_targets(0, 0.001, 2)
+        assert out.shape == (1, 2)
+        assert out[0, 0] == 0.9995
+        assert out[0, 1] == 0.0005
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.001, 0.3, 1.0])
+    def test_rows_equal_per_label_rows(self, k, alpha):
+        labels = np.random.default_rng(k).integers(0, k, 9)
+        expected = np.stack([smooth_target_row(l, alpha, k) for l in labels])
+        npt.assert_array_equal(cal.smooth_targets(labels, alpha, k), expected)
 
     def test_alpha_zero_one_hot(self):
         for k in (2, 3, 5):
-            out = cal.smooth_targets(1, cal.SmoothingConfig(0.0, k))
-            expected = np.zeros(k)
-            expected[1] = 1.0
+            out = cal.smooth_targets(1, 0.0, k)
+            expected = np.zeros((1, k))
+            expected[0, 1] = 1.0
             npt.assert_array_equal(out, expected)
 
     def test_alpha_one_uniform(self):
-        npt.assert_array_equal(cal.smooth_targets(0, cal.SmoothingConfig(1.0, 2)), [0.5, 0.5])
+        npt.assert_array_equal(cal.smooth_targets([0, 1], 1.0, 2), [[0.5, 0.5], [0.5, 0.5]])
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 1.0, allow_subnormal=False), st.integers(2, 6))
     def test_sums_to_one_and_positive(self, alpha, k):
-        out = cal.smooth_targets(k - 1, cal.SmoothingConfig(alpha, k))
-        assert abs(out.sum() - 1.0) < 1e-15
+        out = cal.smooth_targets(np.arange(k), alpha, k)
+        assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-15
         if alpha > 0:
             assert np.all(out > 0)
 
     def test_bad_alpha(self):
         with pytest.raises(ParameterError):
-            cal.SmoothingConfig(-0.1, 2)
+            cal.smooth_targets(0, -0.1, 2)
         with pytest.raises(ParameterError):
-            cal.SmoothingConfig(1.5, 2)
+            cal.smooth_targets(0, 1.5, 2)
 
     def test_bad_label(self):
         with pytest.raises(ParameterError):
-            cal.smooth_targets(2, cal.SmoothingConfig(0.1, 2))
+            cal.smooth_targets(2, 0.1, 2)
+        with pytest.raises(ParameterError):
+            cal.smooth_targets([0, -1], 0.1, 2)
+
+    @pytest.mark.parametrize("labels", [1.0, [0, 1.0], [0.5], "1"])
+    def test_non_integer_label_is_an_input_error(self, labels):
+        with pytest.raises(InputError):
+            cal.smooth_targets(labels, 0.1, 2)
 
 
 def cross_entropy(probs, targets):
@@ -81,13 +103,13 @@ def cross_entropy(probs, targets):
 
 class TestSmoothedCrossEntropy:
     def test_minimum_is_target_entropy(self):
-        targets = cal.smooth_targets(0, cal.SmoothingConfig(0.2, 3))
+        targets = cal.smooth_targets(0, 0.2, 3)[0]
         loss = cross_entropy(targets, targets)
         entropy = float(-(targets * np.log(targets)).sum())
         assert loss == pytest.approx(entropy, abs=1e-12)
 
     def test_confident_correct_is_near_zero(self):
-        targets = cal.smooth_targets(0, cal.SmoothingConfig(0.0, 2))
+        targets = cal.smooth_targets(0, 0.0, 2)[0]
         loss = cross_entropy(np.array([1.0, 0.0]), targets)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
@@ -114,7 +136,7 @@ class TestSmoothedCrossEntropy:
     def test_differentiable_through_probs(self):
         rng = np.random.default_rng(3)
         logits = Parameter(rng.uniform(-1, 1, (1, 3)), "logits")
-        t = cal.smooth_targets(1, cal.SmoothingConfig(0.05, 3))
+        t = cal.smooth_targets(1, 0.05, 3)
         reports = dc.grad_check(
             lambda: cal.ls_cross_entropy(logits, t), [logits], tol=1e-6
         )

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from otfusion.cli import main
+from otfusion.cli import build_parser, main
+from otfusion.model import ModelConfig, ablation_variant
 
 TINY_CONFIG = """
 label = tiny
@@ -343,3 +345,12 @@ class TestUsageErrors:
 
     def test_missing_required_argument(self):
         assert main(["train"]) == 1
+
+
+def test_every_offered_axis_builds_its_variants():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    axis = next(a for a in commands.choices["ablate"]._actions if a.dest == "axis")
+    assert len(axis.choices) == 6
+    for name in axis.choices:
+        assert ablation_variant(ModelConfig(), name), name

@@ -218,25 +218,37 @@ class TestDropout:
             dropout(dc.constant([[1.0]]), 1.0, training=True, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("batch", [(), (3,)])
-    def test_sample_major_draws_follow_per_sample_order(self, batch):
-        shapes = [batch + (4, 5), batch + (2, 3)]
-        draws = dc.SampleMajorDraws(np.random.default_rng(18), shapes)
-        blocks = [draws.random(s) for s in shapes]
+    def test_dropout_masks_follow_per_sample_order(self, batch):
+        sites = [(batch + (4, 5), 0.5), (batch + (2, 3), 0.2)]
+        masks = dc.dropout_masks(np.random.default_rng(18), True, sites)
         sequential = np.random.default_rng(18)
         for b in range(batch[0] if batch else 1):
-            for block, s in zip(blocks, shapes):
-                expected = sequential.random(s[-2:])
-                npt.assert_array_equal(block[b] if batch else block, expected)
+            for mask, (shape, rate) in zip(masks, sites):
+                expected = (sequential.random(shape[-2:]) >= rate) / (1.0 - rate)
+                npt.assert_array_equal(mask[b] if batch else mask, expected)
 
-    def test_sample_major_draws_check_shapes(self):
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_dropout_masks_draw_once_per_forward(self, batch):
+        sites = [(batch + (4, 5), 0.5), (batch + (2, 3), 0.2)]
+        rng, reference = np.random.default_rng(19), np.random.default_rng(19)
+        dc.dropout_masks(rng, True, sites)
+        reference.random(batch + (4 * 5 + 2 * 3,))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_dropout_masks_draw_nothing_in_eval_mode(self):
+        rng = np.random.default_rng(20)
+        state = rng.bit_generator.state
+        assert dc.dropout_masks(rng, False, [((3, 4, 5), 0.5), ((3, 2, 3), 0.2)]) == [None, None]
+        assert rng.bit_generator.state == state
+
+    def test_dropout_masks_check_sites(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(DimensionError):
-            dc.SampleMajorDraws(np.random.default_rng(0), [(3, 4, 5), (2, 2, 3)])
-        draws = dc.SampleMajorDraws(np.random.default_rng(0), [(4, 5)])
-        with pytest.raises(DimensionError):
-            draws.random((5, 4))
-        draws.random((4, 5))
-        with pytest.raises(DimensionError):
-            draws.random((4, 5))
+            dc.dropout_masks(rng, True, [((3, 4, 5), 0.5), ((2, 2, 3), 0.5)])
+        with pytest.raises(ParameterError):
+            dc.dropout_masks(rng, False, [((4, 5), 1.0)])
+        with pytest.raises(ParameterError):
+            dc.dropout_masks(None, True, [((4, 5), 0.5)])
 
 
 class TestGradCheck:

@@ -142,42 +142,41 @@ class TestAttentivePool:
         return [m, head.c_w1, head.c_b1, head.c_w2, head.c_b2]
 
     @staticmethod
-    def draws(m, training):
-        """A fresh, identically seeded draw for each build in training mode."""
-        if not training:
-            return None
-        return dc.SampleMajorDraws(np.random.default_rng(7), [m.shape[:-1] + (fusion.HIDDEN,)])
+    def keep(m, training):
+        """The hidden layer's dropout multiplier (None in eval mode), from a
+        fixed seed."""
+        (keep,) = dc.dropout_masks(np.random.default_rng(7), training,
+                                   [(m.shape[:-1] + (fusion.HIDDEN,), fusion.ATTN_MLP_DROPOUT)])
+        return keep
 
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("training", [False, True])
     def test_matches_composed_graph(self, batch, training):
         nodes = self.setup(batch)
-        m = nodes[0]
+        keep = self.keep(nodes[0], training)
 
         def build_fused():
-            pooled, alpha = fusion._attentive_pool(*nodes, training, self.draws(m, training))
+            pooled, alpha = fusion._attentive_pool(*nodes, keep)
             return pooled, dc.constant(alpha)
 
         fused = grads_of(build_fused, nodes)
-        composed = grads_of(lambda: oracles.attentive_pool_composed(
-            *nodes, training, self.draws(m, training)), nodes)
+        composed = grads_of(lambda: oracles.attentive_pool_composed(*nodes, keep), nodes)
         assert_same(fused, composed)
 
     def test_training_mode_drops_units(self):
         nodes = self.setup(3)
-        m = nodes[0]
-        train, _ = fusion._attentive_pool(*nodes, True, self.draws(m, True))
-        evaluated, _ = fusion._attentive_pool(*nodes, False, None)
+        train, _ = fusion._attentive_pool(*nodes, self.keep(nodes[0], True))
+        evaluated, _ = fusion._attentive_pool(*nodes, None)
         assert not np.array_equal(train.value, evaluated.value)
 
     @pytest.mark.parametrize("training", [False, True])
     def test_finite_differences_of_the_input(self, training):
         nodes = self.setup(2, n=4, d_prime=5, seed=5)
-        m = nodes[0]
+        keep = self.keep(nodes[0], training)
         weights = np.random.default_rng(6).uniform(0.5, 1.5, (2, 1, 5))
 
         def loss():
-            pooled, _ = fusion._attentive_pool(*nodes, training, self.draws(m, training))
+            pooled, _ = fusion._attentive_pool(*nodes, keep)
             return weighted_loss(pooled, weights)
 
         reports = grad_check(loss, nodes, eps=FD_STEP, tol=LAYER_TOL)
@@ -248,9 +247,8 @@ class TestSmoothedCrossEntropy:
     def test_matches_composed_graph(self, batch, spread):
         rng = np.random.default_rng(0)
         logits = spread * rng.standard_normal(lead(batch) + (1, 2))
-        cfg = calib.SmoothingConfig(0.001, 2)
         labels = rng.integers(0, 2, batch or 1)
-        self.assert_same(logits, np.stack([calib.smooth_targets(int(l), cfg) for l in labels]))
+        self.assert_same(logits, calib.smooth_targets(labels, 0.001, 2))
 
     def test_probability_below_the_floor_passes_no_gradient(self):
         # sample 0's true class has probability e^-40, below the floor, so
@@ -269,7 +267,7 @@ class TestSmoothedCrossEntropy:
         x, y = TestGraphSize.batch()
         labels = np.array([0, 1, 1, 0])
         logits = model.forward(x, y, True, np.random.default_rng(1))
-        targets = np.stack([calib.smooth_targets(int(l), model.smoothing) for l in labels])
+        targets = calib.smooth_targets(labels, model.cfg.label_smoothing_alpha, 2)
         runs = []
         for loss in (model.loss(logits, labels), oracles.ls_cross_entropy_composed(logits, targets)):
             dc.zero_grads(params)
@@ -327,7 +325,7 @@ class TestGraphSize:
                           + co_head.parameters()):
             nodes = [ctx.context_attention_forward(x, ctx.global_context(x), layer),
                      ga.gated_attention(x, gated),
-                     fusion._attentive_pool(x, *pool_params, False, None)[0],
+                     fusion._attentive_pool(x, *pool_params, None)[0],
                      fusion.co_attention_forward(fusion.FusedInputs(x, x), co_head, False)]
         for node in nodes:
             assert not node.requires_grad
