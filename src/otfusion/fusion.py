@@ -154,11 +154,9 @@ class AttnFusionHead:
         self.c_w1 = Parameter(dc.xavier_uniform(rng, d_prime, HIDDEN), f"{name}.c_w1")
         self.c_b1 = Parameter(np.zeros((1, HIDDEN)), f"{name}.c_b1")
         self.c_w2 = Parameter(dc.xavier_uniform(rng, HIDDEN, 1), f"{name}.c_w2")
-        self.c_b2 = Parameter(np.zeros((1, 1)), f"{name}.c_b2")
         self.s_w1 = Parameter(dc.xavier_uniform(rng, d_prime, HIDDEN), f"{name}.s_w1")
         self.s_b1 = Parameter(np.zeros((1, HIDDEN)), f"{name}.s_b1")
         self.s_w2 = Parameter(dc.xavier_uniform(rng, HIDDEN, 1), f"{name}.s_w2")
-        self.s_b2 = Parameter(np.zeros((1, 1)), f"{name}.s_b2")
         self.w_c = Parameter(dc.xavier_uniform(rng, d_prime, d_z), f"{name}.w_c")
         self.w_s = Parameter(dc.xavier_uniform(rng, d_prime, d_z), f"{name}.w_s")
         self.ln_gain = Parameter(np.ones((1, d_z)), f"{name}.ln_gain")
@@ -167,19 +165,19 @@ class AttnFusionHead:
         self.b_out = Parameter(np.zeros((1, 2)), f"{name}.b_out")
 
     def parameters(self) -> list[Parameter]:
-        return [self.c_w1, self.c_b1, self.c_w2, self.c_b2,
-                self.s_w1, self.s_b1, self.s_w2, self.s_b2,
+        return [self.c_w1, self.c_b1, self.c_w2,
+                self.s_w1, self.s_b1, self.s_w2,
                 self.w_c, self.w_s, self.ln_gain, self.ln_bias,
                 self.w_out, self.b_out]
 
 
-def _attentive_pool(m: Node, w1: Parameter, b1: Parameter, w2: Parameter, b2: Parameter,
+def _attentive_pool(m: Node, w1: Parameter, b1: Parameter, w2: Parameter,
                     keep: np.ndarray | None) -> tuple[Node, np.ndarray]:
     """Pool the rows of m (n x d', or a stack) by softmax weights over
     positions from the scorer FC(hidden)-ReLU-Dropout-FC(1).
 
     Returns the pooled 1 x d' rows as one graph node with parents
-    ``(m, w1, b1, w2, b2)``, and the 1 x n weights. ``keep`` is the
+    ``(m, w1, b1, w2)``, and the 1 x n weights. ``keep`` is the
     dropout multiplier of the hidden layer, or None in eval mode.
     """
     mv = m.value
@@ -188,7 +186,7 @@ def _attentive_pool(m: Node, w1: Parameter, b1: Parameter, w2: Parameter, b2: Pa
     h = pre * relu_mask
     if keep is not None:
         h = h * keep
-    alpha = dc._softmax(_t(h @ w2.value + b2.value).copy())
+    alpha = dc._softmax(_t(h @ w2.value).copy())
 
     def vjp(g):
         g_scores = _t(dc._softmax_vjp(alpha, g @ _t(mv)))
@@ -197,9 +195,9 @@ def _attentive_pool(m: Node, w1: Parameter, b1: Parameter, w2: Parameter, b2: Pa
             g_h *= keep
         g_pre = g_h * relu_mask
         g_m = _t(alpha) @ g + g_pre @ w1.value.T if m.requires_grad else None
-        return g_m, _t(mv) @ g_pre, g_pre, _t(h) @ g_scores, g_scores
+        return g_m, _t(mv) @ g_pre, g_pre, _t(h) @ g_scores
 
-    return Node(alpha @ mv, (m, w1, b1, w2, b2), vjp), alpha
+    return Node(alpha @ mv, (m, w1, b1, w2), vjp), alpha
 
 
 def attn_fusion_forward(inputs: FusedInputs, head: AttnFusionHead, training: bool,
@@ -211,8 +209,8 @@ def attn_fusion_forward(inputs: FusedInputs, head: AttnFusionHead, training: boo
         raise DimensionError(f"fused width {inputs.c.cols} != head d' {head.d_prime}")
     site = (inputs.c.shape[:-1] + (HIDDEN,), ATTN_MLP_DROPOUT)  # c and s have one shape
     keep_c, keep_s = dc.dropout_masks(rng, training, [site, site])
-    c_tilde, alpha_c = _attentive_pool(inputs.c, head.c_w1, head.c_b1, head.c_w2, head.c_b2, keep_c)
-    s_tilde, alpha_s = _attentive_pool(inputs.s, head.s_w1, head.s_b1, head.s_w2, head.s_b2, keep_s)
+    c_tilde, alpha_c = _attentive_pool(inputs.c, head.c_w1, head.c_b1, head.c_w2, keep_c)
+    s_tilde, alpha_s = _attentive_pool(inputs.s, head.s_w1, head.s_b1, head.s_w2, keep_s)
     z = dc.layer_norm(dc.add(dc.matmul(c_tilde, head.w_c), dc.matmul(s_tilde, head.w_s)),
                       head.ln_gain, head.ln_bias)
     logits = dc.add(dc.matmul(z, head.w_out), head.b_out)

@@ -552,18 +552,17 @@ def gated_attention_composed(s, layer, mask_override=None):
     return dc.matmul(attn, s), attn
 
 
-def reduction_weights(m, w1, b1, w2, b2, keep):
+def reduction_weights(m, w1, b1, w2, keep):
     """The attn-fusion head's 1 x n pooling weights as a graph of
     primitives, with the dropout multiplier ``keep`` (None in eval mode)."""
     h = apply_mask(relu(dc.add(dc.matmul(m, w1), b1)), keep)
-    scores = dc.add(dc.matmul(h, w2), b2)
-    return softmax_rows(transpose(scores))
+    return softmax_rows(transpose(dc.matmul(h, w2)))
 
 
-def attentive_pool_composed(m, w1, b1, w2, b2, keep):
+def attentive_pool_composed(m, w1, b1, w2, keep):
     """``fusion._attentive_pool`` as a graph of primitives. Returns the
     pooled rows and the weights."""
-    alpha = reduction_weights(m, w1, b1, w2, b2, keep)
+    alpha = reduction_weights(m, w1, b1, w2, keep)
     return dc.matmul(alpha, m), alpha
 
 
@@ -620,7 +619,7 @@ def expected_parameter_count(cfg):
         total += d_prime * d_prime + 2 * cfg.k * d_prime + 2 * cfg.k
         total += 2 * d_prime * 128 + 128 + 128 * 2 + 2
     elif cfg.fusion == ATTN_FUSION:
-        total += 2 * (d_prime * 128 + 128 + 128 + 1)
+        total += 2 * (d_prime * 128 + 128 + 128)
         total += 2 * d_prime * cfg.d_z + 2 * cfg.d_z
         total += cfg.d_z * 2 + 2
     else:

@@ -136,10 +136,8 @@ class TestAttentivePool:
     def setup(batch, n=6, d_prime=8, seed=0):
         rng = np.random.default_rng(seed)
         head = fusion.AttnFusionHead(d_prime, 6, rng)
-        # nonzero score bias, so its gradient path is exercised too
-        head.c_b2.value[...] = 0.3
         m = Parameter(rng.uniform(-2, 2, lead(batch) + (n, d_prime)), "m")
-        return [m, head.c_w1, head.c_b1, head.c_w2, head.c_b2]
+        return [m, head.c_w1, head.c_b1, head.c_w2]
 
     @staticmethod
     def keep(m, training):
@@ -320,7 +318,7 @@ class TestGraphSize:
         head = fusion.AttnFusionHead(8, 6, rng)
         co_head = fusion.CoAttentionHead(8, 4, rng)
         x = dc.constant(rng.standard_normal((3, 5, 8)))
-        pool_params = [head.c_w1, head.c_b1, head.c_w2, head.c_b2]
+        pool_params = [head.c_w1, head.c_b1, head.c_w2]
         with dc.inference(layer.parameters() + gated.parameters() + pool_params
                           + co_head.parameters()):
             nodes = [ctx.context_attention_forward(x, ctx.global_context(x), layer),

@@ -130,13 +130,12 @@ class TestCoAttention:
 
 
 def attn_fusion_oracle(c, s, head):
-    def weights(m, w1, b1, w2, b2):
+    def weights(m, w1, b1, w2):
         h = np.maximum(m @ w1 + b1, 0.0)
-        scores = h @ w2 + b2
-        return softmax_np(scores.T)
+        return softmax_np((h @ w2).T)
 
-    a_c = weights(c, head.c_w1.value, head.c_b1.value, head.c_w2.value, head.c_b2.value)
-    a_s = weights(s, head.s_w1.value, head.s_b1.value, head.s_w2.value, head.s_b2.value)
+    a_c = weights(c, head.c_w1.value, head.c_b1.value, head.c_w2.value)
+    a_s = weights(s, head.s_w1.value, head.s_b1.value, head.s_w2.value)
     c_tilde = a_c @ c
     s_tilde = a_s @ s
     z = c_tilde @ head.w_c.value + s_tilde @ head.w_s.value
@@ -186,7 +185,7 @@ class TestAttnFusion:
 
     def test_reduction_models_are_independent(self):
         head = attn_head()
-        c_params = {id(head.c_w1), id(head.c_b1), id(head.c_w2), id(head.c_b2)}
-        s_params = {id(head.s_w1), id(head.s_b1), id(head.s_w2), id(head.s_b2)}
+        c_params = {id(head.c_w1), id(head.c_b1), id(head.c_w2)}
+        s_params = {id(head.s_w1), id(head.s_b1), id(head.s_w2)}
         assert not c_params & s_params
         assert not np.array_equal(head.c_w1.value, head.s_w1.value)
