@@ -67,9 +67,9 @@ class PredictionSet:
 
 
 def smooth_targets(labels, alpha: float, num_classes: int) -> np.ndarray:
-    """Smoothed one-hot targets, one row per label (a plain int is one
-    label; an integral float is rejected, not cast): y_k * (1 - alpha) + alpha / K, with alpha in [0, 1] (0 =
-    one-hot, 1 = uniform).
+    """Smoothed one-hot targets y_k * (1 - alpha) + alpha / K, one row per
+    label, with alpha in [0, 1] (0 = one-hot, 1 = uniform). A plain int is
+    one label; a label not of an integer type, such as 1.0, is rejected.
 
     The true-class entry is evaluated as 1 - alpha * (K - 1) / K, which is
     algebraically identical but keeps the decimal values exact (e.g.

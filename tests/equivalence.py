@@ -18,11 +18,10 @@ loss and every named parameter gradient of each grid configuration in
 both modes, and the outputs of ECE/ACE, ASO, the STFT, log-mel, the
 resize and the feature image on fixed seeded inputs. It writes the sha256
 of each array's raw bytes to ``OUT.json`` and the arrays themselves to
-``OUT.npz``. The compare mode
-lists the entries of two digests that differ, with the largest absolute
-and relative gap between their arrays. Digests depend on the platform and
-its BLAS build, so they are compared between checkouts on one machine and
-are not a test:
+``OUT.npz``. The compare mode lists the entries of two digests that
+differ, with the largest absolute and relative gap between their arrays.
+Digests depend on the platform and its BLAS build, so they are compared
+between checkouts on one machine and are not a test:
 
     PYTHONPATH=src python tests/equivalence.py digest OUT
     PYTHONPATH=src python tests/equivalence.py compare BEFORE AFTER
