@@ -15,8 +15,12 @@ numbers, never to make a defect pass:
 
 The digest mode checks bit identity instead. It records the logits, the
 loss and every named parameter gradient of each grid configuration in
-both modes, and the outputs of ECE/ACE, ASO, the STFT, log-mel, the
-resize and the feature image on fixed seeded inputs. It writes the sha256
+both modes, the outputs of ECE/ACE, ASO, the STFT, log-mel, the resize
+and the feature image on fixed seeded inputs, and what the ``train``,
+``eval``, ``gradcheck``, ``ablate``, ``aso``, ``calib``, ``features`` and
+``ot`` commands print and write on fixed tiny inputs (a report's
+``fingerprint``, which hashes its configs, is an entry of its own, so a
+change to a config field moves that entry alone). It writes the sha256
 of each array's raw bytes to ``OUT.json`` and the arrays themselves to
 ``OUT.npz``. The compare mode lists the entries of two digests that
 differ, with the largest absolute and relative gap between their arrays.
@@ -27,16 +31,21 @@ between checkouts on one machine and are not a test:
     PYTHONPATH=src python tests/equivalence.py compare BEFORE AFTER
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+from scipy.io import wavfile
 
 from otfusion import audio_features as af
 from otfusion import calibration
+from otfusion import cli
 from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
 from otfusion import significance
@@ -49,6 +58,21 @@ BATCH = 4
 IMAGE_ROWS = 20  # longer than seq_len, so OTK and repeat both resize
 LABELS = np.array([0, 1, 1, 0])
 MODES = {"train": True, "eval": False}
+CLI_CONFIG = """
+label = tiny
+task.n = 6
+task.t = 6
+task.d = 8
+task.train_size = 20
+task.val_size = 8
+task.test_size = 8
+model.d = 8
+model.seq_len = 6
+model.layers = 2
+model.otk_iters = 10
+train.runs = 2
+train.max_epochs = 3
+"""
 
 
 def grid() -> dict[str, ModelConfig]:
@@ -141,13 +165,83 @@ def tool_outputs() -> dict[str, np.ndarray]:
     return out
 
 
+def _text(data) -> np.ndarray:
+    """Text or bytes as a uint8 array, digested like any other output."""
+    return np.frombuffer(data.encode() if isinstance(data, str) else data, dtype=np.uint8)
+
+
+def _run_cli(*args: str) -> str:
+    """Run one ``otfusion`` command in-process and return what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(args))
+    if code != cli.EXIT_OK:
+        raise RuntimeError(f"otfusion {' '.join(args)} exited {code}")
+    return out.getvalue()
+
+
+def _report(path: Path) -> dict[str, np.ndarray]:
+    """A report JSON without its fingerprint, and the fingerprint on its own."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    fingerprint = payload.pop("fingerprint")
+    key = f"cli.{path.parent.name}.{path.name}"
+    return {key: _text(json.dumps(payload, sort_keys=True, indent=2)),
+            f"{key}.fingerprint": _text(fingerprint)}
+
+
+def cli_outputs() -> dict[str, np.ndarray]:
+    """What each command prints and writes on fixed tiny inputs, by entry name."""
+    rng = np.random.default_rng(31)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "tiny.cfg"
+        config.write_text(CLI_CONFIG, encoding="utf-8")
+        out["cli.train.stdout"] = _text(_run_cli("train", "--config", str(config),
+                                                 "--out", str(tmp / "train")))
+        out.update(_report(tmp / "train" / "tiny.json"))
+        out["cli.train.tiny.csv"] = _text((tmp / "train" / "tiny.csv").read_bytes())
+        out["cli.eval.stdout"] = _text(_run_cli("eval", "--config", str(config), "--seed", "1"))
+        out["cli.gradcheck.stdout"] = _text(_run_cli("gradcheck", "--seed", "0"))
+        out["cli.ablate.stdout"] = _text(_run_cli("ablate", "--config", str(config),
+                                                  "--axis", "no_fusion", "--out", str(tmp / "ablate")))
+        out.update(_report(tmp / "ablate" / "no_fusion.json"))
+        out["cli.ablate.ablation.csv"] = _text((tmp / "ablate" / "ablation.csv").read_bytes())
+        for name, scores in (("a", rng.normal(0.8, 0.03, 12)), ("b", rng.normal(0.78, 0.03, 12))):
+            np.savetxt(tmp / f"{name}.txt", scores)
+        out["cli.aso.stdout"] = _text(_run_cli("aso", str(tmp / "a.txt"), str(tmp / "b.txt"),
+                                               "--iterations", "200", "--seed", "3"))
+        p = rng.uniform(0, 1, 300)
+        labels = (rng.uniform(0, 1, p.size) < p).astype(int)
+        np.savetxt(tmp / "preds.csv", np.column_stack([1 - p, p, labels]), delimiter=",")
+        out["cli.calib.stdout"] = _text(_run_cli("calib", "--input", str(tmp / "preds.csv"),
+                                                 "--bins-out", str(tmp / "bins.csv")))
+        out["cli.calib.bins.csv"] = _text((tmp / "bins.csv").read_bytes())
+        sr = 8000
+        tone = 0.4 * np.sin(2 * np.pi * 440 * np.arange(sr) / sr) + 0.05 * rng.standard_normal(sr)
+        wavfile.write(tmp / "tone.wav", sr, (tone * 32767).astype(np.int16))
+        out["cli.features.stdout"] = _text(_run_cli("features", "--wav", str(tmp / "tone.wav"),
+                                                    "--out", str(tmp / "feat.bin"), "--n-fft", "512",
+                                                    "--hop", "256", "--mels", "40"))
+        out["cli.features.feat.bin"] = _text((tmp / "feat.bin").read_bytes())
+        np.savetxt(tmp / "src.csv", rng.normal(0, 1, (7, 3)), delimiter=",")
+        np.savetxt(tmp / "tgt.csv", rng.normal(1, 1, (5, 3)), delimiter=",")
+        for method in ("emd", "sinkhorn"):
+            plan = tmp / f"{method}.csv"
+            out[f"cli.ot.{method}.stdout"] = _text(_run_cli(
+                "ot", "--src", str(tmp / "src.csv"), "--tgt", str(tmp / "tgt.csv"),
+                "--method", method, "--eps", "0.5", "--plan-out", str(plan)))
+            out[f"cli.ot.{method}.plan.csv"] = _text(plan.read_bytes())
+    return out
+
+
 def _sha256(arr: np.ndarray) -> str:
     arr = np.asarray(arr)
     return hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes()).hexdigest()
 
 
 def digest(stem: str):
-    arrays = {**model_outputs(), **tool_outputs()}
+    arrays = {**model_outputs(), **tool_outputs(), **cli_outputs()}
     Path(f"{stem}.json").write_text(
         json.dumps({key: _sha256(arr) for key, arr in arrays.items()}, indent=1) + "\n",
         encoding="utf-8")
