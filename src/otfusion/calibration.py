@@ -21,6 +21,8 @@ from .diffcore import Node
 from .errors import InputError, ParameterError, require_count
 
 PROB_FLOOR = 1e-12
+# the default bin count of ece and range count of ace
+NUM_BINS = 10
 
 
 @dataclass
@@ -135,7 +137,7 @@ class ReliabilityBins:
     edges: np.ndarray = field(default=None)
 
 
-def ece(preds: PredictionSet, num_bins: int = 10) -> tuple[float, ReliabilityBins]:
+def ece(preds: PredictionSet, num_bins: int = NUM_BINS) -> tuple[float, ReliabilityBins]:
     """Expected calibration error over equal-width confidence bins.
 
     Confidence is the max-class probability, correctness is argmax vs
@@ -162,7 +164,7 @@ def ece(preds: PredictionSet, num_bins: int = 10) -> tuple[float, ReliabilityBin
     return float(np.cumsum(gaps)[-1]), ReliabilityBins("equal_width", counts, acc, mean_conf, edges)
 
 
-def ace(preds: PredictionSet, num_ranges: int = 10) -> tuple[float, ReliabilityBins]:
+def ace(preds: PredictionSet, num_ranges: int = NUM_BINS) -> tuple[float, ReliabilityBins]:
     """Adaptive calibration error over equal-mass per-class ranges.
 
     For every class k the predicted probabilities for k are stably sorted

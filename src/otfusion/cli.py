@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .audio_features import FeatureParams, load_wav, save_tensor, to_image
-from .calibration import PredictionSet, ace, ece
+from .calibration import NUM_BINS, PredictionSet, ace, ece
 from .config import load_configs, render_default_config
 from .errors import (ContractViolationError, DimensionError, InputError,
                      NumericalError, ParameterError)
@@ -260,8 +260,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("calib", help="ECE/ACE over a CSV of predictions")
     p.add_argument("--input", required=True)
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--ranges", type=int, default=10)
+    p.add_argument("--bins", type=int, default=NUM_BINS)
+    p.add_argument("--ranges", type=int, default=NUM_BINS)
     p.add_argument("--bins-out")
     p.set_defaults(func=cmd_calib)
 

@@ -47,7 +47,7 @@ def parse_flat_config(text: str) -> dict[str, str]:
 
 def _coerce(value: str, typ):
     origin = typing.get_origin(typ)
-    if isinstance(typ, types.UnionType) or origin is typing.Union:
+    if isinstance(typ, types.UnionType):
         args = [t for t in typing.get_args(typ) if t is not type(None)]
         if value.lower() in ("none", "null", ""):
             return None

@@ -29,23 +29,22 @@ DEFAULT_LAYERS = {GLOBAL: 1, DEEP: 3, DEEP_GLOBAL: 2}
 class ContextAttentionLayer:
     """One context-gated attention layer.
 
-    Holds the input projections (d x d_q / d x d_k), the context
-    projections (d_c x d_q / d_c x d_k) and the four gate vectors.
-    d_q must equal d_k for the score product to be defined.
+    Queries are compared with keys, so both have one width d_q, and the
+    context is as wide as the input (d). The layer holds the input
+    projections w_q, w_k and the context projections w_qc, w_kc, each
+    d x d_q, and the four d_q x 1 gate vectors.
     """
 
-    def __init__(self, d: int, d_c: int, d_q: int, d_k: int, rng: np.random.Generator, name: str = "ctx"):
-        if d_q != d_k:
-            raise ParameterError(f"d_q ({d_q}) must equal d_k ({d_k})")
-        self.d, self.d_c, self.d_q, self.d_k = d, d_c, d_q, d_k
+    def __init__(self, d: int, d_q: int, rng: np.random.Generator, name: str = "ctx"):
+        self.d, self.d_q = d, d_q
         self.w_q = Parameter(dc.xavier_uniform(rng, d, d_q), f"{name}.w_q")
-        self.w_k = Parameter(dc.xavier_uniform(rng, d, d_k), f"{name}.w_k")
-        self.w_qc = Parameter(dc.xavier_uniform(rng, d_c, d_q), f"{name}.w_qc")
-        self.w_kc = Parameter(dc.xavier_uniform(rng, d_c, d_k), f"{name}.w_kc")
+        self.w_k = Parameter(dc.xavier_uniform(rng, d, d_q), f"{name}.w_k")
+        self.w_qc = Parameter(dc.xavier_uniform(rng, d, d_q), f"{name}.w_qc")
+        self.w_kc = Parameter(dc.xavier_uniform(rng, d, d_q), f"{name}.w_kc")
         self.w_gq = Parameter(dc.xavier_uniform(rng, d_q, 1), f"{name}.w_gq")
         self.w_gqc = Parameter(dc.xavier_uniform(rng, d_q, 1), f"{name}.w_gqc")
-        self.w_gk = Parameter(dc.xavier_uniform(rng, d_k, 1), f"{name}.w_gk")
-        self.w_gkc = Parameter(dc.xavier_uniform(rng, d_k, 1), f"{name}.w_gkc")
+        self.w_gk = Parameter(dc.xavier_uniform(rng, d_q, 1), f"{name}.w_gk")
+        self.w_gkc = Parameter(dc.xavier_uniform(rng, d_q, 1), f"{name}.w_gkc")
 
     def parameters(self) -> list[Parameter]:
         return [self.w_q, self.w_k, self.w_qc, self.w_kc,
@@ -98,7 +97,8 @@ def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
                               return_attention: bool = False):
     """Context-gated scaled dot-product attention with V = x.
 
-    ``c`` has x's rows, or one row shared by all of them. Output is n x d.
+    ``c`` is as wide as x and has x's rows, or one row shared by all of
+    them. Output is n x d.
     Q and K are each mixed with their context projection by an n x 1
     sigmoid gate, ``(1 - g) * q + g * q_c``; ``gate_override`` is a
     test/ablation seam that pins both gates to a constant. With
@@ -112,8 +112,8 @@ def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
         raise DimensionError(f"input width {x.cols} != layer d {layer.d}")
     if c.rows not in (1, x.rows):
         raise DimensionError(f"context rows {c.rows} != input rows {x.rows} or 1")
-    if c.cols != layer.d_c:
-        raise DimensionError(f"context width {c.cols} != layer d_c {layer.d_c}")
+    if c.cols != layer.d:
+        raise DimensionError(f"context width {c.cols} != layer d {layer.d}")
     xv, cv = x.value, c.value
     params = layer.parameters()
     w_q, w_k, w_qc, w_kc, w_gq, w_gqc, w_gk, w_gkc = params
@@ -127,7 +127,7 @@ def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
         gate_q = gate_k = np.full((x.rows, 1), float(gate_override))
     q_bar = q - gate_q * q + gate_q * q_c
     k_bar = k - gate_k * k + gate_k * k_c
-    scale = 1.0 / math.sqrt(layer.d_k)
+    scale = 1.0 / math.sqrt(layer.d_q)
     attn = dc._softmax((q_bar @ _t(k_bar).copy()) * scale)
 
     def vjp(g):
@@ -166,13 +166,13 @@ class ContextStack:
     context_projections: list[Parameter] = field(default_factory=list)
 
     @classmethod
-    def build(cls, d: int, d_q: int, d_k: int, variant: str, layers: int,
+    def build(cls, d: int, d_q: int, variant: str, layers: int,
               rng: np.random.Generator, name: str = "stack") -> "ContextStack":
         if variant not in DEFAULT_LAYERS:
             raise ParameterError(f"unknown context strategy {variant!r}")
         if layers < 1:
             raise ParameterError(f"layer count must be >= 1, got {layers}")
-        attention = [ContextAttentionLayer(d, d, d_q, d_k, rng, f"{name}.L{j}")
+        attention = [ContextAttentionLayer(d, d_q, rng, f"{name}.L{j}")
                      for j in range(layers)]
         projections = []
         if variant in (DEEP, DEEP_GLOBAL):

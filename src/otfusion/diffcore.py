@@ -32,8 +32,8 @@ from .errors import ContractViolationError, DimensionError, ParameterError
 DEFAULT_DTYPE = np.float64
 
 
-def _as_array(value, dtype=None) -> np.ndarray:
-    a = np.asarray(value, dtype=dtype if dtype is not None else None)
+def _as_array(value) -> np.ndarray:
+    a = np.asarray(value)
     if a.dtype.kind != "f":
         a = a.astype(DEFAULT_DTYPE)
     if a.ndim == 1:
@@ -359,10 +359,12 @@ def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 
 @dataclass
 class GradCheckReport:
-    """Finite-difference agreement for one parameter."""
+    """Finite-difference agreement for one parameter, or the worst over a
+    named check's parameters: passed when the error is below ``tol``."""
 
     name: str
     max_rel_error: float
+    tol: float
     passed: bool
 
 
@@ -402,5 +404,5 @@ def grad_check(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4) -> list[Gr
         denom = np.maximum(1.0, np.maximum(np.abs(g_ad), np.abs(g_fd)))
         errors = np.abs(g_ad - g_fd) / denom
         max_err = float(errors.max()) if errors.size else 0.0
-        reports.append(GradCheckReport(p.name, max_err, max_err < tol))
+        reports.append(GradCheckReport(p.name, max_err, tol, max_err < tol))
     return reports

@@ -61,7 +61,7 @@ class CoAttentionHead:
     """
 
     def __init__(self, d_prime: int, k: int, rng: np.random.Generator, name: str = "co"):
-        self.d_prime, self.k = d_prime, k
+        self.d_prime = d_prime
         self.w_l = Parameter(dc.xavier_uniform(rng, d_prime, d_prime), f"{name}.w_l")
         self.w_s = Parameter(dc.xavier_uniform(rng, k, d_prime), f"{name}.w_s")
         self.w_c = Parameter(dc.xavier_uniform(rng, k, d_prime), f"{name}.w_c")
@@ -150,7 +150,7 @@ class AttnFusionHead:
     """
 
     def __init__(self, d_prime: int, d_z: int, rng: np.random.Generator, name: str = "attnfuse"):
-        self.d_prime, self.d_z = d_prime, d_z
+        self.d_prime = d_prime
         self.c_w1 = Parameter(dc.xavier_uniform(rng, d_prime, HIDDEN), f"{name}.c_w1")
         self.c_b1 = Parameter(np.zeros((1, HIDDEN)), f"{name}.c_b1")
         self.c_w2 = Parameter(dc.xavier_uniform(rng, HIDDEN, 1), f"{name}.c_w2")

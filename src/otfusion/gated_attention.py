@@ -25,7 +25,7 @@ class GatedSelfAttentionLayer:
     """
 
     def __init__(self, d: int, d_g: int, rng: np.random.Generator, name: str = "gated"):
-        self.d, self.d_g = d, d_g
+        self.d = d
         self.fc_q = Parameter(dc.xavier_uniform(rng, d, d_g), f"{name}.fc_q")
         self.fc_k = Parameter(dc.xavier_uniform(rng, d, d_g), f"{name}.fc_k")
         self.fc_out = Parameter(dc.xavier_uniform(rng, d_g, 2), f"{name}.fc_out")

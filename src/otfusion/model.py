@@ -43,7 +43,8 @@ IDENTITY = "identity"
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture settings; defaults follow the reference hyperparameters
-    (d_q = d_k = 64, d_g = 64, k = 40, d_z = 128, smoothing 0.001)."""
+    (d_q = 64, the one width of the context layers' queries and keys;
+    d_g = 64, k = 40, d_z = 128, smoothing 0.001)."""
 
     d: int = 32
     seq_len: int = 12
@@ -51,7 +52,6 @@ class ModelConfig:
     layers: int | None = None
     fusion: str = ATTN_FUSION
     d_q: int = 64
-    d_k: int = 64
     d_g: int = 64
     k: int = 40
     d_z: int = 128
@@ -70,7 +70,7 @@ class ModelConfig:
             raise ParameterError(f"unknown otk_mode {self.otk_mode!r}")
         if not 0.0 <= self.label_smoothing_alpha <= 1.0:
             raise ParameterError("label_smoothing_alpha must be in [0, 1]")
-        for name in ("d", "seq_len", "d_q", "d_k", "d_g", "k", "d_z", "otk_iters"):
+        for name in ("d", "seq_len", "d_q", "d_g", "k", "d_z", "otk_iters"):
             require_count(name, getattr(self, name))
         if self.strategy not in ctx.DEFAULT_LAYERS:
             raise ParameterError(f"unknown context strategy {self.strategy!r}")
@@ -111,7 +111,7 @@ class Model:
 
         layers = ctx.DEFAULT_LAYERS[cfg.strategy] if cfg.layers is None else cfg.layers
         self.stack = ctx.ContextStack.build(
-            cfg.d, cfg.d_q, cfg.d_k, cfg.strategy, layers,
+            cfg.d, cfg.d_q, cfg.strategy, layers,
             np.random.default_rng(streams[1]), "text",
         )
         self.gated_layer = gated.GatedSelfAttentionLayer(

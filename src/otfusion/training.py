@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from .calibration import PredictionSet, ace, ece
+from .calibration import NUM_BINS, PredictionSet, ace, ece
 from .errors import NumericalError, ParameterError, require_count, require_seed
 from .model import Model, ModelConfig, ablation_variant, assemble_model
 from .synthetic import Sample, SyntheticTaskConfig, TaskData, generate_task
@@ -172,9 +172,10 @@ def train(model: Model, data: TaskData, tc: TrainConfig, seed: int = 0) -> RunRe
     return record
 
 
-def classification_metrics(preds: PredictionSet, num_bins: int = 10,
-                           num_ranges: int = 10) -> dict:
-    """Performance plus calibration metrics with class 1 as positive.
+def classification_metrics(preds: PredictionSet) -> dict:
+    """Performance plus calibration metrics with class 1 as positive: ECE
+    over the default bins, ACE over as many ranges, or one per sample if
+    there are fewer samples.
 
     Ratios with zero denominators come back as 0 and are flagged.
     """
@@ -197,8 +198,8 @@ def classification_metrics(preds: PredictionSet, num_bins: int = 10,
     f1 = ratio(2 * precision * recall, precision + recall, "f1")
     accuracy = (tp + tn) / preds.n
     specificity = ratio(tn, tn + fp, "specificity")
-    ece_value, _ = ece(preds, num_bins)
-    ace_value, _ = ace(preds, min(num_ranges, preds.n))
+    ece_value, _ = ece(preds)
+    ace_value, _ = ace(preds, min(NUM_BINS, preds.n))
     metrics = {
         "precision": precision, "recall": recall, "f1": f1,
         "accuracy": accuracy, "specificity": specificity,
@@ -208,15 +209,14 @@ def classification_metrics(preds: PredictionSet, num_bins: int = 10,
             "zero_division_flags": tuple(flags)}
 
 
-def evaluate(model: Model, samples: list[Sample],
-             num_bins: int = 10, num_ranges: int = 10) -> tuple[PredictionSet, dict]:
+def evaluate(model: Model, samples: list[Sample]) -> tuple[PredictionSet, dict]:
     """Predict a split and compute its metrics."""
     if not samples:
         raise ParameterError("cannot evaluate an empty split")
     probs = model.predict_proba([s.x for s in samples], [s.y for s in samples])
     labels = np.array([s.label for s in samples])
     preds = PredictionSet(probs, labels)
-    return preds, classification_metrics(preds, num_bins, num_ranges)
+    return preds, classification_metrics(preds)
 
 
 @dataclass

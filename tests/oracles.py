@@ -520,7 +520,7 @@ def context_attention_composed(x, c, layer, gate_override=None):
     k_c = dc.matmul(c, layer.w_kc)
     _, q_bar = gated_sum(q, q_c, layer.w_gq, layer.w_gqc, gate_override)
     _, k_bar = gated_sum(k, k_c, layer.w_gk, layer.w_gkc, gate_override)
-    scores = scale(dc.matmul(q_bar, transpose(k_bar)), 1.0 / math.sqrt(layer.d_k))
+    scores = scale(dc.matmul(q_bar, transpose(k_bar)), 1.0 / math.sqrt(layer.d_q))
     attn = softmax_rows(scores)
     return dc.matmul(attn, x), attn
 
@@ -607,9 +607,9 @@ def expected_parameter_count(cfg):
     """Closed-form parameter count of an assembled model from the declared
     shapes; the heads' hidden width (128) and the default layer counts are
     written out, not read from the library."""
-    d, d_q, d_k = cfg.d, cfg.d_q, cfg.d_k
+    d, d_q = cfg.d, cfg.d_q
     layers = cfg.layers or {"global": 1, "deep": 3, "deep_global": 2}[cfg.strategy]
-    per_layer = d * d_q + d * d_k + d * d_q + d * d_k + 2 * d_q + 2 * d_k
+    per_layer = 4 * d * d_q + 4 * d_q  # four d x d_q projections, four d_q x 1 gates
     total = layers * per_layer
     if cfg.strategy in (ctx.DEEP, ctx.DEEP_GLOBAL):
         total += sum((j + 1) * d * d for j in range(layers))

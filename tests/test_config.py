@@ -66,10 +66,12 @@ def test_unknown_section_and_field():
         build_configs({"notdotted": "1"})
 
 
-def test_removed_val_split_is_unknown_field():
-    # the splits come from the task sizes; val_split was never read
+@pytest.mark.parametrize("key,value", [("train.val_split", "0.35"), ("model.d_k", "64")])
+def test_removed_val_split_is_unknown_field(key, value):
+    # the splits come from the task sizes, so val_split was never read;
+    # keys are compared with queries, so d_k was always d_q
     with pytest.raises(ParameterError, match="unknown field"):
-        build_configs({"train.val_split": "0.35"})
+        build_configs({key: value})
 
 
 def test_malformed_line():

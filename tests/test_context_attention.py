@@ -10,8 +10,8 @@ from otfusion.diffcore import grad_check
 from otfusion.errors import DimensionError, ParameterError
 
 
-def make_layer(d=8, d_c=8, d_q=6, d_k=6, seed=0):
-    return ctx.ContextAttentionLayer(d, d_c, d_q, d_k, np.random.default_rng(seed))
+def make_layer(d=8, d_q=6, seed=0):
+    return ctx.ContextAttentionLayer(d, d_q, np.random.default_rng(seed))
 
 
 def softmax_np(m):
@@ -29,7 +29,7 @@ def straight_line_forward(x, c, layer):
     g_k = 1.0 / (1.0 + np.exp(-(k @ layer.w_gk.value + k_c @ layer.w_gkc.value)))
     q_bar = (1 - g_q) * q + g_q * q_c
     k_bar = (1 - g_k) * k + g_k * k_c
-    attn = softmax_np(q_bar @ k_bar.T / np.sqrt(layer.d_k))
+    attn = softmax_np(q_bar @ k_bar.T / np.sqrt(layer.d_q))
     return attn @ x
 
 
@@ -155,7 +155,7 @@ class TestContextAttentionForward:
         # same op order, computed with the same projections and V = x
         q = dc.matmul(dc.constant(x), layer.w_q)
         k = dc.matmul(dc.constant(x), layer.w_k)
-        scores = oracles.scale(dc.matmul(q, oracles.transpose(k)), 1.0 / np.sqrt(layer.d_k))
+        scores = oracles.scale(dc.matmul(q, oracles.transpose(k)), 1.0 / np.sqrt(layer.d_q))
         vanilla = dc.matmul(oracles.softmax_rows(scores), dc.constant(x))
         npt.assert_array_equal(out.value, vanilla.value)
 
@@ -184,6 +184,13 @@ class TestContextAttentionForward:
                 dc.constant(np.zeros((4, 7))), dc.constant(np.zeros((4, 8))), layer
             )
 
+    def test_context_width_mismatch(self):
+        layer = make_layer()
+        with pytest.raises(DimensionError, match="context width 6 != layer d 8"):
+            ctx.context_attention_forward(
+                dc.constant(np.zeros((4, 8))), dc.constant(np.zeros((4, 6))), layer
+            )
+
     def test_row_count_mismatch(self):
         layer = make_layer()
         with pytest.raises(DimensionError):
@@ -197,13 +204,13 @@ class TestContextStack:
         assert ctx.DEFAULT_LAYERS == {"global": 1, "deep": 3, "deep_global": 2}
         rng = np.random.default_rng(15)
         with pytest.raises(ParameterError):
-            ctx.ContextStack.build(6, 4, 4, "bogus", 1, rng)
+            ctx.ContextStack.build(6, 4, "bogus", 1, rng)
         with pytest.raises(ParameterError):
-            ctx.ContextStack.build(6, 4, 4, "deep", 0, rng)
+            ctx.ContextStack.build(6, 4, "deep", 0, rng)
 
     def test_single_global_layer_equals_direct_forward(self):
         rng = np.random.default_rng(16)
-        stack = ctx.ContextStack.build(6, 4, 4, "global", 1, rng)
+        stack = ctx.ContextStack.build(6, 4, "global", 1, rng)
         x = rng.uniform(-2, 2, (5, 6))
         out = ctx.stack_forward(dc.constant(x), stack)
         direct = ctx.context_attention_forward(
@@ -213,7 +220,7 @@ class TestContextStack:
 
     def test_deep_stack_shape_and_finite(self):
         rng = np.random.default_rng(17)
-        stack = ctx.ContextStack.build(6, 4, 4, "deep", 3, rng)
+        stack = ctx.ContextStack.build(6, 4, "deep", 3, rng)
         x = rng.uniform(-2, 2, (5, 6))
         out = ctx.stack_forward(dc.constant(x), stack)
         assert out.shape == (5, 6)
@@ -221,13 +228,13 @@ class TestContextStack:
 
     def test_deep_projection_widths_grow(self):
         rng = np.random.default_rng(18)
-        stack = ctx.ContextStack.build(6, 4, 4, "deep", 3, rng)
+        stack = ctx.ContextStack.build(6, 4, "deep", 3, rng)
         assert [p.value.shape for p in stack.context_projections] == [(6, 6), (12, 6), (18, 6)]
 
     @pytest.mark.parametrize("variant,layers", [("global", 1), ("deep", 3), ("deep_global", 2)])
     def test_stack_gradients(self, variant, layers):
         rng = np.random.default_rng(19)
-        stack = ctx.ContextStack.build(4, 3, 3, variant, layers, rng)
+        stack = ctx.ContextStack.build(4, 3, variant, layers, rng)
         x = rng.uniform(-2, 2, (3, 4))
 
         def loss():
@@ -240,7 +247,7 @@ class TestContextStack:
 
 def test_global_attention_permutation_equivariance():
     rng = np.random.default_rng(20)
-    layer = make_layer(6, 6, 4, 4, seed=21)
+    layer = make_layer(6, 4, seed=21)
     x = rng.uniform(-2, 2, (5, 6))
     perm = rng.permutation(5)
     out = ctx.context_attention_forward(
@@ -257,7 +264,7 @@ def test_global_attention_permutation_equivariance():
 def test_one_row_context_equals_its_explicit_copy(variant, batch):
     """A layer fed the 1-row context gives what it gives on the n-row copy."""
     rng = np.random.default_rng(24)
-    stack = ctx.ContextStack.build(8, 6, 6, variant, ctx.DEFAULT_LAYERS[variant], rng)
+    stack = ctx.ContextStack.build(8, 6, variant, ctx.DEFAULT_LAYERS[variant], rng)
     x = dc.constant(rng.uniform(-2, 2, batch + (5, 8)))
     if variant == ctx.GLOBAL:
         row = ctx.global_context(x)
@@ -270,7 +277,3 @@ def test_one_row_context_equals_its_explicit_copy(variant, batch):
     out_copy = ctx.context_attention_forward(x, copy, layer).value
     npt.assert_allclose(out_row, out_copy, rtol=0, atol=1e-12)
 
-
-def test_dq_dk_must_match():
-    with pytest.raises(ParameterError):
-        ctx.ContextAttentionLayer(8, 8, 6, 5, np.random.default_rng(0))

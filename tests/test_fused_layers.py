@@ -65,7 +65,7 @@ class TestContextAttention:
     @staticmethod
     def setup(batch, context_rows, n=5, d=8, seed=0):
         rng = np.random.default_rng(seed)
-        layer = ctx.ContextAttentionLayer(d, d, 6, 6, rng)
+        layer = ctx.ContextAttentionLayer(d, 6, rng)
         x = Parameter(rng.uniform(-2, 2, lead(batch) + (n, d)), "x")
         c = Parameter(rng.uniform(-2, 2, lead(batch) + (context_rows or n, d)), "c")
         return layer, x, c
@@ -313,7 +313,7 @@ class TestGraphSize:
 
     def test_inference_keeps_no_graph(self):
         rng = np.random.default_rng(2)
-        layer = ctx.ContextAttentionLayer(8, 8, 6, 6, rng)
+        layer = ctx.ContextAttentionLayer(8, 6, rng)
         gated = ga.GatedSelfAttentionLayer(8, 5, rng)
         head = fusion.AttnFusionHead(8, 6, rng)
         co_head = fusion.CoAttentionHead(8, 4, rng)

@@ -23,7 +23,7 @@ def tiny_task(**kw):
 
 
 def tiny_model(**kw):
-    base = dict(d=8, seq_len=6, strategy="deep", layers=2, d_q=6, d_k=6, d_g=4,
+    base = dict(d=8, seq_len=6, strategy="deep", layers=2, d_q=6, d_g=4,
                 k=4, d_z=8, otk_iters=10)
     base.update(kw)
     return ModelConfig(**base)
@@ -119,7 +119,7 @@ class TestAssembleModel:
             assemble_model(tiny_model(), seed=seed)
 
     @pytest.mark.parametrize("overrides", [
-        dict(seq_len=0, otk_mode="repeat"), dict(d=0), dict(d_q=0), dict(d_k=0),
+        dict(seq_len=0, otk_mode="repeat"), dict(d=0), dict(d_q=0),
         dict(d_g=0), dict(fusion="co_attention", k=0), dict(d_z=0), dict(seq_len=-1),
     ])
     def test_sizes_below_one_rejected(self, overrides):
@@ -141,7 +141,7 @@ class TestAssembleModel:
         with pytest.raises(ParameterError):
             tiny_model(**overrides)
 
-    @pytest.mark.parametrize("name", ["d", "seq_len", "d_q", "d_k", "d_g", "k", "d_z",
+    @pytest.mark.parametrize("name", ["d", "seq_len", "d_q", "d_g", "k", "d_z",
                                       "otk_iters", "layers"])
     @pytest.mark.parametrize("bad", [2.5, np.nan])
     def test_fractional_sizes_rejected_at_construction(self, name, bad):
@@ -157,7 +157,7 @@ class TestAssembleModel:
         assert model.parameter_count() == expected_parameter_count(model.cfg)
 
     def test_sizes_of_one_accepted(self):
-        cfg = tiny_model(d=1, seq_len=1, d_q=1, d_k=1, d_g=1, k=1, d_z=1)
+        cfg = tiny_model(d=1, seq_len=1, d_q=1, d_g=1, k=1, d_z=1)
         rng = np.random.default_rng(4)
         logits = assemble_model(cfg, seed=0).forward(rng.standard_normal((2, 1, 1)),
                                                      rng.standard_normal((2, 3, 1)), False)
