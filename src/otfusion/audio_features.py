@@ -245,7 +245,8 @@ def to_image(w: Waveform, params: FeatureParams | None = None) -> SpectrogramIma
 # ---------------------------------------------------------------------------
 
 def load_wav(path: str) -> Waveform:
-    """Read a mono or stereo WAV file (PCM16 or float32); stereo is averaged."""
+    """Read a mono or stereo WAV file (8-, 16- or 32-bit PCM, or float) as
+    samples in [-1, 1); stereo is averaged."""
     from scipy.io import wavfile
 
     try:
@@ -253,7 +254,9 @@ def load_wav(path: str) -> Waveform:
     except ValueError as exc:
         raise InputError(f"cannot read WAV file {path}: {exc}") from exc
     data = np.asarray(data)
-    if data.dtype == np.int16:
+    if data.dtype == np.uint8:  # 8-bit PCM is unsigned, centred on 128
+        data = (data.astype(float) - 128.0) / 128.0
+    elif data.dtype == np.int16:
         data = data.astype(float) / 32768.0
     elif data.dtype == np.int32:
         data = data.astype(float) / 2147483648.0

@@ -84,8 +84,9 @@ class ModelConfig:
 
 
 def _as_input(raw) -> np.ndarray:
-    """One sample's matrix or a 3-D batch; a list of matrices is stacked."""
-    if isinstance(raw, (list, tuple)):
+    """One sample's matrix or a 3-D batch; a nonempty list of matrices is
+    stacked."""
+    if isinstance(raw, (list, tuple)) and raw:
         shapes = sorted({np.shape(m) for m in raw})
         if len(shapes) != 1:
             raise DimensionError(f"batch members must share one shape, got {shapes}")
@@ -204,6 +205,8 @@ class Model:
         cfg = self.cfg
         x_raw = _as_input(x_raw)
         y_raw = _as_input(y_raw)
+        if x_raw.size == 0 or y_raw.size == 0:
+            raise DimensionError(f"empty input: text {x_raw.shape}, image {y_raw.shape}")
         if x_raw.ndim not in (2, 3) or x_raw.shape[-2:] != (cfg.seq_len, cfg.d):
             raise DimensionError(f"text input must be {cfg.seq_len}x{cfg.d}, got {x_raw.shape}")
         if y_raw.shape[-1] != cfg.d:

@@ -291,6 +291,21 @@ class TestFeaturesCommand:
         tensor = load_tensor(str(out))
         assert tensor.shape == (3, 224, 224)
 
+    def test_pcm8_pcm16_and_float_wavs_load_to_one_scale(self, tmp_path):
+        from otfusion.audio_features import load_wav
+
+        sr = 8000
+        tone = 100 / 128 * np.sin(2 * np.pi * 440 * np.arange(sr) / sr)
+        formats = {"uint8": np.round(128 + 128 * tone).astype(np.uint8),
+                   "int16": np.round(32768 * tone).astype(np.int16),
+                   "float32": tone.astype(np.float32)}
+        loaded = {}
+        for name, samples in formats.items():
+            wavfile.write(tmp_path / f"{name}.wav", sr, samples)
+            loaded[name] = load_wav(str(tmp_path / f"{name}.wav")).samples
+        for name in ("uint8", "int16"):
+            np.testing.assert_allclose(loaded[name], loaded["float32"], rtol=0, atol=1 / 128)
+
     def test_missing_wav_is_io_error(self, tmp_path):
         assert main(["features", "--wav", str(tmp_path / "nope.wav"),
                      "--out", str(tmp_path / "f.bin")]) == 3

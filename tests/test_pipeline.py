@@ -374,6 +374,19 @@ class TestBatchedModel:
         with pytest.raises(DimensionError):
             model.forward(xs, ys[:1], False)
 
+    @pytest.mark.parametrize("overrides", [dict(otk_mode="otk"), dict(otk_mode="repeat"),
+                                           dict(otk_mode="identity", ot_enabled=False)])
+    def test_empty_batch_is_one_dimension_error(self, overrides):
+        from otfusion.errors import DimensionError
+
+        cfg = tiny_model(**overrides)
+        model = assemble_model(cfg, seed=0)
+        empty = np.zeros((0, cfg.seq_len, cfg.d))
+        for call in (lambda x, y: model.forward(x, y, False), model.predict_proba):
+            for x, y in ((empty, empty), ([], [])):
+                with pytest.raises(DimensionError, match="empty input"):
+                    call(x, y)
+
 
 class TestTrainMechanics:
     @pytest.mark.parametrize("step_size", [0, -1])
