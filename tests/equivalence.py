@@ -23,7 +23,8 @@ and the feature image on fixed seeded inputs, and what the ``train``,
 change to a config field moves that entry alone). It writes the sha256
 of each array's raw bytes to ``OUT.json`` and the arrays themselves to
 ``OUT.npz``. The compare mode lists the entries of two digests that
-differ, with the largest absolute and relative gap between their arrays.
+differ, with the largest absolute and relative gap between their arrays
+(or, for a command's text, its sizes).
 Digests depend on the platform and its BLAS build, so they are compared
 between checkouts on one machine and are not a test:
 
@@ -262,7 +263,11 @@ def compare(before: str, after: str) -> int:
         if key not in digests[0] or key not in digests[1]:
             print(f"{key}: only in {before if key in digests[0] else after}")
             continue
-        a, b = (np.atleast_1d(arr[key]).astype(complex) for arr in arrays)
+        a, b = (np.atleast_1d(arr[key]) for arr in arrays)
+        if a.dtype == np.uint8:  # a command's text, where a byte gap means nothing
+            print(f"{key}: text differs ({a.size} -> {b.size} bytes)")
+            continue
+        a, b = a.astype(complex), b.astype(complex)
         if a.shape != b.shape:
             print(f"{key}: shape {a.shape} -> {b.shape}")
             continue
