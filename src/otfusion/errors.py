@@ -26,13 +26,13 @@ class NumericalError(RuntimeError):
 
 def require_count(name: str, value) -> None:
     """A size, grid or iteration count must be an integer >= 1: a fraction
-    would build a wrong grid or fail inside numpy, and NaN fails too."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
+    would build a wrong grid or fail inside numpy, and NaN and bools fail too."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1):
         raise ParameterError(f"{name} must be >= 1 and an integer, got {value!r}")
 
 
 def require_seed(name: str, value) -> None:
-    """A seed must be an integer >= 0, as numpy's ``SeedSequence`` takes
-    it; a negative one would otherwise fail deep inside numpy."""
-    if not (isinstance(value, numbers.Integral) and value >= 0):
+    """A seed must be an integer >= 0 (a bool is not one), as numpy's
+    ``SeedSequence`` takes it; a negative one would fail deep inside numpy."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0):
         raise ParameterError(f"{name} must be an integer >= 0, got {value!r}")

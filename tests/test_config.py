@@ -1,8 +1,13 @@
+import numpy as np
 import pytest
 
+from otfusion.audio_features import FeatureParams
 from otfusion.config import (build_configs, load_configs, parse_flat_config,
                              render_default_config)
 from otfusion.errors import ParameterError
+from otfusion.model import ModelConfig
+from otfusion.training import TrainConfig
+from otfusion.transport import sinkhorn
 
 SAMPLE = """
 # comment line
@@ -97,3 +102,17 @@ def test_load_configs_from_file(tmp_path):
     path.write_text(SAMPLE)
     cfg = load_configs(str(path))
     assert cfg.task.train_size == 20
+
+
+@pytest.mark.parametrize("name,build", [
+    ("d", lambda: ModelConfig(d=True)),
+    ("runs", lambda: TrainConfig(runs=True)),
+    ("base_seed", lambda: TrainConfig(base_seed=False)),
+    ("n_mels", lambda: FeatureParams(n_mels=True)),
+    ("max_iters", lambda: sinkhorn([0.5, 0.5], [0.5, 0.5], np.ones((2, 2)), 0.1, max_iters=True)),
+], ids=["ModelConfig.d", "TrainConfig.runs", "TrainConfig.base_seed", "FeatureParams.n_mels",
+        "sinkhorn.max_iters"])
+def test_bool_count_or_seed_rejected(name, build):
+    """bool is an Integral, but True or False as a count or seed is a mistake."""
+    with pytest.raises(ParameterError, match=f"{name} must be"):
+        build()
