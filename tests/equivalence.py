@@ -16,7 +16,10 @@ numbers, never to make a defect pass:
 The digest mode checks bit identity instead. It records the logits, the
 loss and every named parameter gradient of each grid configuration in
 both modes, the outputs of ECE/ACE, ASO, the STFT, log-mel, the resize
-and the feature image on fixed seeded inputs, and what the ``train``,
+and the feature image on fixed seeded inputs, the plan, cost, violation
+and flag of ``sinkhorn`` (a benchmark-shaped pair, an absorbing one and
+one with zero-mass rows and columns) and of ``emd_exact`` (a split
+assignment and a non-uniform LP), and what the ``train``,
 ``eval``, ``gradcheck``, ``ablate``, ``aso``, ``calib``, ``features`` and
 ``ot`` commands print and write on fixed tiny inputs (a report's
 ``fingerprint``, which hashes its configs, is an entry of its own, so a
@@ -50,6 +53,7 @@ from otfusion import cli
 from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
 from otfusion import significance
+from otfusion import transport
 from otfusion.model import (ATTN_FUSION, CO_ATTENTION, CONCAT, OTK, REPEAT, ModelConfig,
                             assemble_model)
 
@@ -166,6 +170,34 @@ def tool_outputs() -> dict[str, np.ndarray]:
     return out
 
 
+def transport_outputs() -> dict[str, np.ndarray]:
+    """Each transport solver's coupling on fixed seeded point clouds, by entry name."""
+    rng = np.random.default_rng(41)
+
+    def clouds(n, m):
+        return transport.cost_matrix(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (m, 2)))
+
+    def masses(n, zeros=()):
+        w = rng.uniform(0.1, 1, n)
+        w[list(zeros)] = 0.0
+        return w / w.sum()
+
+    u300, u200, cost = np.full(300, 1 / 300), np.full(200, 1 / 200), clouds(300, 200)
+    solves = {
+        "sinkhorn.bench": transport.sinkhorn(u300, u200, cost, 0.01),
+        "sinkhorn.absorbing": transport.sinkhorn(u300, u200, cost, 1e-4, max_iters=300),
+        "sinkhorn.zero_mass": transport.sinkhorn(masses(300, (0, 41, 299)), masses(200, (7, 150)),
+                                                 cost, 0.01),
+        "emd_exact.split": transport.emd_exact(u300, u200, clouds(300, 200)),
+        "emd_exact.lp": transport.emd_exact(masses(60), masses(40), clouds(60, 40)),
+    }
+    out = {}
+    for name, coupling in solves.items():
+        for field in ("plan", "cost", "marginal_violation", "converged"):
+            out[f"transport.{name}.{field}"] = np.asarray(getattr(coupling, field))
+    return out
+
+
 def _text(data) -> np.ndarray:
     """Text or bytes as a uint8 array, digested like any other output."""
     return np.frombuffer(data.encode() if isinstance(data, str) else data, dtype=np.uint8)
@@ -242,7 +274,7 @@ def _sha256(arr: np.ndarray) -> str:
 
 
 def digest(stem: str):
-    arrays = {**model_outputs(), **tool_outputs(), **cli_outputs()}
+    arrays = {**model_outputs(), **tool_outputs(), **transport_outputs(), **cli_outputs()}
     Path(f"{stem}.json").write_text(
         json.dumps({key: _sha256(arr) for key, arr in arrays.items()}, indent=1) + "\n",
         encoding="utf-8")
