@@ -144,35 +144,38 @@ def emd_exact(a, b, cost: np.ndarray) -> Coupling:
                     _marginal_violation(plan, a, b))
 
 
-def _round_to_feasible(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Project an approximate plan onto the exact marginal polytope."""
+def _round_to_feasible(plan: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Project an approximate plan onto the exact marginal polytope. Both
+    scalings work on ``plan`` in place; the final correction, if any, is
+    added into ``out`` (a C-ordered array of the plan's shape) or a new one."""
     r = plan.sum(axis=1)
-    scale_r = np.where(r > 0, np.minimum(1.0, a / np.where(r > 0, r, 1.0)), 0.0)
-    p = plan * scale_r[:, None]
-    c = p.sum(axis=0)
-    scale_c = np.where(c > 0, np.minimum(1.0, b / np.where(c > 0, c, 1.0)), 0.0)
-    p = p * scale_c[None, :]
-    err_a = a - p.sum(axis=1)
-    err_b = b - p.sum(axis=0)
+    plan *= np.where(r > 0, np.minimum(1.0, a / np.where(r > 0, r, 1.0)), 0.0)[:, None]
+    c = plan.sum(axis=0)
+    plan *= np.where(c > 0, np.minimum(1.0, b / np.where(c > 0, c, 1.0)), 0.0)
+    err_a = a - plan.sum(axis=1)
+    err_b = b - plan.sum(axis=0)
     total = err_a.sum()
     if total > 0:
-        p = p + np.outer(err_a, err_b) / total
-    return p
+        correction = np.outer(err_a, err_b, out=out)
+        plan = np.add(plan, np.divide(correction, total, out=correction), out=correction)
+    return plan
 
 
-def _log_step(k: np.ndarray, dual: np.ndarray, log_marginal: np.ndarray) -> np.ndarray:
+def _log_step(k: np.ndarray, dual: np.ndarray | None, log_marginal: np.ndarray) -> np.ndarray:
     """One log-domain Sinkhorn half-step over the last axis of the log-kernel
-    ``k`` (``(n, m)`` or ``(B, n, m)``): ``log_marginal - logsumexp(k + dual)``.
-    The max shift keeps every exponent <= 0, so no term overflows and a row
-    whose kernel underflows everywhere still gets a finite dual."""
-    z = k + dual[..., None, :]
+    ``k`` (``(n, m)`` or ``(B, n, m)``): ``log_marginal - logsumexp(k + dual)``,
+    a None dual being all zeros. The max shift keeps every exponent <= 0, so
+    no term overflows and a row whose kernel underflows everywhere still gets
+    a finite dual."""
+    z = k if dual is None else k + dual[..., None, :]
     top = z.max(axis=-1, keepdims=True)
-    return log_marginal - (top[..., 0] + np.log(np.exp(z - top).sum(axis=-1)))
+    return log_marginal - (top[..., 0] + np.log(np.exp(w := z - top, out=w).sum(axis=-1)))
 
 
 def _in_range(scaling: np.ndarray) -> bool:
     """False outside the scaling range, and for a NaN, 0 or inf entry."""
-    return _SCALING_MIN <= scaling.min() and scaling.max() <= _SCALING_MAX
+    return _SCALING_MIN <= np.minimum.reduce(scaling) and np.maximum.reduce(scaling) <= _SCALING_MAX
 
 
 def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
@@ -187,7 +190,8 @@ def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
     non-finite is redone as a log-domain half-step (``_log_step``) that
     absorbs ``log u`` and ``log v`` into the duals and rebuilds ``K``; the
     first row scaling is one such step. Zero-mass rows and columns are left
-    out and keep all-zero plan rows and columns.
+    out and keep all-zero plan rows and columns. A ``cost / eps`` that
+    overflows raises NumericalError before iterating.
 
     Stops when the worst marginal violation of the current iterate, read
     from ``u * (K v)`` and ``v * (K^T u)``, drops below ``tol``; a plan that
@@ -196,6 +200,13 @@ def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
     polytope after iterating, so its cost can never undercut the exact
     optimum; ``marginal_violation`` is that of the last iterate before the
     projection.
+
+    BLAS products and numpy sums add in an order set by the memory layout,
+    so the layouts are part of the result. ``K`` is one Fortran-ordered
+    buffer, as ``k[:, cols]`` makes it, rebuilt in place. The plan is
+    scaled in place in the layout of ``cost`` and corrected into a C-ordered
+    array, as the out-of-place projection laid them out; the returned plan
+    is C-ordered.
     """
     if not eps > 0:
         raise ParameterError(f"eps must be positive, got {eps}")
@@ -207,44 +218,63 @@ def sinkhorn(a, b, cost: np.ndarray, eps: float, max_iters: int = 5000,
     cost = np.asarray(cost, dtype=float)
     _check_marginals(a, b, cost)
     rows, cols = a > 0, b > 0
-    k = cost[rows] / -eps
+    k = cost[rows]
+    try:
+        with np.errstate(over="raise"):
+            np.divide(k, -eps, out=k)
+    except FloatingPointError:
+        raise NumericalError(f"cost / eps overflows at eps={eps}; use a larger eps") from None
     a_s, b_s = a[rows], b[cols]
+    n, m = a_s.size, b_s.size
     log_a, log_b = np.log(a_s), np.log(b_s)
-    # The first row step sees every column at dual 0; from then on the
-    # zero-mass columns have dual -inf and drop out.
-    alpha, beta = _log_step(k, np.zeros(b.size), log_a), np.zeros(b_s.size)
-    k = k[:, cols]
-    kernel = np.exp(k + alpha[:, None])
-    u = np.ones(a_s.size)
-    converged = False
-    violation = np.inf
-    with np.errstate(divide="ignore", over="ignore"):
+    # The first row step sees every column at dual 0; from then on the zero-mass
+    # columns have dual -inf and drop out. kc = k[:, cols] waits for an absorption.
+    alpha, beta = _log_step(k, None, log_a), np.zeros(m)
+    kc = None if cols.all() else k[:, cols]
+    kernel = np.add(k if kc is None else kc, alpha[:, None], out=np.empty((n, m), order="F"))
+    np.exp(kernel, out=kernel)
+    kv, ktu, gap = a_s.copy(), np.empty(m), np.empty(n)  # K v = a: the first u is all ones
+    halves = [(uv, uv[:n], uv[n:]) for uv in np.empty((2, n + m))]  # [u | v], this step and last
+    converged, violation = False, np.inf
+    with np.errstate(all="ignore"):
         for it in range(max_iters):
-            if it:
-                u = a_s / kv
+            uv, u, v = halves[it % 2]
+            np.divide(a_s, kv, out=u)
+            np.divide(b_s, np.matmul(kernel.T, u, out=ktu), out=v)
+            if not _in_range(uv):  # redo in the plain loop's order: u from the last v first
+                kc = k[:, cols] if kc is None else kc
                 if not _in_range(u):
-                    beta = beta + np.log(v)
-                    alpha = _log_step(k, beta, log_a)
-                    kernel = np.exp(k + alpha[:, None] + beta)
-                    u = np.ones(a_s.size)
-            ktu = kernel.T @ u
-            v = b_s / ktu
-            if not _in_range(v):
-                alpha = alpha + np.log(u)
-                beta = _log_step(k.T, alpha, log_b)
-                kernel = np.exp(k + alpha[:, None] + beta)
-                u = np.ones(a_s.size)
-                v = np.ones(b_s.size)
-                ktu = kernel.sum(axis=0)
-            kv = kernel @ v
-            violation = max(np.abs(u * kv - a_s).max(), np.abs(v * ktu - b_s).max())
-            if violation < tol:
-                converged = True
-                break
-    plan = np.zeros_like(cost)
-    plan[np.ix_(rows, cols)] = u[:, None] * kernel * v
-    plan = _round_to_feasible(plan, a, b)
-    return Coupling(plan, a, b, float((plan * cost).sum()), converged, float(violation))
+                    beta += np.log(halves[it % 2 - 1][2])
+                    alpha = _log_step(kc, beta, log_a)
+                    np.exp(np.add(kc + alpha[:, None], beta, out=kernel), out=kernel)
+                    u.fill(1.0)
+                    np.divide(b_s, np.matmul(kernel.T, u, out=ktu), out=v)
+                if not _in_range(v):
+                    alpha += np.log(u)
+                    beta = _log_step(kc.T, alpha, log_b)
+                    np.exp(np.add(kc + alpha[:, None], beta, out=kernel), out=kernel)
+                    uv.fill(1.0)
+                    np.sum(kernel, axis=0, out=ktu)
+            np.matmul(kernel, v, out=kv)
+            np.subtract(np.multiply(u, kv, out=gap), a_s, out=gap)
+            row = np.maximum.reduce(np.abs(gap, out=gap))
+            # stopping needs both terms below tol: read the column one only then
+            if row < tol or it == max_iters - 1:
+                violation = max(row, np.maximum.reduce(np.abs(v * ktu - b_s)))
+                if violation < tol:
+                    converged = True
+                    break
+    if rows.all() and cols.all() and cost.flags.c_contiguous:  # k and K are free now
+        # the plan goes into k, its correction into K's buffer read as C-ordered
+        plan, spare = np.multiply(u[:, None], kernel, out=k), kernel.T.reshape(n, m)
+        plan *= v
+    else:
+        plan, spare = np.zeros_like(cost), None
+        plan[np.ix_(rows, cols)] = u[:, None] * kernel * v
+    plan = _round_to_feasible(plan, a, b, spare)
+    weighted = np.multiply(plan, cost, out=None if spare is None else k if plan is spare else spare)
+    return Coupling(np.ascontiguousarray(plan), a, b, float(weighted.sum()), converged,
+                    float(violation))
 
 
 def barycentric_map(coupling: Coupling, target_points: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ smoothed cross-entropy, and the calibration oracles
 re-derive the binning from comparisons alone. The loop oracles (``aso_loop``,
 ``stft_per_frame`` and ``resize_by_interp``) do one bootstrap iteration,
 frame or line at a time, in the arithmetic the vectorized library code
-must reproduce bit for bit. ``mel_power_dense`` is the mel projection
+must reproduce bit for bit, and ``sinkhorn_scaling_loop`` is the scaling
+loop with a fresh array for every step, which the buffer-reusing
+``transport.sinkhorn`` reproduces bit for bit. ``mel_power_dense`` is the mel projection
 over every FFT bin, which the band-blocked ``log_mel`` reproduces within
 rounding.
 
@@ -177,6 +179,83 @@ def sinkhorn_log_domain(a, b, cost, eps, max_iters=5000, tol=1e-6):
             break
     plan = _round_to_feasible(np.exp(k + f[:, None] / eps + g[None, :] / eps), a, b)
     return Coupling(plan, a, b, float((plan * cost).sum()), converged, violation)
+
+
+def _projection_copying(plan, a, b):
+    """``transport._round_to_feasible`` as it was before it worked in place:
+    every scaling and the final correction make a new array."""
+    r = plan.sum(axis=1)
+    scale_r = np.where(r > 0, np.minimum(1.0, a / np.where(r > 0, r, 1.0)), 0.0)
+    p = plan * scale_r[:, None]
+    c = p.sum(axis=0)
+    scale_c = np.where(c > 0, np.minimum(1.0, b / np.where(c > 0, c, 1.0)), 0.0)
+    p = p * scale_c[None, :]
+    err_a = a - p.sum(axis=1)
+    err_b = b - p.sum(axis=0)
+    total = err_a.sum()
+    if total > 0:
+        p = p + np.outer(err_a, err_b) / total
+    return p
+
+
+def _log_step_copying(k, dual, log_marginal):
+    """``transport._log_step`` as it was: the dual is always added, and the
+    shifted exponent is a new array."""
+    z = k + dual[..., None, :]
+    top = z.max(axis=-1, keepdims=True)
+    return log_marginal - (top[..., 0] + np.log(np.exp(z - top).sum(axis=-1)))
+
+
+def _in_scaling_range(scaling):
+    return 1e-50 <= scaling.min() and scaling.max() <= 1e50
+
+
+def sinkhorn_scaling_loop(a, b, cost, eps, max_iters=5000, tol=1e-6):
+    """``transport.sinkhorn`` as it was before its buffers were reused: fresh
+    arrays for every kernel, scaling and violation, one range check per
+    scaling, both marginal violations on every iteration, the plan scattered
+    through ``np.ix_`` and projected out of place. The library must return
+    the same plan bytes, cost, flag and violation."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    cost = np.asarray(cost, dtype=float)
+    rows, cols = a > 0, b > 0
+    k = cost[rows] / -eps
+    a_s, b_s = a[rows], b[cols]
+    log_a, log_b = np.log(a_s), np.log(b_s)
+    alpha, beta = _log_step_copying(k, np.zeros(b.size), log_a), np.zeros(b_s.size)
+    k = k[:, cols]
+    kernel = np.exp(k + alpha[:, None])
+    u = np.ones(a_s.size)
+    converged = False
+    violation = np.inf
+    with np.errstate(divide="ignore", over="ignore"):
+        for it in range(max_iters):
+            if it:
+                u = a_s / kv
+                if not _in_scaling_range(u):
+                    beta = beta + np.log(v)
+                    alpha = _log_step_copying(k, beta, log_a)
+                    kernel = np.exp(k + alpha[:, None] + beta)
+                    u = np.ones(a_s.size)
+            ktu = kernel.T @ u
+            v = b_s / ktu
+            if not _in_scaling_range(v):
+                alpha = alpha + np.log(u)
+                beta = _log_step_copying(k.T, alpha, log_b)
+                kernel = np.exp(k + alpha[:, None] + beta)
+                u = np.ones(a_s.size)
+                v = np.ones(b_s.size)
+                ktu = kernel.sum(axis=0)
+            kv = kernel @ v
+            violation = max(np.abs(u * kv - a_s).max(), np.abs(v * ktu - b_s).max())
+            if violation < tol:
+                converged = True
+                break
+    plan = np.zeros_like(cost)
+    plan[np.ix_(rows, cols)] = u[:, None] * kernel * v
+    plan = _projection_copying(plan, a, b)
+    return Coupling(plan, a, b, float((plan * cost).sum()), converged, float(violation))
 
 
 def ece_bruteforce(probs, labels, num_bins):

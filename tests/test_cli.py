@@ -168,6 +168,20 @@ class TestOtCommand:
         payload = loads_strict(capsys.readouterr().out)
         assert payload["converged"]
 
+    def test_sinkhorn_eps_overflowing_cost_is_numerical_failure(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        src = tmp_path / "src.csv"
+        tgt = tmp_path / "tgt.csv"
+        np.savetxt(src, rng.uniform(0, 1, (3, 2)), delimiter=",")
+        np.savetxt(tgt, rng.uniform(0, 1, (4, 2)), delimiter=",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ot", "--src", str(src), "--tgt", str(tgt), "--method", "sinkhorn",
+                         "--eps", "1e-310"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure: " in captured.err and "eps=1e-310" in captured.err
+
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_sinkhorn_iters_below_one_is_usage_error(self, tmp_path, capsys, iters):
         src = tmp_path / "src.csv"

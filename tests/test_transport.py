@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (emd_cost_bruteforce, emd_cost_lp, emd_cost_permutations,
-                     emd_cost_uniform_split, otk_embed_unrolled, sinkhorn_log_domain)
+                     emd_cost_uniform_split, otk_embed_unrolled, sinkhorn_log_domain,
+                     sinkhorn_scaling_loop)
 
 from otfusion import diffcore as dc
 from otfusion import transport as tr
@@ -382,6 +384,14 @@ class TestSinkhorn:
         npt.assert_allclose(coupling.plan.sum(axis=1), uniform(300), rtol=0, atol=1e-12)
         npt.assert_allclose(coupling.plan.sum(axis=0), uniform(200), rtol=0, atol=1e-12)
 
+    def test_overflowing_cost_over_eps_raises_before_iterating(self):
+        rng = np.random.default_rng(34)
+        cost = tr.cost_matrix(rng.uniform(0, 1, (5, 2)), rng.uniform(0, 1, (4, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="eps=1e-310"):
+                tr.sinkhorn(uniform(5), uniform(4), cost, eps=1e-310)
+
     @pytest.mark.parametrize("eps", [1.0, 0.05, 1e-3])
     def test_zero_mass_rows_and_columns_stay_zero(self, eps):
         rng = np.random.default_rng(33)
@@ -411,6 +421,89 @@ def random_instance(seed, zero_mass):
         a /= a.sum()
         b /= b.sum()
     return a, b, rng.uniform(0, 2, (n, m))
+
+
+def bench_clouds(seed, n=300, m=200):
+    """Squared distances between uniform points in the unit square, as the
+    ``sinkhorn`` benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    return tr.cost_matrix(rng.uniform(0, 1, (n, 2)), rng.uniform(0, 1, (m, 2)))
+
+
+def scaling_loop_cases():
+    """(id, a, b, cost, eps, keyword arguments) for the bit-identity oracle."""
+    rng = np.random.default_rng(2500)
+    a, b = random_marginal(rng, 300), random_marginal(rng, 200)
+    za, zb = a.copy(), b.copy()
+    za[[0, 41, 299]] = 0.0
+    zb[[7, 150]] = 0.0
+    za /= za.sum()
+    zb /= zb.sum()
+    cost = bench_clouds(2500)
+    u300, u200 = uniform(300), uniform(200)
+    cases = [(f"bench{seed}", u300, u200, bench_clouds(seed), 0.01, {})
+             for seed in (2501, 2502, 2503)]
+    cases += [
+        ("eps1e-3", u300, u200, cost, 1e-3, {}),
+        ("absorbing_eps1e-4", u300, u200, cost, 1e-4, dict(max_iters=50)),
+        ("absorbing_eps1e-4_rows_and_columns", u300, u200, cost, 1e-4, dict(max_iters=300)),
+        ("zero_mass_rows_and_columns", za, zb, cost, 0.01, {}),
+        ("zero_mass_absorbing", za, zb, cost, 1e-4, dict(max_iters=300)),
+        ("non_uniform", a, b, cost, 0.003, dict(tol=1e-9)),
+        ("max_iters_1", u300, u200, cost, 0.01, dict(max_iters=1)),
+        ("max_iters_7", u300, u200, cost, 0.01, dict(max_iters=7)),
+        ("tol_1e-20", uniform(30), uniform(20), bench_clouds(2504, 30, 20), 0.05,
+         dict(tol=1e-20, max_iters=400)),
+        ("1x1", np.ones(1), np.ones(1), np.array([[0.7]]), 0.1, {}),
+        ("1x3", np.ones(1), uniform(3), np.array([[0.2, 1.0, 3.0]]), 0.01, {}),
+        ("fortran_cost", u300, u200, np.asfortranarray(cost), 0.01, {}),
+        ("fortran_cost_absorbing", a, b, np.asfortranarray(cost), 1e-4, dict(max_iters=300)),
+        # converges so far that the projection adds no correction, and the
+        # cost is summed over a Fortran-ordered plan
+        ("fortran_cost_uncorrected", uniform(5), uniform(10),
+         np.asfortranarray(bench_clouds(2509, 5, 10)), 0.05, dict(tol=1e-20, max_iters=400)),
+        ("strided_cost", uniform(150), uniform(100), cost[::2, ::2], 0.01, {}),
+        ("integer_cost", uniform(4), uniform(3), np.arange(12).reshape(4, 3) % 5, 0.5, {}),
+    ]
+    # small instances that absorb several times on the way to converging
+    cases += [(f"small{seed}_{'zero_mass' if zero_mass else 'positive'}",
+               *random_instance(seed, zero_mass), 1e-3, {})
+              for seed in (1900, 1901) for zero_mass in (False, True)]
+    return cases
+
+
+class TestSinkhornMatchesScalingLoop:
+    """The buffer-reusing kernel against the plain scaling loop it replaced
+    (``oracles.sinkhorn_scaling_loop``): the same plan bytes, cost, flag and
+    violation, inputs left as they were and a C-ordered plan."""
+
+    @pytest.mark.parametrize("case", scaling_loop_cases(), ids=lambda case: case[0])
+    def test_bit_identical(self, case):
+        _, a, b, cost, eps, kw = case
+        inputs = [np.array(x, copy=True, order="K") for x in (a, b, cost)]
+        got = tr.sinkhorn(a, b, cost, eps, **kw)
+        want = sinkhorn_scaling_loop(a, b, cost, eps, **kw)
+        assert got.plan.dtype == want.plan.dtype and got.plan.shape == want.plan.shape
+        assert got.plan.tobytes() == want.plan.tobytes()
+        assert got.cost == want.cost
+        assert got.converged == want.converged
+        assert got.marginal_violation == want.marginal_violation
+        assert got.plan.flags.c_contiguous
+        for before, after in zip(inputs, (a, b, cost)):
+            assert before.tobytes() == np.asarray(after).tobytes()
+            assert before.flags.f_contiguous == np.asarray(after).flags.f_contiguous
+
+    @pytest.mark.parametrize("case_id,absorptions", [
+        ("bench2501", 0), ("absorbing_eps1e-4", 1), ("absorbing_eps1e-4_rows_and_columns", 2),
+        ("zero_mass_absorbing", 2), ("fortran_cost_absorbing", 2), ("small1900_positive", 6),
+    ])
+    def test_cases_absorb_as_named(self, case_id, absorptions, monkeypatch):
+        _, a, b, cost, eps, kw = next(c for c in scaling_loop_cases() if c[0] == case_id)
+        steps = []
+        log_step = tr._log_step
+        monkeypatch.setattr(tr, "_log_step", lambda *args: steps.append(1) or log_step(*args))
+        tr.sinkhorn(a, b, cost, eps, **kw)
+        assert len(steps) == 1 + absorptions
 
 
 class TestSinkhornMatchesLogDomain:
