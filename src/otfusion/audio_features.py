@@ -42,12 +42,10 @@ class FeatureParams:
     n_fft: int = 2048
     hop: int = 1024
     n_mels: int = 224
-    delta_width: int = 9
 
     def __post_init__(self):
         _check_frames(self.n_fft, self.hop)
         require_count("n_mels", self.n_mels)
-        _check_delta_width("delta_width", self.delta_width)
 
 
 @dataclass
@@ -71,12 +69,6 @@ def _check_frames(n_fft, hop):
     if n_fft < 256 or n_fft & (n_fft - 1):
         raise ParameterError(f"n_fft must be a power of two >= 256, got {n_fft}")
     require_count("hop", hop)
-
-
-def _check_delta_width(name, width):
-    require_count(name, width)
-    if width % 2 == 0 or width < 3:
-        raise ParameterError(f"{name} must be odd and >= 3, got {width}")
 
 
 def stft(w: Waveform, n_fft: int = 2048, hop: int = 1024) -> np.ndarray:
@@ -177,7 +169,9 @@ def delta(m: np.ndarray, width: int = 9) -> np.ndarray:
     Edges are handled by replicating the boundary columns. The second
     difference is just delta applied twice.
     """
-    _check_delta_width("width", width)
+    require_count("width", width)
+    if width % 2 == 0 or width < 3:
+        raise ParameterError(f"width must be odd and >= 3, got {width}")
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ParameterError("delta expects a 2-D matrix")
@@ -230,8 +224,8 @@ def to_image(w: Waveform, params: FeatureParams | None = None) -> SpectrogramIma
     """Stack [log-mel, delta, delta-delta], each resized to 224x224."""
     params = params or FeatureParams()
     base = log_mel(w, params)
-    d1 = delta(base, params.delta_width)
-    d2 = delta(d1, params.delta_width)
+    d1 = delta(base)
+    d2 = delta(d1)
     channels = np.stack([
         bilinear_resize(base, IMAGE_SIZE, IMAGE_SIZE),
         bilinear_resize(d1, IMAGE_SIZE, IMAGE_SIZE),

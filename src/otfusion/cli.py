@@ -22,8 +22,7 @@ from .config import load_configs, render_default_config
 from .errors import (ContractViolationError, DimensionError, InputError,
                      NumericalError, ParameterError)
 from .significance import aso
-from .training import (RunReport, ablation_harness, evaluate, reports_to_csv,
-                       run_experiment, train)
+from .training import ablation_harness, evaluate, reports_to_csv, run_experiment, train
 from .model import ABLATION_AXES, assemble_model
 from .synthetic import generate_task
 from . import gradsuite
@@ -45,16 +44,12 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _write_report(report: RunReport, out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
-    _write(os.path.join(out_dir, f"{report.label}.json"), report.to_json())
-    _write(os.path.join(out_dir, f"{report.label}.csv"), reports_to_csv([report.to_dict()]))
-
-
 def cmd_train(args) -> int:
     cfg = load_configs(args.config)
     report = run_experiment(cfg.model, cfg.train, cfg.task, cfg.label)
-    _write_report(report, args.out)
+    os.makedirs(args.out, exist_ok=True)
+    _write(os.path.join(args.out, f"{report.label}.json"), report.to_json())
+    _write(os.path.join(args.out, f"{report.label}.csv"), reports_to_csv([report.to_dict()]))
     for name, agg in report.aggregate.items():
         print(f"{name}: {agg['mean']:.4f} +- {agg['std']:.4f}")
     for warning in report.warnings:

@@ -83,9 +83,6 @@ class Parameter(Node):
         self.name = name
         self.grad = np.zeros_like(self.value)
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
@@ -183,7 +180,7 @@ def backward(root: Node):
 
 def zero_grads(params):
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
 
 
 @contextmanager
@@ -368,8 +365,11 @@ class GradCheckReport:
     passed: bool
 
 
-def grad_check(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4) -> list[GradCheckReport]:
-    """Compare reverse-mode gradients of ``loss_fn`` against central differences.
+def grad_check(loss_fn, params, eps: float = 1e-6, tol: float = 1e-4) -> list[GradCheckReport]:
+    """Compare reverse-mode gradients of ``loss_fn`` against central differences
+    of step ``eps``. The fusion heads' ReLUs have kinks: a 1e-5 step can
+    straddle one for some seeds and report a wrong difference, not a wrong
+    gradient; 1e-6 keeps the gradient suite far below its tolerances.
 
     ``loss_fn`` takes no arguments, rebuilds the graph from ``params`` and
     returns a 1x1 Node. It must be deterministic; two baseline evaluations

@@ -1,7 +1,7 @@
 """Named finite-difference gradient checks for every trainable layer and
 the assembled model, at desk-scale sizes so the whole suite runs in
-seconds. Used by the ``gradcheck`` CLI subcommand and the acceptance
-tests."""
+seconds, each at ``grad_check``'s default step. Used by the ``gradcheck``
+CLI subcommand and the acceptance tests."""
 
 from __future__ import annotations
 
@@ -20,10 +20,6 @@ from .model import ModelConfig, assemble_model
 
 LAYER_TOL = 1e-4
 END_TO_END_TOL = 1e-3
-# Central-difference step. The heads' ReLUs have kinks: a 1e-5 step can
-# straddle one for some seeds and report a wrong difference, not a wrong
-# gradient; 1e-6 keeps the whole suite at errors far below tolerance.
-FD_STEP = 1e-6
 
 
 def _sq_loss(out):
@@ -31,7 +27,7 @@ def _sq_loss(out):
 
 
 def _check(name: str, loss_fn, params, tol: float) -> GradCheckReport:
-    reports = grad_check(loss_fn, params, eps=FD_STEP, tol=tol)
+    reports = grad_check(loss_fn, params, tol=tol)
     worst = max(r.max_rel_error for r in reports)
     return GradCheckReport(name, worst, tol, all(r.passed for r in reports))
 

@@ -84,14 +84,12 @@ class ModelConfig:
 
 
 def _as_input(raw) -> np.ndarray:
-    """One sample's matrix or a 3-D batch; a nonempty list of matrices is
-    stacked."""
-    if isinstance(raw, (list, tuple)) and raw:
-        shapes = sorted({np.shape(m) for m in raw})
-        if len(shapes) != 1:
-            raise DimensionError(f"batch members must share one shape, got {shapes}")
-        raw = np.stack(raw)
-    return np.asarray(raw, dtype=float)
+    """One sample's matrix or a 3-D batch; ``np.asarray`` stacks a list of
+    matrices into the same C-ordered array as ``np.stack``, in less time."""
+    try:
+        return np.asarray(raw, dtype=float)
+    except ValueError as exc:  # a ragged list
+        raise DimensionError(f"batch members must share one shape: {exc}") from exc
 
 
 def _orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -151,9 +149,6 @@ class Model:
         if self.references is not None:
             params.append(self.references)
         return params
-
-    def parameter_count(self) -> int:
-        return sum(p.value.size for p in self.parameters())
 
     # -- transport plumbing -------------------------------------------------
 

@@ -54,7 +54,6 @@ class TaskData:
     train: list[Sample]
     val: list[Sample]
     test: list[Sample]
-    config: SyntheticTaskConfig
 
 
 def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -98,5 +97,4 @@ def generate_task(cfg: SyntheticTaskConfig) -> TaskData:
         gen_split(streams[1], cfg.train_size),
         gen_split(streams[2], cfg.val_size),
         gen_split(streams[3], cfg.test_size),
-        cfg,
     )

@@ -119,11 +119,6 @@ def _mean_batch_loss(model: Model, batch: list[Sample], training: bool,
     return model.loss(logits, [s.label for s in batch])
 
 
-def _split_loss(model: Model, samples: list[Sample]) -> float:
-    with dc.inference(model.parameters()):
-        return float(_mean_batch_loss(model, samples, False).value[0, 0])
-
-
 def train(model: Model, data: TaskData, tc: TrainConfig, seed: int = 0) -> RunRecord:
     """Train one model on one dataset; mutates the model in place."""
     if not data.train or not data.val:
@@ -144,7 +139,7 @@ def train(model: Model, data: TaskData, tc: TrainConfig, seed: int = 0) -> RunRe
         order = shuffle_rng.permutation(len(data.train))
         for start in range(0, len(order), tc.batch_size):
             batch = [data.train[i] for i in order[start:start + tc.batch_size]]
-            if epoch == 0 and start == 0 and model.references is not None:
+            if epoch == 0 and start == 0:
                 rows = np.vstack([model.encode_image(s.y) for s in batch])
                 model.init_references(rows, ref_rng)
             dc.zero_grads(params)
@@ -155,7 +150,8 @@ def train(model: Model, data: TaskData, tc: TrainConfig, seed: int = 0) -> RunRe
                 )
             dc.backward(loss)
             optimizer.step(lr)
-        val_loss = _split_loss(model, data.val)
+        with dc.inference(params):
+            val_loss = float(_mean_batch_loss(model, data.val, False).value[0, 0])
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss at epoch {epoch}")
         record.epochs = epoch + 1
@@ -205,8 +201,7 @@ def classification_metrics(preds: PredictionSet) -> dict:
         "accuracy": accuracy, "specificity": specificity,
         "ece": ece_value, "ace": ace_value,
     }
-    return {"metrics": metrics, "confusion": {"tp": tp, "tn": tn, "fp": fp, "fn": fn},
-            "zero_division_flags": tuple(flags)}
+    return {"metrics": metrics, "zero_division_flags": tuple(flags)}
 
 
 def evaluate(model: Model, samples: list[Sample]) -> tuple[PredictionSet, dict]:

@@ -149,8 +149,7 @@ class TestMelBlocks:
 class TestFeatureParams:
     @pytest.mark.parametrize("field, bad", [
         ("hop", 2.5), ("hop", 0), ("n_fft", 2048.0), ("n_fft", 1000), ("n_fft", 128),
-        ("n_mels", 0), ("n_mels", 40.0), ("delta_width", 9.0), ("delta_width", 8),
-        ("delta_width", 1),
+        ("n_mels", 0), ("n_mels", 40.0),
     ])
     def test_bad_field_rejected_at_construction(self, field, bad):
         with pytest.raises(ParameterError, match=field):
@@ -208,6 +207,11 @@ class TestDelta:
     def test_even_width_rejected(self):
         with pytest.raises(ParameterError):
             af.delta(np.zeros((2, 10)), 8)
+
+    @pytest.mark.parametrize("width", [9.0, 1])
+    def test_fractional_or_short_width_rejected(self, width):
+        with pytest.raises(ParameterError, match="width"):
+            af.delta(np.zeros((2, 10)), width)
 
 
 class TestBilinearResize:

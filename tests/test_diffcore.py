@@ -297,7 +297,7 @@ def test_parameter_zero_grad():
     loss = dc.sum_all(dc.elementwise_mul(p, p))
     backward(loss)
     assert np.any(p.grad != 0)
-    p.zero_grad()
+    dc.zero_grads([p])
     npt.assert_array_equal(p.grad, np.zeros((2, 2)))
 
 
@@ -309,7 +309,7 @@ def test_backward_adds_into_the_parameter_gradient_buffer():
     assert p.grad is buffer
     once = p.grad.copy()
     npt.assert_array_equal(once, 2.0 * p.value)
-    backward(dc.sum_all(dc.elementwise_mul(p, p)))  # no zero_grad in between
+    backward(dc.sum_all(dc.elementwise_mul(p, p)))  # no zero_grads in between
     assert p.grad is buffer
     npt.assert_array_equal(p.grad, 2.0 * once)
 

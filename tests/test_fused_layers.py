@@ -23,7 +23,7 @@ from otfusion import diffcore as dc
 from otfusion import fusion
 from otfusion import gated_attention as ga
 from otfusion.diffcore import Parameter, grad_check
-from otfusion.gradsuite import FD_STEP, LAYER_TOL
+from otfusion.gradsuite import LAYER_TOL
 from otfusion.errors import ParameterError
 from otfusion.model import ATTN_FUSION, CO_ATTENTION, CONCAT, ModelConfig, assemble_model
 
@@ -97,7 +97,7 @@ class TestContextAttention:
         def loss():
             return weighted_loss(ctx.context_attention_forward(x, c, layer), weights)
 
-        reports = grad_check(loss, [x, c] + layer.parameters(), eps=FD_STEP, tol=LAYER_TOL)
+        reports = grad_check(loss, [x, c] + layer.parameters(), tol=LAYER_TOL)
         assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
 
 
@@ -127,7 +127,7 @@ class TestGatedAttention:
         def loss():
             return weighted_loss(ga.gated_attention(s, layer, mask), weights)
 
-        reports = grad_check(loss, [s] + layer.parameters(), eps=FD_STEP, tol=LAYER_TOL)
+        reports = grad_check(loss, [s] + layer.parameters(), tol=LAYER_TOL)
         assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
 
 
@@ -177,7 +177,7 @@ class TestAttentivePool:
             pooled, _ = fusion._attentive_pool(*nodes, keep)
             return weighted_loss(pooled, weights)
 
-        reports = grad_check(loss, nodes, eps=FD_STEP, tol=LAYER_TOL)
+        reports = grad_check(loss, nodes, tol=LAYER_TOL)
         assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
 
 
@@ -221,7 +221,7 @@ class TestCoAttention:
             return weighted_loss(fusion.co_attention_forward(inputs, head, True, self.draws(True)),
                                  weights)
 
-        reports = grad_check(loss, nodes, eps=FD_STEP, tol=LAYER_TOL)
+        reports = grad_check(loss, nodes, tol=LAYER_TOL)
         assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
 
 

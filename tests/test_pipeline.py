@@ -111,7 +111,7 @@ class TestAssembleModel:
     def test_parameter_count_matches_shape_sum(self, fusion, strategy):
         cfg = tiny_model(fusion=fusion, strategy=strategy, layers=None)
         model = assemble_model(cfg, seed=0)
-        assert model.parameter_count() == expected_parameter_count(cfg)
+        assert sum(p.value.size for p in model.parameters()) == expected_parameter_count(cfg)
 
     @pytest.mark.parametrize("seed", [-1, 0.5])
     def test_negative_or_fractional_seed_rejected(self, seed):
@@ -154,7 +154,7 @@ class TestAssembleModel:
     ])
     def test_gate_and_layers_at_the_edges_accepted(self, overrides):
         model = assemble_model(tiny_model(**overrides), seed=0)
-        assert model.parameter_count() == expected_parameter_count(model.cfg)
+        assert sum(p.value.size for p in model.parameters()) == expected_parameter_count(model.cfg)
 
     def test_sizes_of_one_accepted(self):
         cfg = tiny_model(d=1, seq_len=1, d_q=1, d_g=1, k=1, d_z=1)
