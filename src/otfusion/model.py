@@ -17,7 +17,7 @@ graph for it; the loss is the batch mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,9 @@ CONCAT = "concat"
 OTK = "otk"
 REPEAT = "repeat"
 IDENTITY = "identity"
+
+# the settings that only one fusion head or otk_mode reads, by head or mode
+OWN_SETTINGS = {CO_ATTENTION: ("k",), ATTN_FUSION: ("d_z",), OTK: ("otk_eps", "otk_iters")}
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,17 @@ class ModelConfig:
             raise ParameterError(f"context_gate_override must be None or in [0, 1], got {gate}")
 
 
+def model_settings(cfg: ModelConfig) -> dict:
+    """The settings a model built from ``cfg`` reads, by field name: the
+    configured head's and ``otk_mode``'s own settings but no other's, and
+    ``layers`` as the count the context stack is built with."""
+    unread = {name for part, names in OWN_SETTINGS.items()
+              if part not in (cfg.fusion, cfg.otk_mode) for name in names}
+    settings = {name: value for name, value in asdict(cfg).items() if name not in unread}
+    settings["layers"] = ctx.DEFAULT_LAYERS[cfg.strategy] if cfg.layers is None else cfg.layers
+    return settings
+
+
 def _as_input(raw) -> np.ndarray:
     """One sample's matrix or a 3-D batch; ``np.asarray`` stacks a list of
     matrices into the same C-ordered array as ``np.stack``, in less time."""
@@ -108,9 +122,9 @@ class Model:
         self.e_text = _orthogonal(enc_rng, cfg.d)
         self.e_img = _orthogonal(enc_rng, cfg.d)
 
-        layers = ctx.DEFAULT_LAYERS[cfg.strategy] if cfg.layers is None else cfg.layers
+        settings = model_settings(cfg)
         self.stack = ctx.ContextStack.build(
-            cfg.d, cfg.d_q, cfg.strategy, layers,
+            cfg.d, cfg.d_q, cfg.strategy, settings["layers"],
             np.random.default_rng(streams[1]), "text",
         )
         self.gated_layer = gated.GatedSelfAttentionLayer(
@@ -121,9 +135,9 @@ class Model:
         d_prime = 2 * cfg.d
         self.co_head = self.attn_head = self.concat_w = self.concat_b = None
         if cfg.fusion == CO_ATTENTION:
-            self.co_head = CoAttentionHead(d_prime, cfg.k, head_rng)
+            self.co_head = CoAttentionHead(d_prime, settings["k"], head_rng)
         elif cfg.fusion == ATTN_FUSION:
-            self.attn_head = AttnFusionHead(d_prime, cfg.d_z, head_rng)
+            self.attn_head = AttnFusionHead(d_prime, settings["d_z"], head_rng)
         else:
             self.concat_w = Parameter(dc.xavier_uniform(head_rng, 2 * d_prime, 2), "concat.w")
             self.concat_b = Parameter(np.zeros((1, 2)), "concat.b")

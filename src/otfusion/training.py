@@ -21,7 +21,7 @@ import numpy as np
 from . import diffcore as dc
 from .calibration import NUM_BINS, PredictionSet, ace, ece
 from .errors import NumericalError, ParameterError, require_count, require_seed
-from .model import Model, ModelConfig, ablation_variant, assemble_model
+from .model import Model, ModelConfig, ablation_variant, assemble_model, model_settings
 from .synthetic import Sample, SyntheticTaskConfig, TaskData, generate_task
 
 METRIC_ORDER = ("precision", "recall", "f1", "accuracy", "specificity", "ece", "ace")
@@ -281,8 +281,10 @@ def ablation_harness(base_mc: ModelConfig, axis: str, tc: TrainConfig,
 
 
 def fingerprint_configs(task_cfg: SyntheticTaskConfig, mc: ModelConfig, tc: TrainConfig) -> str:
+    """A hash of the configs: the task and train settings, and the model
+    settings that the built model reads (``model_settings``)."""
     blob = json.dumps(
-        {"task": asdict(task_cfg), "model": asdict(mc), "train": asdict(tc)},
+        {"task": asdict(task_cfg), "model": model_settings(mc), "train": asdict(tc)},
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -12,7 +12,8 @@ from otfusion.model import ModelConfig, ablation_variant, assemble_model
 from otfusion.significance import aso
 from otfusion.synthetic import SyntheticTaskConfig, generate_task
 from otfusion.training import (EarlyStopping, TrainConfig, classification_metrics,
-                               evaluate, lr_at_epoch, run_experiment, train)
+                               evaluate, fingerprint_configs, lr_at_epoch, run_experiment,
+                               train)
 
 
 def tiny_task(**kw):
@@ -530,6 +531,37 @@ class TestRunExperiment:
             result = aso(strong.metric_values("f1"), weak.metric_values("f1"),
                          bootstrap_iters=200, seed=0)
         assert 0.0 <= result.eps_min <= 1.0
+
+
+class TestFingerprint:
+    @staticmethod
+    def fingerprint(**model):
+        return fingerprint_configs(tiny_task(), tiny_model(**model), tiny_train())
+
+    @pytest.mark.parametrize("a, b", [
+        (dict(fusion="attn_fusion"), dict(fusion="attn_fusion", k=7)),
+        (dict(fusion="co_attention"), dict(fusion="co_attention", d_z=7)),
+        (dict(fusion="concat"), dict(fusion="concat", k=7, d_z=7)),
+        (dict(otk_mode="repeat"), dict(otk_mode="repeat", otk_eps=0.5, otk_iters=7)),
+        (dict(strategy="deep", layers=None), dict(strategy="deep", layers=3)),
+    ])
+    def test_configs_that_build_the_same_model_match(self, a, b):
+        assert self.fingerprint(**a) == self.fingerprint(**b)
+        params_a = assemble_model(tiny_model(**a), seed=0).parameters()
+        params_b = assemble_model(tiny_model(**b), seed=0).parameters()
+        assert [p.name for p in params_a] == [p.name for p in params_b]
+        for pa, pb in zip(params_a, params_b):
+            npt.assert_array_equal(pa.value, pb.value)
+
+    @pytest.mark.parametrize("a, b", [
+        (dict(fusion="co_attention"), dict(fusion="co_attention", k=7)),
+        (dict(fusion="attn_fusion"), dict(fusion="attn_fusion", d_z=7)),
+        (dict(otk_mode="otk"), dict(otk_mode="otk", otk_eps=0.5)),
+        (dict(otk_mode="otk"), dict(otk_mode="otk", otk_iters=7)),
+        (dict(strategy="deep", layers=None), dict(strategy="deep", layers=2)),
+    ])
+    def test_a_setting_the_model_reads_changes_it(self, a, b):
+        assert self.fingerprint(**a) != self.fingerprint(**b)
 
 
 class TestAblation:
