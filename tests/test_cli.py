@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,10 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from otfusion import calibration, gradsuite, significance, transport
+from otfusion.audio_features import FeatureParams
 from otfusion.cli import build_parser, main
+from otfusion.diffcore import GradCheckReport
 from otfusion.model import ModelConfig, ablation_variant
 
 TINY_CONFIG = """
@@ -139,6 +143,20 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: " in captured.err
+
+    def test_failing_check_is_numerical_failure(self, monkeypatch, capsys):
+        seeds = []
+
+        def failing_suite(seed):
+            seeds.append(seed)
+            return [GradCheckReport("broken_layer", 0.5, 1e-4, False)]
+
+        monkeypatch.setattr(gradsuite, "run_suite", failing_suite)
+        assert main(["gradcheck", "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL] broken_layer" in captured.out
+        assert "1 gradient check(s) failed" in captured.err
+        assert seeds == [5]
 
 
 class TestOtCommand:
@@ -383,3 +401,25 @@ def test_every_offered_axis_builds_its_variants():
     assert len(axis.choices) == 6
     for name in axis.choices:
         assert ablation_variant(ModelConfig(), name), name
+
+
+def test_parser_defaults_match_the_library():
+    def defaults(fn):
+        return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+    parse = build_parser().parse_args
+    ot = parse(["ot", "--src", "a.csv", "--tgt", "b.csv"])
+    assert ot.iters == defaults(transport.sinkhorn)["max_iters"]
+    aso = parse(["aso", "a.txt", "b.txt"])
+    library = defaults(significance.aso)
+    assert (aso.confidence, aso.iterations, aso.comparisons, aso.seed) == (
+        library["confidence"], library["bootstrap_iters"], library["num_comparisons"],
+        library["seed"])
+    features = parse(["features", "--wav", "a.wav", "--out", "a.bin"])
+    params = FeatureParams()
+    assert (features.n_fft, features.hop, features.mels) == (params.n_fft, params.hop,
+                                                            params.n_mels)
+    calib = parse(["calib", "--input", "p.csv"])
+    assert calib.bins == defaults(calibration.ece)["num_bins"]
+    assert calib.ranges == defaults(calibration.ace)["num_ranges"]
+    assert parse(["gradcheck"]).seed == defaults(gradsuite.run_suite)["seed"]
