@@ -273,9 +273,14 @@ def save_tensor(path: str, arr: np.ndarray):
 
 def load_tensor(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        if fh.read(4) != TENSOR_MAGIC:
-            raise InputError(f"{path} is not a tensor file")
-        ndim = struct.unpack("<i", fh.read(4))[0]
-        shape = struct.unpack(f"<{ndim}i", fh.read(4 * ndim))
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    return data.reshape(shape)
+        raw = fh.read()
+    if raw[:4] != TENSOR_MAGIC:
+        raise InputError(f"{path} is not a tensor file")
+    try:
+        ndim, = struct.unpack_from("<i", raw, 4)
+        shape = struct.unpack_from(f"<{ndim}i", raw, 8)  # a negative ndim fails here too
+        if min(shape, default=0) < 0:
+            raise ValueError(f"negative dimension in shape {shape}")
+        return np.frombuffer(raw, dtype="<f4", offset=8 + 4 * ndim).reshape(shape)
+    except (struct.error, ValueError) as exc:
+        raise InputError(f"{path} is a malformed tensor file: {exc}") from exc

@@ -98,8 +98,9 @@ def model_settings(cfg: ModelConfig) -> dict:
 
 
 def _as_input(raw) -> np.ndarray:
-    """One sample's matrix or a 3-D batch; ``np.asarray`` stacks a list of
-    matrices into the same C-ordered array as ``np.stack``, in less time."""
+    """One sample's matrix or a 3-D batch. Training and evaluation pass a
+    split's arrays; a list of matrices comes only from outside callers, and
+    ``np.asarray`` stacks it into the same C-ordered array as ``np.stack``."""
     try:
         return np.asarray(raw, dtype=float)
     except ValueError as exc:  # a ragged list

@@ -6,6 +6,9 @@ scaled by ``class_separation`` (in units of the noise sigma) and through a
 per-sample latent vector shared across the modalities, mixed in with
 weight sqrt(cross_modal_correlation) so the per-coordinate noise variance
 stays at noise_std**2 for any correlation.
+
+A split is a ``Split``: its samples stacked into arrays from one draw, which
+training and evaluation index; ``split[i]`` is sample ``i`` as a ``Sample``.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ class SyntheticTaskConfig:
             raise ParameterError(f"class_separation must be finite, got {self.class_separation}")
         if not 0.0 <= self.cross_modal_correlation <= 1.0:
             raise ParameterError("cross_modal_correlation must lie in [0, 1]")
-        if not self.noise_std > 0:
-            raise ParameterError("noise_std must be positive")
+        if not 0 < self.noise_std < np.inf:
+            raise ParameterError(f"noise_std must be positive and finite, got {self.noise_std}")
 
 
 @dataclass
@@ -49,11 +52,26 @@ class Sample:
     label: int
 
 
+@dataclass(frozen=True)
+class Split:
+    """One split: ``x`` (N, n, d), ``y`` (N, t, d) and ``labels`` (N,)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i: int) -> Sample:
+        return Sample(self.x[i], self.y[i], int(self.labels[i]))
+
+
 @dataclass
 class TaskData:
-    train: list[Sample]
-    val: list[Sample]
-    test: list[Sample]
+    train: Split
+    val: Split
+    test: Split
 
 
 def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -61,40 +79,26 @@ def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _balanced_labels(size: int, rng: np.random.Generator) -> np.ndarray:
-    labels = np.zeros(size, dtype=int)
-    labels[size // 2:] = 1
-    rng.shuffle(labels)
-    return labels
-
-
 def generate_task(cfg: SyntheticTaskConfig) -> TaskData:
     """Deterministically generate balanced train/val/test splits."""
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     dir_rng = np.random.default_rng(streams[0])
-    means = {
-        ("x", 0): _unit(dir_rng, cfg.d), ("x", 1): _unit(dir_rng, cfg.d),
-        ("y", 0): _unit(dir_rng, cfg.d), ("y", 1): _unit(dir_rng, cfg.d),
-    }
+    # class means, rows x0, x1, y0, y1
+    mu = (cfg.class_separation * cfg.noise_std) * np.array([_unit(dir_rng, cfg.d) for _ in range(4)])
+    w_shared, w_own = np.sqrt(cfg.cross_modal_correlation), np.sqrt(1.0 - cfg.cross_modal_correlation)
+    n, t, d, sigma = cfg.n, cfg.t, cfg.d, cfg.noise_std
 
-    def gen_split(stream, size: int) -> list[Sample]:
+    def gen_split(stream, size: int) -> Split:
         rng = np.random.default_rng(stream)
-        labels = _balanced_labels(size, rng)
-        sigma = cfg.noise_std
-        rho = cfg.cross_modal_correlation
-        w_shared, w_own = np.sqrt(rho), np.sqrt(1.0 - rho)
-        samples = []
-        for label in labels:
-            mu_x = cfg.class_separation * sigma * means[("x", int(label))]
-            mu_y = cfg.class_separation * sigma * means[("y", int(label))]
-            shared = rng.standard_normal(cfg.d)
-            x = mu_x + sigma * (w_own * rng.standard_normal((cfg.n, cfg.d)) + w_shared * shared)
-            y = mu_y + sigma * (w_own * rng.standard_normal((cfg.t, cfg.d)) + w_shared * shared)
-            samples.append(Sample(x, y, int(label)))
-        return samples
+        labels = np.zeros(size, dtype=int)
+        labels[size // 2:] = 1
+        rng.shuffle(labels)
+        # each sample's draws: the shared latent, then the x noise, then the y noise
+        draws = rng.standard_normal((size, 1, (1 + n + t) * d))
+        shared, noise_x, noise_y = np.split(draws, [d, (1 + n) * d], axis=2)
+        x = mu[labels, None] + sigma * (w_own * noise_x.reshape(size, n, d) + w_shared * shared)
+        y = mu[2 + labels, None] + sigma * (w_own * noise_y.reshape(size, t, d) + w_shared * shared)
+        return Split(x, y, labels)
 
-    return TaskData(
-        gen_split(streams[1], cfg.train_size),
-        gen_split(streams[2], cfg.val_size),
-        gen_split(streams[3], cfg.test_size),
-    )
+    sizes = (cfg.train_size, cfg.val_size, cfg.test_size)
+    return TaskData(*(gen_split(stream, size) for stream, size in zip(streams[1:], sizes)))

@@ -22,7 +22,7 @@ from . import diffcore as dc
 from .calibration import NUM_BINS, PredictionSet, ace, ece
 from .errors import NumericalError, ParameterError, require_count, require_seed
 from .model import Model, ModelConfig, ablation_variant, assemble_model, model_settings
-from .synthetic import Sample, SyntheticTaskConfig, TaskData, generate_task
+from .synthetic import Split, SyntheticTaskConfig, TaskData, generate_task
 
 METRIC_ORDER = ("precision", "recall", "f1", "accuracy", "specificity", "ece", "ace")
 
@@ -112,13 +112,6 @@ class RunRecord:
     zero_division_flags: tuple[str, ...] = ()
 
 
-def _mean_batch_loss(model: Model, batch: list[Sample], training: bool,
-                     rng: np.random.Generator | None = None):
-    """Mean loss over the samples, from one forward of the whole batch."""
-    logits = model.forward([s.x for s in batch], [s.y for s in batch], training, rng)
-    return model.loss(logits, [s.label for s in batch])
-
-
 def train(model: Model, data: TaskData, tc: TrainConfig, seed: int = 0) -> RunRecord:
     """Train one model on one dataset; mutates the model in place."""
     if not data.train or not data.val:
@@ -138,12 +131,13 @@ def train(model: Model, data: TaskData, tc: TrainConfig, seed: int = 0) -> RunRe
         lr = lr_at_epoch(tc, epoch)
         order = shuffle_rng.permutation(len(data.train))
         for start in range(0, len(order), tc.batch_size):
-            batch = [data.train[i] for i in order[start:start + tc.batch_size]]
+            batch = order[start:start + tc.batch_size]
             if epoch == 0 and start == 0:
-                rows = np.vstack([model.encode_image(s.y) for s in batch])
+                rows = model.encode_image(data.train.y[batch]).reshape(-1, model.cfg.d)
                 model.init_references(rows, ref_rng)
             dc.zero_grads(params)
-            loss = _mean_batch_loss(model, batch, True, dropout_rng)
+            logits = model.forward(data.train.x[batch], data.train.y[batch], True, dropout_rng)
+            loss = model.loss(logits, data.train.labels[batch])
             if not np.isfinite(loss.value[0, 0]):
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch}, batch {start // tc.batch_size}"
@@ -151,7 +145,8 @@ def train(model: Model, data: TaskData, tc: TrainConfig, seed: int = 0) -> RunRe
             dc.backward(loss)
             optimizer.step(lr)
         with dc.inference(params):
-            val_loss = float(_mean_batch_loss(model, data.val, False).value[0, 0])
+            logits = model.forward(data.val.x, data.val.y, False)
+            val_loss = float(model.loss(logits, data.val.labels).value[0, 0])
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss at epoch {epoch}")
         record.epochs = epoch + 1
@@ -204,13 +199,11 @@ def classification_metrics(preds: PredictionSet) -> dict:
     return {"metrics": metrics, "zero_division_flags": tuple(flags)}
 
 
-def evaluate(model: Model, samples: list[Sample]) -> tuple[PredictionSet, dict]:
-    """Predict a split and compute its metrics."""
-    if not samples:
+def evaluate(model: Model, split: Split) -> tuple[PredictionSet, dict]:
+    """Predict a split, in one forward, and compute its metrics."""
+    if not split:
         raise ParameterError("cannot evaluate an empty split")
-    probs = model.predict_proba([s.x for s in samples], [s.y for s in samples])
-    labels = np.array([s.label for s in samples])
-    preds = PredictionSet(probs, labels)
+    preds = PredictionSet(model.predict_proba(split.x, split.y), split.labels)
     return preds, classification_metrics(preds)
 
 

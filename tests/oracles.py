@@ -17,7 +17,9 @@ must reproduce bit for bit, and ``sinkhorn_scaling_loop`` is the scaling
 loop with a fresh array for every step, which the buffer-reusing
 ``transport.sinkhorn`` reproduces bit for bit. ``mel_power_dense`` is the mel projection
 over every FFT bin, which the band-blocked ``log_mel`` reproduces within
-rounding.
+rounding. ``generate_task_per_sample`` draws the synthetic task one sample
+at a time, which ``generate_task``'s one draw per split reproduces bit for
+bit.
 
 The graph primitives that only these oracles use (``sub``,
 ``elementwise_div``, ``scale``, ``log_ew``, ``softmax_rows``,
@@ -719,3 +721,38 @@ def window_slope_bruteforce(row, width):
         slope, _ = np.polyfit(t, window, 1)
         out[i] = slope
     return out
+
+
+def generate_task_per_sample(cfg):
+    """``synthetic.generate_task`` one sample at a time, with three generator
+    calls per sample (shared latent, x noise, y noise); the single draw per
+    split must reproduce it bit for bit. Returns ``(x, y, labels)`` per
+    split, stacked, in the order train, val, test."""
+    streams = np.random.SeedSequence(cfg.seed).spawn(4)
+    dir_rng = np.random.default_rng(streams[0])
+
+    def unit():
+        v = dir_rng.standard_normal(cfg.d)
+        return v / np.linalg.norm(v)
+
+    means = {("x", 0): unit(), ("x", 1): unit(), ("y", 0): unit(), ("y", 1): unit()}
+
+    def gen_split(stream, size):
+        rng = np.random.default_rng(stream)
+        labels = np.zeros(size, dtype=int)
+        labels[size // 2:] = 1
+        rng.shuffle(labels)
+        sigma = cfg.noise_std
+        rho = cfg.cross_modal_correlation
+        w_shared, w_own = np.sqrt(rho), np.sqrt(1.0 - rho)
+        xs, ys = [], []
+        for label in labels:
+            mu_x = cfg.class_separation * sigma * means[("x", int(label))]
+            mu_y = cfg.class_separation * sigma * means[("y", int(label))]
+            shared = rng.standard_normal(cfg.d)
+            xs.append(mu_x + sigma * (w_own * rng.standard_normal((cfg.n, cfg.d)) + w_shared * shared))
+            ys.append(mu_y + sigma * (w_own * rng.standard_normal((cfg.t, cfg.d)) + w_shared * shared))
+        return np.stack(xs), np.stack(ys), labels
+
+    return [gen_split(streams[1], cfg.train_size), gen_split(streams[2], cfg.val_size),
+            gen_split(streams[3], cfg.test_size)]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -319,6 +321,21 @@ class TestTensorIO:
         path = tmp_path / "bogus.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(InputError):
+            af.load_tensor(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw[:6], lambda raw: raw[:12], lambda raw: raw[:20], lambda raw: raw[:259],
+        lambda raw: raw + bytes(4),
+        lambda raw: raw[:4] + struct.pack("<i", -1) + raw[8:],
+        lambda raw: raw[:12] + struct.pack("<i", -1) + raw[16:],
+        lambda raw: raw[:12] + struct.pack("<2i", -4, -5) + raw[20:],
+    ], ids=["cut_in_ndim", "cut_in_dims", "no_data", "data_short", "data_long", "negative_ndim",
+            "one_negative_dim", "two_negative_dims"])
+    def test_malformed_file_rejected(self, tmp_path, edit):
+        path = tmp_path / "tensor.bin"
+        af.save_tensor(str(path), np.ones((3, 4, 5)))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(InputError, match="tensor.bin"):
             af.load_tensor(str(path))
 
 

@@ -121,7 +121,8 @@ class TestEvalCommand:
         assert "error: " in captured.err
 
     @pytest.mark.parametrize("setting", ["model.context_gate_override = nan",
-                                         "task.class_separation = nan"])
+                                         "task.class_separation = nan",
+                                         "task.noise_std = inf"])
     def test_nan_model_or_task_setting_is_usage_error(self, tmp_path, capsys, setting):
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG + setting + "\n")

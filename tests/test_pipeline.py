@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import expected_parameter_count, scale
+from oracles import expected_parameter_count, generate_task_per_sample, scale
 
 from otfusion import diffcore as dc
 from otfusion import transport as tr
@@ -10,7 +10,7 @@ from otfusion.calibration import PredictionSet
 from otfusion.errors import InputError, ParameterError
 from otfusion.model import ModelConfig, ablation_variant, assemble_model
 from otfusion.significance import aso
-from otfusion.synthetic import SyntheticTaskConfig, generate_task
+from otfusion.synthetic import Split, SyntheticTaskConfig, generate_task
 from otfusion.training import (EarlyStopping, TrainConfig, classification_metrics,
                                evaluate, fingerprint_configs, lr_at_epoch, run_experiment,
                                train)
@@ -65,6 +65,49 @@ class TestGenerateTask:
         assert data.train[0].x.shape == (5, 4)
         assert data.train[0].y.shape == (9, 4)
 
+    @pytest.mark.parametrize("kw", [
+        {}, dict(n=5, t=9, d=4, seed=3), dict(t=96, cross_modal_correlation=0.0),
+        dict(cross_modal_correlation=1.0, class_separation=0.0), dict(noise_std=2.5, train_size=7),
+    ], ids=["default", "small", "long_image", "shared_only", "wide_noise_odd_size"])
+    def test_one_draw_matches_the_per_sample_loop(self, kw):
+        cfg = SyntheticTaskConfig(**kw)
+        data = generate_task(cfg)
+        for split, (x, y, labels) in zip((data.train, data.val, data.test),
+                                         generate_task_per_sample(cfg)):
+            assert split.x.tobytes() == x.tobytes() and split.x.shape == x.shape
+            assert split.y.tobytes() == y.tobytes() and split.y.shape == y.shape
+            npt.assert_array_equal(split.labels, labels)
+            assert split.x.flags.c_contiguous and split.y.flags.c_contiguous
+
+
+class TestSplit:
+    def test_len_index_and_iteration(self):
+        split = generate_task(tiny_task(n=5, t=9, d=4)).val
+        assert len(split) == 16
+        last = split[-1]
+        npt.assert_array_equal(last.x, split.x[15])
+        npt.assert_array_equal(last.y, split.y[15])
+        assert last.label == split.labels[15] and isinstance(last.label, int)
+        samples = list(split)
+        assert len(samples) == 16
+        for i, sample in enumerate(samples):
+            npt.assert_array_equal(sample.x, split.x[i])
+            npt.assert_array_equal(sample.y, split.y[i])
+            assert sample.label == split.labels[i]
+
+    def test_evaluate_empty_split_rejected(self):
+        empty = Split(np.zeros((0, 6, 8)), np.zeros((0, 6, 8)), np.zeros(0, dtype=int))
+        model = assemble_model(tiny_model(), seed=0)
+        with pytest.raises(ParameterError, match="cannot evaluate an empty split"):
+            evaluate(model, empty)
+
+    def test_train_with_empty_val_split_rejected(self):
+        data = generate_task(tiny_task())
+        data.val = Split(np.zeros((0, 6, 8)), np.zeros((0, 6, 8)), np.zeros(0, dtype=int))
+        model = assemble_model(tiny_model(), seed=0)
+        with pytest.raises(ParameterError, match="train and val splits must be nonempty"):
+            train(model, data, tiny_train(), seed=0)
+
     def test_separable_task_passes_linear_probe(self):
         # oracle: least-squares probe on mean-pooled concatenated features
         data = generate_task(tiny_task(train_size=120, test_size=60))
@@ -91,7 +134,7 @@ class TestGenerateTask:
         with pytest.raises(ParameterError, match=f"{name} must be >= 1 and an integer"):
             tiny_task(**{name: bad})
 
-    @pytest.mark.parametrize("noise_std", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("noise_std", [0.0, -1.0, np.nan, np.inf])
     def test_non_positive_noise_std_rejected(self, noise_std):
         with pytest.raises(ParameterError, match="noise_std"):
             tiny_task(noise_std=noise_std)
