@@ -83,10 +83,10 @@ def generate_task(cfg: SyntheticTaskConfig) -> TaskData:
     """Deterministically generate balanced train/val/test splits."""
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     dir_rng = np.random.default_rng(streams[0])
-    # class means, rows x0, x1, y0, y1
-    mu = (cfg.class_separation * cfg.noise_std) * np.array([_unit(dir_rng, cfg.d) for _ in range(4)])
-    w_shared, w_own = np.sqrt(cfg.cross_modal_correlation), np.sqrt(1.0 - cfg.cross_modal_correlation)
     n, t, d, sigma = cfg.n, cfg.t, cfg.d, cfg.noise_std
+    # class means, rows x0, x1, y0, y1
+    mu = (cfg.class_separation * sigma) * np.array([_unit(dir_rng, d) for _ in range(4)])
+    w_shared, w_own = np.sqrt(cfg.cross_modal_correlation), np.sqrt(1.0 - cfg.cross_modal_correlation)
 
     def gen_split(stream, size: int) -> Split:
         rng = np.random.default_rng(stream)

@@ -131,13 +131,13 @@ def train(model: Model, data: TaskData, tc: TrainConfig, seed: int = 0) -> RunRe
         lr = lr_at_epoch(tc, epoch)
         order = shuffle_rng.permutation(len(data.train))
         for start in range(0, len(order), tc.batch_size):
-            batch = order[start:start + tc.batch_size]
+            idx = order[start:start + tc.batch_size]
             if epoch == 0 and start == 0:
-                rows = model.encode_image(data.train.y[batch]).reshape(-1, model.cfg.d)
+                rows = model.encode_image(data.train.y[idx]).reshape(-1, model.cfg.d)
                 model.init_references(rows, ref_rng)
             dc.zero_grads(params)
-            logits = model.forward(data.train.x[batch], data.train.y[batch], True, dropout_rng)
-            loss = model.loss(logits, data.train.labels[batch])
+            logits = model.forward(data.train.x[idx], data.train.y[idx], True, dropout_rng)
+            loss = model.loss(logits, data.train.labels[idx])
             if not np.isfinite(loss.value[0, 0]):
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch}, batch {start // tc.batch_size}"

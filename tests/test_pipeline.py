@@ -79,35 +79,6 @@ class TestGenerateTask:
             npt.assert_array_equal(split.labels, labels)
             assert split.x.flags.c_contiguous and split.y.flags.c_contiguous
 
-
-class TestSplit:
-    def test_len_index_and_iteration(self):
-        split = generate_task(tiny_task(n=5, t=9, d=4)).val
-        assert len(split) == 16
-        last = split[-1]
-        npt.assert_array_equal(last.x, split.x[15])
-        npt.assert_array_equal(last.y, split.y[15])
-        assert last.label == split.labels[15] and isinstance(last.label, int)
-        samples = list(split)
-        assert len(samples) == 16
-        for i, sample in enumerate(samples):
-            npt.assert_array_equal(sample.x, split.x[i])
-            npt.assert_array_equal(sample.y, split.y[i])
-            assert sample.label == split.labels[i]
-
-    def test_evaluate_empty_split_rejected(self):
-        empty = Split(np.zeros((0, 6, 8)), np.zeros((0, 6, 8)), np.zeros(0, dtype=int))
-        model = assemble_model(tiny_model(), seed=0)
-        with pytest.raises(ParameterError, match="cannot evaluate an empty split"):
-            evaluate(model, empty)
-
-    def test_train_with_empty_val_split_rejected(self):
-        data = generate_task(tiny_task())
-        data.val = Split(np.zeros((0, 6, 8)), np.zeros((0, 6, 8)), np.zeros(0, dtype=int))
-        model = assemble_model(tiny_model(), seed=0)
-        with pytest.raises(ParameterError, match="train and val splits must be nonempty"):
-            train(model, data, tiny_train(), seed=0)
-
     def test_separable_task_passes_linear_probe(self):
         # oracle: least-squares probe on mean-pooled concatenated features
         data = generate_task(tiny_task(train_size=120, test_size=60))
@@ -147,6 +118,35 @@ class TestSplit:
     def test_zero_class_separation_accepted(self):
         data = generate_task(tiny_task(class_separation=0.0))
         assert np.isfinite(data.train[0].x).all()
+
+
+class TestSplit:
+    def test_len_index_and_iteration(self):
+        split = generate_task(tiny_task(n=5, t=9, d=4)).val
+        assert len(split) == 16
+        last = split[-1]
+        npt.assert_array_equal(last.x, split.x[15])
+        npt.assert_array_equal(last.y, split.y[15])
+        assert last.label == split.labels[15] and isinstance(last.label, int)
+        samples = list(split)
+        assert len(samples) == 16
+        for i, sample in enumerate(samples):
+            npt.assert_array_equal(sample.x, split.x[i])
+            npt.assert_array_equal(sample.y, split.y[i])
+            assert sample.label == split.labels[i]
+
+    def test_evaluate_empty_split_rejected(self):
+        empty = Split(np.zeros((0, 6, 8)), np.zeros((0, 6, 8)), np.zeros(0, dtype=int))
+        model = assemble_model(tiny_model(), seed=0)
+        with pytest.raises(ParameterError, match="cannot evaluate an empty split"):
+            evaluate(model, empty)
+
+    def test_train_with_empty_val_split_rejected(self):
+        data = generate_task(tiny_task())
+        data.val = Split(np.zeros((0, 6, 8)), np.zeros((0, 6, 8)), np.zeros(0, dtype=int))
+        model = assemble_model(tiny_model(), seed=0)
+        with pytest.raises(ParameterError, match="train and val splits must be nonempty"):
+            train(model, data, tiny_train(), seed=0)
 
 
 class TestAssembleModel:
