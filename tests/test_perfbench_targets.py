@@ -7,25 +7,28 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    """Import perfbench/tracing.py by path (perfbench is not a package),
-    writing no bytecode cache next to it."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    """Import perfbench/<name>.py by path (perfbench is not a package), with
+    perfbench's directory on ``sys.path`` for the modules it imports (such
+    as ``speedprobe``), writing no bytecode cache next to any of them."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     write_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
     try:
         spec.loader.exec_module(module)
     finally:
+        sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = write_bytecode
     return module
 
 
-tracing = load_tracing()
+tracing = load_perfbench("tracing")
 
 
 @pytest.mark.parametrize("module,attr,span", tracing.TARGETS,

@@ -3,35 +3,13 @@ one operation, so a change to otfusion that breaks what ``perfbench`` uses
 of it (a split's samples, a function's name or result) fails here rather
 than in a refused benchmark run."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from test_perfbench_targets import load_perfbench
+
 SEED = 2701
 
-
-def load_workloads():
-    """Import perfbench/workloads.py by path (perfbench is not a package),
-    with perfbench's directory on ``sys.path`` for the ``speedprobe`` it
-    imports, writing no bytecode cache next to either."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    write_bytecode = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        sys.dont_write_bytecode = write_bytecode
-    return module
-
-
-workloads = load_workloads()
+workloads = load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
