@@ -175,6 +175,8 @@ def delta(m: np.ndarray, width: int = 9) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ParameterError("delta expects a 2-D matrix")
+    if m.shape[1] == 0:
+        raise InputError("delta needs at least one column")
     half = width // 2
     cols = m.shape[1]
     padded = np.pad(m, ((0, 0), (half, half)), mode="edge")
@@ -207,9 +209,14 @@ def bilinear_resize(m: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Separable linear interpolation onto an endpoint-aligned grid, along
     each row first and then along each column.
 
-    Resizing to the input's own shape reproduces it exactly.
+    Resizing to the input's own shape reproduces it exactly. The input
+    must be a non-empty 2-D matrix and each target size at least 1.
     """
+    require_count("rows", rows)
+    require_count("cols", cols)
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.size == 0:
+        raise InputError(f"bilinear_resize expects a non-empty 2-D matrix, got shape {m.shape}")
     in_r, in_c = m.shape
     row_pos = np.linspace(0.0, in_r - 1.0, rows) if in_r > 1 else np.zeros(rows)
     col_pos = np.linspace(0.0, in_c - 1.0, cols) if in_c > 1 else np.zeros(cols)

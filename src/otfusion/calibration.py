@@ -60,12 +60,29 @@ class PredictionSet:
     def k(self) -> int:
         return self.probs.shape[1]
 
+    def top_class(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's largest probability and the first column holding it:
+        ``probs.max(axis=1)`` and ``probs.argmax(axis=1)``, bit for bit.
+
+        One pass over the contiguous class columns: a running
+        ``np.maximum`` is the reduction ``max`` does, and a column takes
+        the prediction only where it is strictly larger, so a tie keeps
+        the first column, as ``argmax`` does.
+        """
+        columns = np.ascontiguousarray(self.probs.T)
+        best = columns[0].copy()
+        predicted = np.zeros(self.n, dtype=np.intp)
+        for cls in range(1, self.k):
+            # every prediction so far is below cls: a branch-free masked write
+            np.maximum(predicted, (columns[cls] > best) * cls, out=predicted)
+            np.maximum(best, columns[cls], out=best)
+        return best, predicted
+
     def confidences(self) -> np.ndarray:
-        # one contiguous row per class: a reduction over rows, not along them
-        return np.ascontiguousarray(self.probs.T).max(axis=0)
+        return self.top_class()[0]
 
     def predicted(self) -> np.ndarray:
-        return self.probs.argmax(axis=1)
+        return self.top_class()[1]
 
 
 def smooth_targets(labels, alpha: float, num_classes: int) -> np.ndarray:
@@ -137,20 +154,41 @@ class ReliabilityBins:
     edges: np.ndarray = field(default=None)
 
 
+def equal_width_bins(conf: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Each confidence's bin among the M = ``len(edges) - 1`` bins that
+    ``edges`` bound: ``clip(searchsorted(edges, conf, "left") - 1, 0, M - 1)``,
+    the same bins, at a cost that does not grow with M.
+
+    The guess ``ceil(conf * M) - 1`` is one bin off at most (the product
+    rounds, by far less than a bin's width), and one comparison with
+    each of its two edges corrects it. A confidence at or below 0 goes to
+    the first bin, one above 1 to the last.
+    """
+    last = edges.size - 2
+    idx = np.ceil(conf * (last + 1)).astype(np.intp)
+    idx -= 1
+    # ufuncs, not np.clip: its call costs more than the binning of a small set
+    np.minimum(np.maximum(idx, 0, out=idx), last, out=idx)
+    idx -= conf <= edges[idx]
+    idx += conf > edges[idx + 1]
+    return np.minimum(np.maximum(idx, 0, out=idx), last, out=idx)
+
+
 def ece(preds: PredictionSet, num_bins: int = NUM_BINS) -> tuple[float, ReliabilityBins]:
     """Expected calibration error over equal-width confidence bins.
 
     Confidence is the max-class probability, correctness is argmax vs
     label; ECE weights each bin's |accuracy - confidence| gap by its
-    occupancy. Empty bins contribute zero.
+    occupancy. Empty bins contribute zero. Both come from one pass over
+    the class columns (``PredictionSet.top_class``), and each bin from
+    ``equal_width_bins``.
     """
     require_count("num_bins", num_bins)
-    conf = preds.confidences()
-    correct = preds.predicted() == preds.labels
+    conf, predicted = preds.top_class()
+    correct = predicted == preds.labels
     # bin m (1-based) covers ((m-1)/M, m/M]; edges are the exact floats m/M
     edges = np.arange(num_bins + 1) / num_bins
-    idx = np.searchsorted(edges, conf, side="left") - 1
-    idx = np.clip(idx, 0, num_bins - 1)
+    idx = equal_width_bins(conf, edges)
     counts = np.bincount(idx, minlength=num_bins)
     # a hit count is exact in float64, so hits / count is the bin's mean
     acc = np.divide(np.bincount(idx, weights=correct, minlength=num_bins), counts,
@@ -173,11 +211,15 @@ def ace(preds: PredictionSet, num_ranges: int = NUM_BINS) -> tuple[float, Reliab
     count). The result is the unweighted mean of |accuracy - confidence|
     over all (class, range) cells.
 
-    The stable order comes from a default sort, repaired where it matters:
-    the indices of a tie run that straddles a range boundary are sorted
-    ascending. Each range then holds the stable sort's samples, and its
-    sorted confidences equal the stable ones position by position (a mean
-    sums -0.0 and 0.0 alike), so every mean is the same bits.
+    No permutation is built. A range's confidences are a slice of the
+    sorted column: equal values are equal bits, except that the sort may
+    change the sign of a zero, which no mean shows (its sum starts at
+    +0.0). A range's accuracy is its hit count over its size, and the
+    hits before a cut are counted: those whose value is below the value
+    at the cut, plus, where a tie run straddles the cut, the hits among
+    the run's first members in sample order (its stable order) up to the
+    cut. Every mean is the same bits as the mean over the stable sort's
+    chunk.
     """
     require_count("num_ranges", num_ranges)
     if num_ranges > preds.n:
@@ -186,22 +228,30 @@ def ace(preds: PredictionSet, num_ranges: int = NUM_BINS) -> tuple[float, Reliab
     # np.array_split's sizes: the first ``extra`` ranges hold one more
     base, extra = divmod(preds.n, num_ranges)
     split = extra * (base + 1)
-    sizes = [base + 1] * extra + [base] * (num_ranges - extra)
+    sizes = np.array([base + 1] * extra + [base] * (num_ranges - extra))
     cuts = np.cumsum(sizes)[:-1]
     counts = np.tile(sizes, (k, 1))
     acc = np.empty((k, num_ranges))
     mean_conf = np.empty((k, num_ranges))
     columns = np.ascontiguousarray(preds.probs.T)
     for cls in range(k):
-        order = np.argsort(columns[cls])
-        values = columns[cls][order]
-        ties = values[cuts][values[cuts - 1] == values[cuts]]
-        lows, highs = np.searchsorted(values, ties, "left"), np.searchsorted(values, ties, "right")
-        for lo, hi in dict.fromkeys(zip(lows, highs)):  # a run over several cuts once
-            order[lo:hi].sort()
+        column, hit = columns[cls], preds.labels == cls
+        values = np.sort(column)
+        # hits[j] counts the hits before the start of range j, and hits[-1] all of them
+        hits = np.empty(num_ranges + 1, dtype=np.intp)
+        hits[0], hits[-1] = 0, np.count_nonzero(hit)
+        hits[1:-1] = np.searchsorted(np.sort(column[hit]), values[cuts], "left")
+        runs = {}
+        for j in np.flatnonzero(values[cuts - 1] == values[cuts]):
+            value = values[cuts[j]]
+            if value not in runs:  # a run over several cuts is found once
+                runs[value] = np.searchsorted(values, value, "left"), np.flatnonzero(column == value)
+            first, members = runs[value]
+            hits[j + 1] += np.count_nonzero(hit[members[:cuts[j] - first]])
+        # an exact count over the size: the division a mean over booleans does
+        acc[cls] = np.diff(hits) / sizes
         # each range is one contiguous row, so its mean sums as a lone chunk's
-        for values, out in ((values, mean_conf), (preds.labels[order] == cls, acc)):
-            out[cls, :extra] = values[:split].reshape(extra, base + 1).mean(axis=1)
-            out[cls, extra:] = values[split:].reshape(num_ranges - extra, base).mean(axis=1)
+        mean_conf[cls, :extra] = values[:split].reshape(extra, base + 1).mean(axis=1)
+        mean_conf[cls, extra:] = values[split:].reshape(num_ranges - extra, base).mean(axis=1)
     total = np.cumsum(np.abs(acc - mean_conf))[-1]
     return float(total / (k * num_ranges)), ReliabilityBins("equal_mass", counts, acc, mean_conf)

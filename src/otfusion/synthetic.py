@@ -80,7 +80,12 @@ def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def generate_task(cfg: SyntheticTaskConfig) -> TaskData:
-    """Deterministically generate balanced train/val/test splits."""
+    """Deterministically generate balanced train/val/test splits.
+
+    Finite settings too large for float64 (a ``noise_std`` or a
+    ``class_separation * noise_std`` whose samples overflow) raise
+    ``ParameterError``: the drawn samples must be finite.
+    """
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     dir_rng = np.random.default_rng(streams[0])
     n, t, d, sigma = cfg.n, cfg.t, cfg.d, cfg.noise_std
@@ -96,8 +101,12 @@ def generate_task(cfg: SyntheticTaskConfig) -> TaskData:
         # each sample's draws: the shared latent, then the x noise, then the y noise
         draws = rng.standard_normal((size, 1, (1 + n + t) * d))
         shared, noise_x, noise_y = np.split(draws, [d, (1 + n) * d], axis=2)
-        x = mu[labels, None] + sigma * (w_own * noise_x.reshape(size, n, d) + w_shared * shared)
-        y = mu[2 + labels, None] + sigma * (w_own * noise_y.reshape(size, t, d) + w_shared * shared)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, with its cause
+            x = mu[labels, None] + sigma * (w_own * noise_x.reshape(size, n, d) + w_shared * shared)
+            y = mu[2 + labels, None] + sigma * (w_own * noise_y.reshape(size, t, d) + w_shared * shared)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ParameterError(f"noise_std {sigma} with class_separation {cfg.class_separation} "
+                                 "overflows the samples")
         return Split(x, y, labels)
 
     sizes = (cfg.train_size, cfg.val_size, cfg.test_size)

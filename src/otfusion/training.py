@@ -171,7 +171,7 @@ def classification_metrics(preds: PredictionSet) -> dict:
     Ratios with zero denominators come back as 0 and are flagged.
     """
     labels = preds.labels
-    predicted = preds.predicted()
+    _, predicted = preds.top_class()
     tp = int(((predicted == 1) & (labels == 1)).sum())
     tn = int(((predicted == 0) & (labels == 0)).sum())
     fp = int(((predicted == 1) & (labels == 0)).sum())

@@ -21,7 +21,9 @@ rewritten entry with its largest relative move.
 
 The digest mode checks bit identity instead. It records the logits, the
 loss and every named parameter gradient of each grid configuration in
-both modes, the outputs of ECE/ACE, ASO, the STFT, log-mel, the resize
+both modes, the outputs of ECE/ACE (at 1, 7, 10 and 1,000 bins or
+ranges, on raw and rounded two-class sets of 5,000 and 100,000 rows and
+three-class sets of 5,000), ASO, the STFT, log-mel, the resize
 and the feature image on fixed seeded inputs, the plan, cost, violation
 and flag of ``sinkhorn`` (a benchmark-shaped pair, an absorbing one and
 one with zero-mass rows and columns) and of ``emd_exact`` (a split
@@ -69,6 +71,7 @@ BATCH = 4
 IMAGE_ROWS = 20  # longer than seq_len, so OTK and repeat both resize
 LABELS = np.array([0, 1, 1, 0])
 MODES = {"train": True, "eval": False}
+CALIBRATION_COUNTS = (1, 7, 10, 1000)  # ECE bins and ACE ranges
 CLI_CONFIG = """
 label = tiny
 task.n = 6
@@ -142,17 +145,38 @@ def model_outputs() -> dict[str, np.ndarray]:
     return out
 
 
+def prediction_sets(p1: np.ndarray, labels: np.ndarray) -> dict[str, calibration.PredictionSet]:
+    """Two-class sets of 5,000 and 100,000 rows and three-class sets of
+    5,000, each raw and rounded to hundredths (ties, and runs of them
+    over range cuts), by name."""
+    rng = np.random.default_rng(22)
+    big = rng.uniform(0, 1, 100_000)
+    big_labels = (rng.uniform(0, 1, big.size) < big ** 1.3).astype(int)
+    logits = rng.normal(0, 2, (5000, 3))
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    # two sorted cut points of 100 hundredths give a row of three
+    points = np.sort(rng.integers(0, 101, (5000, 2)), axis=1)
+    hundredths = np.diff(np.column_stack([np.zeros(5000, int), points, np.full(5000, 100)]), axis=1)
+    labels3 = rng.integers(0, 3, 5000)
+    sets = {}
+    for size, p, y in (("n5000", p1, labels), ("n100k", big, big_labels)):
+        for name, q in (("raw", p), ("rounded", np.round(p, 2))):
+            sets[f"{size}.{name}"] = calibration.PredictionSet(np.column_stack([1 - q, q]), y)
+    sets["k3.raw"] = calibration.PredictionSet(e / e.sum(axis=1, keepdims=True), labels3)
+    sets["k3.rounded"] = calibration.PredictionSet(hundredths / 100, labels3)
+    return sets
+
+
 def tool_outputs() -> dict[str, np.ndarray]:
     """Every evaluation tool's outputs on fixed seeded inputs, by entry name."""
     rng = np.random.default_rng(21)
     out = {}
     p1 = rng.uniform(0, 1, 5000)
     labels = (rng.uniform(0, 1, p1.size) < p1 ** 1.3).astype(int)
-    for name, p in (("raw", p1), ("rounded", np.round(p1, 2))):  # rounded: ties
-        preds = calibration.PredictionSet(np.column_stack([1 - p, p]), labels)
-        for metric in (calibration.ece, calibration.ace):
-            value, bins = metric(preds, 10)
-            prefix = f"calibration.{metric.__name__}.{name}"
+    for name, preds in prediction_sets(p1, labels).items():
+        for metric, count in itertools.product((calibration.ece, calibration.ace), CALIBRATION_COUNTS):
+            value, bins = metric(preds, count)
+            prefix = f"calibration.{metric.__name__}.{name}.{count}"
             out[f"{prefix}.value"] = np.array(value)
             for field in ("counts", "accuracy", "confidence", "edges"):
                 if getattr(bins, field) is not None:

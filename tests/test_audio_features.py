@@ -215,6 +215,10 @@ class TestDelta:
         with pytest.raises(ParameterError, match="width"):
             af.delta(np.zeros((2, 10)), width)
 
+    def test_no_columns_is_an_input_error(self):
+        with pytest.raises(InputError, match="at least one column"):
+            af.delta(np.zeros((3, 0)))
+
 
 class TestBilinearResize:
     def test_identity_when_shape_matches(self):
@@ -281,6 +285,16 @@ class TestBilinearResize:
             npt.assert_array_equal(af.bilinear_resize(m.T, 11, 7), resize_by_interp(m.T, 11, 7))
         npt.assert_array_equal(af.bilinear_resize(line[None, :], 1, 9)[0],
                                np.interp(np.linspace(0, line.size - 1, 9), np.arange(line.size), line))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (5,)])
+    def test_empty_or_not_2d_input_is_an_input_error(self, shape):
+        with pytest.raises(InputError, match="non-empty 2-D"):
+            af.bilinear_resize(np.zeros(shape), 4, 4)
+
+    @pytest.mark.parametrize("size", [(0, 5), (5, 0), (-1, 5), (5, 2.0)])
+    def test_target_size_below_one_or_fractional_rejected(self, size):
+        with pytest.raises(ParameterError, match="rows|cols"):
+            af.bilinear_resize(np.ones((3, 4)), *size)
 
 
 class TestToImage:

@@ -213,6 +213,39 @@ class TestECE:
                 assert np.isnan(bins.accuracy[m]) and np.isnan(bins.confidence[m])
 
 
+def searched_bins(conf, num_bins):
+    """The bins of a search of the edges: bin m covers (m/M, (m+1)/M]."""
+    edges = np.arange(num_bins + 1) / num_bins
+    return np.clip(np.searchsorted(edges, conf, "left") - 1, 0, num_bins - 1)
+
+
+# the smallest subnormal, a mid one, the largest one and the smallest normal
+SUBNORMALS = [5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308]
+
+
+class TestEqualWidthBins:
+    def test_every_edge_and_its_neighbours_at_every_bin_count(self):
+        for num_bins in range(1, 1001):
+            edges = np.arange(num_bins + 1) / num_bins
+            conf = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+                                   [1.0 + 5e-10], SUBNORMALS])
+            npt.assert_array_equal(cal.equal_width_bins(conf, edges), searched_bins(conf, num_bins))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), num_bins=st.integers(1, 1000))
+    def test_matches_the_edge_search(self, data, num_bins):
+        """Edges, their float neighbours, 0, 1, 1 + 5e-10 (a row may sum
+        to 1 within 1e-9), subnormals and plain values, in one set."""
+        edges = np.arange(num_bins + 1) / num_bins
+        edge = st.integers(0, num_bins).map(lambda m: edges[m])
+        conf = st.one_of(edge, edge.map(lambda e: np.nextafter(e, -1.0)),
+                         edge.map(lambda e: np.nextafter(e, 2.0)),
+                         st.sampled_from([0.0, 1.0, 1.0 + 5e-10, *SUBNORMALS]),
+                         st.floats(0.0, 1.0))
+        values = np.array(data.draw(st.lists(conf, min_size=1, max_size=60)))
+        npt.assert_array_equal(cal.equal_width_bins(values, edges), searched_bins(values, num_bins))
+
+
 class TestACE:
     def test_degenerate_one_class_perfect(self):
         probs = np.tile([1.0, 0.0], (5, 1))
@@ -303,6 +336,29 @@ class TestACE:
             expected = np.array([probs[c, cls].mean() for c in chunks])
             assert bins.confidence[cls].tobytes() == expected.tobytes()
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(3, 5), denominator=st.integers(1, 4))
+    def test_runs_over_several_cuts_match_bruteforce(self, data, k, denominator):
+        """A grid of 1/4 or coarser and up to one range per sample, so a
+        tie run straddles several range cuts; zeros of either sign."""
+        n = data.draw(st.integers(k, 200))
+        points = np.array(data.draw(st.lists(st.integers(0, denominator), min_size=n * (k - 1),
+                                             max_size=n * (k - 1)))).reshape(n, k - 1)
+        counts = np.diff(np.column_stack([np.zeros(n, int), np.sort(points, axis=1),
+                                          np.full(n, denominator)]), axis=1)
+        probs = counts / denominator
+        negative = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        probs[(probs == 0.0) & negative[:, None]] = -0.0
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        ranges = data.draw(st.integers(max(1, n // 4), n))
+        value, bins = cal.ace(cal.PredictionSet(probs, labels), ranges)
+        assert value == ace_bruteforce(probs, labels, ranges)
+        for cls in range(k):
+            chunks = np.array_split(np.argsort(probs[:, cls], kind="stable"), ranges)
+            expected = np.array([probs[c, cls].mean() for c in chunks])
+            assert bins.confidence[cls].tobytes() == expected.tobytes()
+            npt.assert_array_equal(bins.accuracy[cls], [(labels[c] == cls).mean() for c in chunks])
+
     def test_too_many_ranges(self):
         rng = np.random.default_rng(6)
         preds = random_prediction_set(rng, 4)
@@ -316,6 +372,24 @@ class TestPredictionSetValidation:
         preds = random_prediction_set(np.random.default_rng(k), 500, k)
         npt.assert_array_equal(preds.confidences(), preds.probs.max(axis=1))
         npt.assert_array_equal(preds.predicted(), preds.probs.argmax(axis=1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(1, 6))
+    def test_top_class_is_max_and_argmax_byte_for_byte(self, data, k):
+        """Rows of small integer weights, so maxima tie, with zeros of
+        either sign."""
+        n = data.draw(st.integers(1, 40))
+        weights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * k,
+                                              max_size=n * k))).reshape(n, k)
+        weights[weights.sum(axis=1) == 0, 0] = 1
+        probs = weights / weights.sum(axis=1, keepdims=True)
+        negative = np.array(data.draw(st.lists(st.booleans(), min_size=n * k,
+                                               max_size=n * k))).reshape(n, k)
+        probs[(probs == 0.0) & negative] = -0.0
+        preds = cal.PredictionSet(probs, np.zeros(n, dtype=int))
+        conf, predicted = preds.top_class()
+        assert conf.tobytes() == probs.max(axis=1).tobytes()
+        assert predicted.tobytes() == probs.argmax(axis=1).tobytes()
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(InputError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -114,6 +116,15 @@ class TestGenerateTask:
     def test_non_finite_class_separation_rejected(self, separation):
         with pytest.raises(ParameterError, match="class_separation"):
             tiny_task(class_separation=separation)
+
+    @pytest.mark.parametrize("settings", [dict(noise_std=1e308),
+                                          dict(class_separation=1e308, noise_std=2.0)])
+    def test_settings_that_overflow_the_samples_rejected(self, settings):
+        task = SyntheticTaskConfig(**{**dict(train_size=4, val_size=2, test_size=2), **settings})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning before the error
+            with pytest.raises(ParameterError, match="overflows the samples"):
+                generate_task(task)
 
     def test_zero_class_separation_accepted(self):
         data = generate_task(tiny_task(class_separation=0.0))
