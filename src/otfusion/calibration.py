@@ -240,7 +240,8 @@ def ace(preds: PredictionSet, num_ranges: int = NUM_BINS) -> tuple[float, Reliab
         # hits[j] counts the hits before the start of range j, and hits[-1] all of them
         hits = np.empty(num_ranges + 1, dtype=np.intp)
         hits[0], hits[-1] = 0, np.count_nonzero(hit)
-        hits[1:-1] = np.searchsorted(np.sort(column[hit]), values[cuts], "left")
+        # np.compress, not a boolean index: the same values, several times faster
+        hits[1:-1] = np.searchsorted(np.sort(np.compress(hit, column)), values[cuts], "left")
         runs = {}
         for j in np.flatnonzero(values[cuts - 1] == values[cuts]):
             value = values[cuts[j]]
