@@ -27,7 +27,12 @@ NUM_BINS = 10
 
 @dataclass
 class PredictionSet:
-    """Predicted class-probability rows plus true labels."""
+    """Predicted class-probability rows plus true labels.
+
+    ``top_class`` gives each row's confidence (its largest probability)
+    and predicted class together, in one pass; ``confidences`` and
+    ``predicted`` return one of the two.
+    """
 
     probs: np.ndarray
     labels: np.ndarray
@@ -211,15 +216,16 @@ def ace(preds: PredictionSet, num_ranges: int = NUM_BINS) -> tuple[float, Reliab
     count). The result is the unweighted mean of |accuracy - confidence|
     over all (class, range) cells.
 
-    No permutation is built. A range's confidences are a slice of the
-    sorted column: equal values are equal bits, except that the sort may
-    change the sign of a zero, which no mean shows (its sum starts at
-    +0.0). A range's accuracy is its hit count over its size, and the
-    hits before a cut are counted: those whose value is below the value
-    at the cut, plus, where a tie run straddles the cut, the hits among
-    the run's first members in sample order (its stable order) up to the
-    cut. Every mean is the same bits as the mean over the stable sort's
-    chunk.
+    A range's confidences are a slice of the sorted column: equal values
+    are equal bits, except that the sort may change the sign of a zero,
+    which no mean shows (its sum starts at +0.0). A range's accuracy is
+    its hit count over its size. Where every range cut falls between two
+    distinct values, no permutation is built: the hits before a cut are
+    those whose value is below the value at the cut, counted by a search
+    of the sorted hit values. Where a tie run straddles a cut, the hits
+    are counted along the stable order, built as a default sort whose
+    runs at the cuts have their indices sorted ascending. Every mean is
+    the same bits as the mean over the stable sort's chunk.
     """
     require_count("num_ranges", num_ranges)
     if num_ranges > preds.n:
@@ -237,18 +243,21 @@ def ace(preds: PredictionSet, num_ranges: int = NUM_BINS) -> tuple[float, Reliab
     for cls in range(k):
         column, hit = columns[cls], preds.labels == cls
         values = np.sort(column)
+        ties = values[cuts][values[cuts - 1] == values[cuts]]
+        if ties.size:
+            # count along the stable order: a default sort whose tie runs at the
+            # cuts hold their indices ascending
+            order = np.argsort(column)
+            lows, highs = np.searchsorted(values, ties, "left"), np.searchsorted(values, ties, "right")
+            for lo, hi in dict.fromkeys(zip(lows, highs)):  # a run over several cuts once
+                order[lo:hi].sort()
+            below = np.cumsum(hit[order])[cuts - 1]
+        else:
+            # each cut lies between two values: the hits before it are those below
+            # it (np.compress, not a boolean index: the same values, several times faster)
+            below = np.searchsorted(np.sort(np.compress(hit, column)), values[cuts], "left")
         # hits[j] counts the hits before the start of range j, and hits[-1] all of them
-        hits = np.empty(num_ranges + 1, dtype=np.intp)
-        hits[0], hits[-1] = 0, np.count_nonzero(hit)
-        # np.compress, not a boolean index: the same values, several times faster
-        hits[1:-1] = np.searchsorted(np.sort(np.compress(hit, column)), values[cuts], "left")
-        runs = {}
-        for j in np.flatnonzero(values[cuts - 1] == values[cuts]):
-            value = values[cuts[j]]
-            if value not in runs:  # a run over several cuts is found once
-                runs[value] = np.searchsorted(values, value, "left"), np.flatnonzero(column == value)
-            first, members = runs[value]
-            hits[j + 1] += np.count_nonzero(hit[members[:cuts[j] - first]])
+        hits = np.concatenate([[0], below, [np.count_nonzero(hit)]])
         # an exact count over the size: the division a mean over booleans does
         acc[cls] = np.diff(hits) / sizes
         # each range is one contiguous row, so its mean sums as a lone chunk's
