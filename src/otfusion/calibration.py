@@ -235,7 +235,8 @@ def ace(preds: PredictionSet, num_ranges: int = NUM_BINS) -> tuple[float, Reliab
     base, extra = divmod(preds.n, num_ranges)
     split = extra * (base + 1)
     sizes = np.array([base + 1] * extra + [base] * (num_ranges - extra))
-    cuts = np.cumsum(sizes)[:-1]
+    starts = np.cumsum(sizes) - sizes
+    cuts = starts[1:]
     counts = np.tile(sizes, (k, 1))
     acc = np.empty((k, num_ranges))
     mean_conf = np.empty((k, num_ranges))
@@ -251,15 +252,14 @@ def ace(preds: PredictionSet, num_ranges: int = NUM_BINS) -> tuple[float, Reliab
             lows, highs = np.searchsorted(values, ties, "left"), np.searchsorted(values, ties, "right")
             for lo, hi in dict.fromkeys(zip(lows, highs)):  # a run over several cuts once
                 order[lo:hi].sort()
-            below = np.cumsum(hit[order])[cuts - 1]
+            range_hits = np.add.reduceat(hit[order], starts)
         else:
             # each cut lies between two values: the hits before it are those below
             # it (np.compress, not a boolean index: the same values, several times faster)
             below = np.searchsorted(np.sort(np.compress(hit, column)), values[cuts], "left")
-        # hits[j] counts the hits before the start of range j, and hits[-1] all of them
-        hits = np.concatenate([[0], below, [np.count_nonzero(hit)]])
+            range_hits = np.diff(below, prepend=0, append=np.count_nonzero(hit))
         # an exact count over the size: the division a mean over booleans does
-        acc[cls] = np.diff(hits) / sizes
+        acc[cls] = range_hits / sizes
         # each range is one contiguous row, so its mean sums as a lone chunk's
         mean_conf[cls, :extra] = values[:split].reshape(extra, base + 1).mean(axis=1)
         mean_conf[cls, extra:] = values[split:].reshape(num_ranges - extra, base).mean(axis=1)
