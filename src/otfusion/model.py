@@ -225,8 +225,9 @@ class Model:
             raise DimensionError(f"image input {y_raw.shape} does not match text input {x_raw.shape}")
 
         x = dc.constant(x_raw @ self.e_text)
-        y_enc = self.encode_image(y_raw)
-        s = self._image_sequence(y_enc)
+        # the encoded image goes on unnamed: in inference it is then freed as
+        # soon as OTK has pooled it, before the context stack's peak
+        s = self._image_sequence(self.encode_image(y_raw))
 
         f = ctx.stack_forward(x, self.stack, cfg.context_gate_override)
         mask = np.ones((cfg.seq_len, 2)) if cfg.image_mask_ones else None

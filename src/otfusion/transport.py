@@ -52,16 +52,24 @@ class Coupling:
 
 def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean costs between the rows of src and tgt:
-    ``(n, d), (m, d) -> (n, m)``, or ``(B, n, d), (B, m, d) -> (B, n, m)``."""
+    ``(n, d), (m, d) -> (n, m)``, or ``(B, n, d), (B, m, d) -> (B, n, m)``.
+
+    A 2-D ``(m, d)`` target is shared by every matrix of a ``(B, n, d)``
+    stack (diffcore's rule for a 2-D operand): its squared norms are
+    computed once, and the result equals, bit for bit, that of the target
+    broadcast to ``(B, m, d)``."""
     src = np.asarray(src, dtype=float)
     tgt = np.asarray(tgt, dtype=float)
-    if src.ndim not in (2, 3) or src.shape[:-2] != tgt.shape[:-2] or tgt.ndim != src.ndim:
-        raise DimensionError(f"cost_matrix expects two 2-D arrays or two equal-batch "
-                             f"3-D stacks, got {src.shape} and {tgt.shape}")
+    if src.ndim not in (2, 3) or tgt.ndim not in (2, src.ndim) or (
+            tgt.ndim == 3 and src.shape[0] != tgt.shape[0]):
+        raise DimensionError(f"cost_matrix expects a 2-D or 3-D source and a 2-D target or "
+                             f"an equal-batch 3-D stack, got {src.shape} and {tgt.shape}")
     if src.shape[-1] != tgt.shape[-1]:
         raise DimensionError(f"feature dims differ: {src.shape[-1]} vs {tgt.shape[-1]}")
     sq = (src * src).sum(axis=-1)[..., :, None] + (tgt * tgt).sum(axis=-1)[..., None, :]
-    sq -= 2.0 * (src @ tgt.swapaxes(-1, -2))
+    cross = src @ tgt.swapaxes(-1, -2)
+    cross *= 2.0
+    sq -= cross
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -296,6 +304,9 @@ def transport_weights(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     source row into tgt's domain. On equal lengths that plan is a
     permutation over n (Birkhoff): 0/1 weights from one assignment solve per
     sample of a ``(B, n, d)`` stack. Unequal 2-D pairs take ``emd_exact``."""
+    if np.ndim(src) != np.ndim(tgt):
+        raise DimensionError(f"transport_weights expects two 2-D arrays or two 3-D stacks, "
+                             f"got {np.shape(src)} and {np.shape(tgt)}")
     cost = cost_matrix(src, tgt)
     if not (cost.size and np.isfinite(cost).all()):
         raise InputError(f"transport needs nonempty point sets and finite costs, got {cost.shape}")
@@ -356,7 +367,7 @@ def otk_embed(y, references, entropic_eps: float, sinkhorn_iters: int) -> OTKEmb
         raise InputError(f"otk_embed needs nonempty sequences and references, got {t} and {n}")
 
     yv, zv, eps = y.value, z.value, entropic_eps
-    cost = cost_matrix(yv, np.broadcast_to(zv, yv.shape[:-2] + zv.shape[-2:]))
+    cost = cost_matrix(yv, zv)
     mean = cost.sum(axis=-1, keepdims=True).mean(axis=-2, keepdims=True) * (1.0 / n)
     scaled = np.divide(cost, mean, out=cost)
     kernel = scaled * (-1.0 / eps)

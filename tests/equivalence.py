@@ -21,13 +21,17 @@ rewritten entry with its largest relative move.
 
 The digest mode checks bit identity instead. It records the logits, the
 loss and every named parameter gradient of each grid configuration in
-both modes, the outputs of ECE/ACE (at 1, 7, 10 and 1,000 bins or
-ranges, on raw and rounded two-class sets of 5,000 and 100,000 rows and
-three-class sets of 5,000), ASO, the STFT, log-mel, the resize
+both modes, ``predict_proba`` of both attention heads at the
+``infer_long`` shapes (60 samples, image length 96), the outputs of
+ECE/ACE (at 1, 7, 10 and 1,000 bins or ranges, on raw and rounded
+two-class sets of 5,000 and 100,000 rows and three-class sets of
+5,000), ASO, the STFT, log-mel, the resize
 and the feature image on fixed seeded inputs, the plan, cost, violation
 and flag of ``sinkhorn`` (a benchmark-shaped pair, an absorbing one and
 one with zero-mass rows and columns) and of ``emd_exact`` (a split
-assignment and a non-uniform LP), and what the ``train``,
+assignment and a non-uniform LP), ``cost_matrix`` of a stack against a
+shared 2-D target (on a checkout without that form, of the target
+broadcast to the stack), and what the ``train``,
 ``eval``, ``gradcheck``, ``ablate``, ``aso``, ``calib``, ``features`` and
 ``ot`` commands print and write on fixed tiny inputs (a report's
 ``fingerprint``, which hashes its configs, is an entry of its own, so a
@@ -62,6 +66,7 @@ from otfusion import context_attention as ctx
 from otfusion import diffcore as dc
 from otfusion import significance
 from otfusion import transport
+from otfusion.errors import DimensionError
 from otfusion.model import (ATTN_FUSION, CO_ATTENTION, CONCAT, OTK, REPEAT, ModelConfig,
                             assemble_model)
 
@@ -142,6 +147,12 @@ def model_outputs() -> dict[str, np.ndarray]:
             out[f"{prefix}.logits"] = logits.value
             out[f"{prefix}.loss"] = loss.value
             out.update({f"{prefix}.grad.{p.name}": p.grad for p in params})
+    # predict_proba at the infer_long shapes: 60 samples, image length 96
+    rng = np.random.default_rng(51)
+    x, y = rng.standard_normal((60, 12, 32)), rng.standard_normal((60, 96, 32))
+    for fusion in (CO_ATTENTION, ATTN_FUSION):
+        model = assemble_model(ModelConfig(fusion=fusion), seed=0)
+        out[f"model.{fusion}.predict_proba.b60t96"] = model.predict_proba(x, y)
     return out
 
 
@@ -225,6 +236,12 @@ def transport_outputs() -> dict[str, np.ndarray]:
     for name, coupling in solves.items():
         for field in ("plan", "cost", "marginal_violation", "converged"):
             out[f"transport.{name}.{field}"] = np.asarray(getattr(coupling, field))
+    src, tgt = rng.standard_normal((60, 96, 32)), rng.standard_normal((12, 32))
+    try:
+        shared = transport.cost_matrix(src, tgt)
+    except DimensionError:  # a cost_matrix without the shared 2-D target form
+        shared = transport.cost_matrix(src, np.broadcast_to(tgt, (60, 12, 32)))
+    out["transport.cost_matrix.shared_target"] = shared
     return out
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -441,6 +442,42 @@ class TestBatchedModel:
             for x, y in ((empty, empty), ([], [])):
                 with pytest.raises(DimensionError, match="empty input"):
                     call(x, y)
+
+
+class TestInferencePath:
+    """``predict_proba`` builds no graph and frees the encoded image early;
+    it must return the numbers of the forward with gradients on."""
+
+    @staticmethod
+    def inputs(batch, t, seed=15):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((batch, 12, 32)), rng.standard_normal((batch, t, 32))
+
+    @pytest.mark.parametrize("fusion", ["attn_fusion", "co_attention"])
+    @pytest.mark.parametrize("batch", [1, 4, 60])
+    @pytest.mark.parametrize("t", [12, 96])
+    def test_predict_proba_equals_the_forward_with_gradients(self, fusion, batch, t):
+        model = assemble_model(ModelConfig(fusion=fusion), seed=5)
+        x, y = self.inputs(batch, t)
+        logits = model.forward(x, y, training=False)
+        assert logits.requires_grad
+        expected = dc._softmax(logits.value).reshape(batch, 2)
+        assert model.predict_proba(x, y).tobytes() == expected.tobytes()
+
+    def test_transient_peak_at_the_infer_long_shapes(self):
+        # The encoded image (60 x 96 x 32, 1.47 MB) is freed once OTK has
+        # pooled it; held to the end of the forward, it lifts the peak to
+        # about 5.4 MB.
+        model = assemble_model(ModelConfig(fusion="co_attention"), seed=5)
+        x, y = self.inputs(60, 96)
+        model.predict_proba(x, y)
+        tracemalloc.start()
+        try:
+            model.predict_proba(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6
 
 
 class TestTrainMechanics:

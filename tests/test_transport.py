@@ -69,9 +69,19 @@ class TestCostMatrix:
         per_pair = np.stack([tr.cost_matrix(s, t) for s, t in zip(src, tgt)])
         npt.assert_array_equal(tr.cost_matrix(src, tgt), per_pair)
 
+    @pytest.mark.parametrize("batch", [0, 1, 4, 60])
+    def test_shared_target_equals_broadcast_and_per_sample_costs(self, batch):
+        rng = np.random.default_rng(2)
+        src, tgt = rng.standard_normal((batch, 96, 32)), rng.standard_normal((12, 32))
+        shared = tr.cost_matrix(src, tgt)
+        assert shared.shape == (batch, 96, 12)
+        broadcast = tr.cost_matrix(src, np.broadcast_to(tgt, (batch, 12, 32)))
+        per_sample = np.stack([tr.cost_matrix(s, tgt) for s in src]) if batch else broadcast
+        assert shared.tobytes() == broadcast.tobytes() == per_sample.tobytes()
+
     @pytest.mark.parametrize("src_shape,tgt_shape", [
-        ((3, 6, 4), (2, 6, 4)), ((3, 6, 4), (6, 4)), ((6, 4), (3, 6, 4)),
-        ((2, 3, 6, 4), (2, 3, 6, 4)), ((4,), (4,)),
+        ((3, 6, 4), (2, 6, 4)), ((3, 6, 4), (6, 5)), ((6, 4), (3, 6, 4)),
+        ((2, 3, 6, 4), (2, 3, 6, 4)), ((4,), (4,)), ((3, 6, 4), (4,)), ((3, 6, 4), (3, 6, 5)),
     ])
     def test_stack_shape_mismatch(self, src_shape, tgt_shape):
         with pytest.raises(DimensionError):
@@ -758,6 +768,19 @@ class TestOtkEmbed:
 
         reports = grad_check(loss, [y, z])
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("batch", [1, 4, 60])
+    @pytest.mark.parametrize("t", [12, 96])
+    def test_values_and_violation_do_not_depend_on_gradients(self, batch, t):
+        rng = np.random.default_rng(27)
+        y, z = rng.standard_normal((batch, t, 32)), rng.standard_normal((12, 32))
+        plain = tr.otk_embed(y, z, *self.cfg())
+        for trained in (Parameter(y, "y"), z), (y, Parameter(z, "z")):
+            emb = tr.otk_embed(*trained, *self.cfg())
+            assert emb.values.requires_grad
+            assert emb.values.value.tobytes() == plain.values.value.tobytes()
+            assert emb.marginal_violation == plain.marginal_violation
+            assert emb.converged == plain.converged
 
     def test_one_node_per_call(self, monkeypatch):
         built = []
