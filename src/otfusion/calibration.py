@@ -12,7 +12,7 @@ and its vjp is written out in the same arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,7 @@ class PredictionSet:
     """Predicted class-probability rows plus true labels.
 
     ``top_class`` gives each row's confidence (its largest probability)
-    and predicted class together, in one pass; ``confidences`` and
-    ``predicted`` return one of the two.
+    and predicted class together, in one pass.
     """
 
     probs: np.ndarray
@@ -82,12 +81,6 @@ class PredictionSet:
             np.maximum(predicted, (columns[cls] > best) * cls, out=predicted)
             np.maximum(best, columns[cls], out=best)
         return best, predicted
-
-    def confidences(self) -> np.ndarray:
-        return self.top_class()[0]
-
-    def predicted(self) -> np.ndarray:
-        return self.top_class()[1]
 
 
 def smooth_targets(labels, alpha: float, num_classes: int) -> np.ndarray:
@@ -147,16 +140,16 @@ def ls_cross_entropy(logits, targets: np.ndarray) -> Node:
 class ReliabilityBins:
     """Per-bin sample counts, accuracies and mean confidences.
 
-    ``mode`` is "equal_width" (arrays of length M, bin m covering
-    ((m-1)/M, m/M]) or "equal_mass" (arrays shaped K x R, one row of
-    adaptive ranges per class). Empty bins carry count 0 and NaN stats.
+    ``ece``'s bins are arrays of length M, bin m covering ((m-1)/M, m/M],
+    with the M + 1 ``edges``; ``ace``'s are arrays shaped K x R, one row of
+    adaptive ranges per class, and carry no edges. Empty bins carry count
+    0 and NaN stats.
     """
 
-    mode: str
     counts: np.ndarray
     accuracy: np.ndarray
     confidence: np.ndarray
-    edges: np.ndarray = field(default=None)
+    edges: np.ndarray | None = None
 
 
 def equal_width_bins(conf: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -204,7 +197,7 @@ def ece(preds: PredictionSet, num_bins: int = NUM_BINS) -> tuple[float, Reliabil
                           for members in np.split(conf[order], np.cumsum(counts)[:-1])])
     gaps = np.where(counts > 0, counts / preds.n * np.abs(acc - mean_conf), 0.0)
     # cumsum adds left to right, as a scalar loop over the bins does
-    return float(np.cumsum(gaps)[-1]), ReliabilityBins("equal_width", counts, acc, mean_conf, edges)
+    return float(np.cumsum(gaps)[-1]), ReliabilityBins(counts, acc, mean_conf, edges)
 
 
 def ace(preds: PredictionSet, num_ranges: int = NUM_BINS) -> tuple[float, ReliabilityBins]:
@@ -264,4 +257,4 @@ def ace(preds: PredictionSet, num_ranges: int = NUM_BINS) -> tuple[float, Reliab
         mean_conf[cls, :extra] = values[:split].reshape(extra, base + 1).mean(axis=1)
         mean_conf[cls, extra:] = values[split:].reshape(num_ranges - extra, base).mean(axis=1)
     total = np.cumsum(np.abs(acc - mean_conf))[-1]
-    return float(total / (k * num_ranges)), ReliabilityBins("equal_mass", counts, acc, mean_conf)
+    return float(total / (k * num_ranges)), ReliabilityBins(counts, acc, mean_conf)

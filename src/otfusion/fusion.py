@@ -1,9 +1,9 @@
 """Fusion heads over the concatenated self-attended and transported features.
 
 Both heads consume a pair of n x d' matrices (d' twice the branch width),
-or a pair of B x n x d' stacks for a minibatch: the text side [attended,
-transported-from-image] and the image side [attended,
-transported-from-text]. The co-attention head, the parallel
+or a pair of B x n x d' stacks for a minibatch: the text side ``c``
+[attended, transported-from-image] and the image side ``s`` [attended,
+transported-from-text], of one shape. The co-attention head, the parallel
 co-attention of Lu et al. (arXiv 1606.00061), couples them with a tanh
 affinity matrix; the attentional-reduction head pools each side with an
 independent softmax-weighted MLP before a layer-normalized sum. Final
@@ -14,8 +14,6 @@ masks for the batch from one ``diffcore.dropout_masks`` call.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,24 +28,12 @@ CO_DROPOUT_HIDDEN = 0.2
 ATTN_MLP_DROPOUT = 0.1
 
 
-@dataclass
-class FusedInputs:
-    """Row-major fused branch matrices, both n x d'."""
-
-    c: Node
-    s: Node
-
-    def __post_init__(self):
-        if self.c.shape != self.s.shape:
-            raise DimensionError(f"fused inputs differ: {self.c.shape} vs {self.s.shape}")
-
-
-def build_fused_inputs(f: Node, x_t: Node, h: Node, s_t: Node) -> FusedInputs:
-    """Feature-axis concatenation: text side [f, x_t], image side [h, s_t]."""
-    for name, m in (("f", f), ("x_t", x_t), ("h", h), ("s_t", s_t)):
-        if m.shape != f.shape:
-            raise DimensionError(f"{name} has shape {m.shape}, expected {f.shape}")
-    return FusedInputs(dc.concat_cols(f, x_t), dc.concat_cols(h, s_t))
+def _check_fused(c: Node, s: Node, d_prime: int):
+    """The two fused stacks share one shape, and its width is the head's d'."""
+    if c.shape != s.shape:
+        raise DimensionError(f"fused inputs differ: {c.shape} vs {s.shape}")
+    if c.cols != d_prime:
+        raise DimensionError(f"fused width {c.cols} != head d' {d_prime}")
 
 
 class CoAttentionHead:
@@ -77,7 +63,7 @@ class CoAttentionHead:
                 self.w1, self.b1, self.w_out, self.b_out]
 
 
-def co_attention_forward(inputs: FusedInputs, head: CoAttentionHead, training: bool,
+def co_attention_forward(c: Node, s: Node, head: CoAttentionHead, training: bool,
                          rng: np.random.Generator | None = None,
                          return_weights: bool = False):
     """Logits (1 x 2, or B x 1 x 2 for a batch) from the co-attention head.
@@ -85,9 +71,7 @@ def co_attention_forward(inputs: FusedInputs, head: CoAttentionHead, training: b
     as constants. The head is one graph node with parents ``c``, ``s`` and
     its nine parameters; both dropout masks come from one
     ``dc.dropout_masks`` call on ``rng``."""
-    c, s = inputs.c, inputs.s
-    if c.cols != head.d_prime:
-        raise DimensionError(f"fused width {c.cols} != head d' {head.d_prime}")
+    _check_fused(c, s, head.d_prime)
     cv, sv = c.value, s.value
     params = head.parameters()
     w_l, w_s, w_c, w_hs, w_hc, w1, b1, w_out, b_out = (p.value for p in params)
@@ -200,17 +184,16 @@ def _attentive_pool(m: Node, w1: Parameter, b1: Parameter, w2: Parameter,
     return Node(alpha @ mv, (m, w1, b1, w2), vjp), alpha
 
 
-def attn_fusion_forward(inputs: FusedInputs, head: AttnFusionHead, training: bool,
+def attn_fusion_forward(c: Node, s: Node, head: AttnFusionHead, training: bool,
                         rng: np.random.Generator | None = None,
                         return_weights: bool = False):
     """Logits (1 x 2, or B x 1 x 2 for a batch) from the attentional-reduction head.
     With ``return_weights`` the two sides' pooling weights follow, as constants."""
-    if inputs.c.cols != head.d_prime:
-        raise DimensionError(f"fused width {inputs.c.cols} != head d' {head.d_prime}")
-    site = (inputs.c.shape[:-1] + (HIDDEN,), ATTN_MLP_DROPOUT)  # c and s have one shape
+    _check_fused(c, s, head.d_prime)
+    site = (c.shape[:-1] + (HIDDEN,), ATTN_MLP_DROPOUT)  # c and s have one shape
     keep_c, keep_s = dc.dropout_masks(rng, training, [site, site])
-    c_tilde, alpha_c = _attentive_pool(inputs.c, head.c_w1, head.c_b1, head.c_w2, keep_c)
-    s_tilde, alpha_s = _attentive_pool(inputs.s, head.s_w1, head.s_b1, head.s_w2, keep_s)
+    c_tilde, alpha_c = _attentive_pool(c, head.c_w1, head.c_b1, head.c_w2, keep_c)
+    s_tilde, alpha_s = _attentive_pool(s, head.s_w1, head.s_b1, head.s_w2, keep_s)
     z = dc.layer_norm(dc.add(dc.matmul(c_tilde, head.w_c), dc.matmul(s_tilde, head.w_s)),
                       head.ln_gain, head.ln_bias)
     logits = dc.add(dc.matmul(z, head.w_out), head.b_out)

@@ -14,8 +14,7 @@ from . import gated_attention as gated
 from . import transport
 from .diffcore import GradCheckReport, Parameter, grad_check
 from .errors import require_seed
-from .fusion import (AttnFusionHead, CoAttentionHead, FusedInputs,
-                     attn_fusion_forward, co_attention_forward)
+from .fusion import AttnFusionHead, CoAttentionHead, attn_fusion_forward, co_attention_forward
 from .model import ModelConfig, assemble_model
 
 LAYER_TOL = 1e-4
@@ -61,8 +60,7 @@ def _head_check(name: str, head, forward, rng: np.random.Generator) -> GradCheck
     s = rng.uniform(-2, 2, (4, head.d_prime))
 
     def loss_fn():
-        inputs = FusedInputs(dc.constant(c), dc.constant(s))
-        return _sq_loss(forward(inputs, head, training=False))
+        return _sq_loss(forward(dc.constant(c), dc.constant(s), head, training=False))
 
     return _check(name, loss_fn, head.parameters(), LAYER_TOL)
 

@@ -28,8 +28,7 @@ from . import gated_attention as gated
 from . import transport
 from .diffcore import Node, Parameter
 from .errors import DimensionError, InputError, ParameterError, require_count, require_seed
-from .fusion import (AttnFusionHead, CoAttentionHead, attn_fusion_forward,
-                     build_fused_inputs, co_attention_forward)
+from .fusion import AttnFusionHead, CoAttentionHead, attn_fusion_forward, co_attention_forward
 
 CO_ATTENTION = "co_attention"
 ATTN_FUSION = "attn_fusion"
@@ -240,12 +239,12 @@ class Model:
         else:
             x_t, s_t = x, s
 
-        fused = build_fused_inputs(f, x_t, h, s_t)
+        c, s = dc.concat_cols(f, x_t), dc.concat_cols(h, s_t)
         if cfg.fusion == CO_ATTENTION:
-            return co_attention_forward(fused, self.co_head, training, rng)
+            return co_attention_forward(c, s, self.co_head, training, rng)
         if cfg.fusion == ATTN_FUSION:
-            return attn_fusion_forward(fused, self.attn_head, training, rng)
-        pooled = dc.concat_cols(dc.mean_rows(fused.c), dc.mean_rows(fused.s))
+            return attn_fusion_forward(c, s, self.attn_head, training, rng)
+        pooled = dc.concat_cols(dc.mean_rows(c), dc.mean_rows(s))
         return dc.add(dc.matmul(pooled, self.concat_w), self.concat_b)
 
     def predict_proba(self, x_raw, y_raw) -> np.ndarray:

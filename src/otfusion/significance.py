@@ -36,14 +36,11 @@ _PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341  # PCG64's 128-bit
 
 @dataclass(frozen=True)
 class ASOResult:
-    """eps_min plus the settings that produced it."""
+    """``aso``'s upper bound eps_min, the point violation ratio it bounds,
+    and whether the two samples were one constant (both then 0.5)."""
 
     eps_min: float
     violation_ratio: float
-    confidence_level: float
-    num_comparisons: int
-    bootstrap_iters: int
-    seed: int
     degenerate: bool = False
 
     @property
@@ -241,7 +238,7 @@ def aso(scores_a, scores_b, confidence: float = 0.95, bootstrap_iters: int = 100
         warnings.warn("fewer than 5 scores per sample; eps_min will be unstable", stacklevel=2)
 
     if np.ptp(a) == 0.0 and np.ptp(b) == 0.0 and a[0] == b[0]:
-        return ASOResult(0.5, 0.5, confidence, num_comparisons, bootstrap_iters, seed, True)
+        return ASOResult(0.5, 0.5, True)
 
     point = violation_ratio(a, b, grid)
     pos_a, pos_b = _grid_positions(a.size, grid), _grid_positions(b.size, grid)
@@ -259,4 +256,4 @@ def aso(scores_a, scores_b, confidence: float = 0.95, bootstrap_iters: int = 100
     z = NormalDist().inv_cdf(corrected)
     std_err = float(ratios.std()) / np.sqrt(bootstrap_iters)
     eps_min = float(np.clip(point + z * std_err, 0.0, 1.0))
-    return ASOResult(eps_min, point, confidence, num_comparisons, bootstrap_iters, seed, False)
+    return ASOResult(eps_min, point)

@@ -647,12 +647,11 @@ def attentive_pool_composed(m, w1, b1, w2, keep):
     return dc.matmul(alpha, m), alpha
 
 
-def co_attention_composed(inputs, head, training, rng=None):
+def co_attention_composed(c_row, s_row, head, training, rng=None):
     """``fusion.co_attention_forward`` as a graph of primitives, with the
     branches transposed to the column-major d' x n orientation of the
     defining equations. Returns the logits and the weights over c's and
     s's positions."""
-    c_row, s_row = inputs.c, inputs.s
     c_col = transpose(c_row)
     s_col = transpose(s_row)
     affinity = tanh_ew(dc.matmul(dc.matmul(c_row, head.w_l), s_col))

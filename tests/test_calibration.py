@@ -370,8 +370,9 @@ class TestPredictionSetValidation:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_confidences_and_predicted_match_row_reductions(self, k):
         preds = random_prediction_set(np.random.default_rng(k), 500, k)
-        npt.assert_array_equal(preds.confidences(), preds.probs.max(axis=1))
-        npt.assert_array_equal(preds.predicted(), preds.probs.argmax(axis=1))
+        conf, predicted = preds.top_class()
+        npt.assert_array_equal(conf, preds.probs.max(axis=1))
+        npt.assert_array_equal(predicted, preds.probs.argmax(axis=1))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data(), k=st.integers(1, 6))

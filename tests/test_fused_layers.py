@@ -191,7 +191,7 @@ class TestCoAttention:
         head.b_out.value[...] = rng.uniform(-0.5, 0.5, head.b_out.shape)
         c = Parameter(rng.uniform(-2, 2, lead(batch) + (n, d_prime)), "c")
         s = Parameter(rng.uniform(-2, 2, lead(batch) + (n, d_prime)), "s")
-        return head, fusion.FusedInputs(c, s), [c, s] + head.parameters()
+        return head, (c, s), [c, s] + head.parameters()
 
     @staticmethod
     def draws(training):
@@ -203,22 +203,22 @@ class TestCoAttention:
     def test_matches_composed_graph(self, batch, training):
         head, inputs, nodes = self.setup(batch)
         fused = grads_of(lambda: fusion.co_attention_forward(
-            inputs, head, training, self.draws(training), return_weights=True), nodes)
+            *inputs, head, training, self.draws(training), return_weights=True), nodes)
         composed = grads_of(lambda: oracles.co_attention_composed(
-            inputs, head, training, self.draws(training)), nodes)
+            *inputs, head, training, self.draws(training)), nodes)
         assert_same(fused, composed)
 
     def test_training_without_rng_is_rejected(self):
         head, inputs, _ = self.setup(2)
         with pytest.raises(ParameterError):
-            fusion.co_attention_forward(inputs, head, training=True)
+            fusion.co_attention_forward(*inputs, head, training=True)
 
     def test_finite_differences_in_training_mode(self):
         head, inputs, nodes = self.setup(2, n=4, d_prime=4, k=3, seed=5)
         weights = np.random.default_rng(6).uniform(0.5, 1.5, (2, 1, 2))
 
         def loss():
-            return weighted_loss(fusion.co_attention_forward(inputs, head, True, self.draws(True)),
+            return weighted_loss(fusion.co_attention_forward(*inputs, head, True, self.draws(True)),
                                  weights)
 
         reports = grad_check(loss, nodes, tol=LAYER_TOL)
@@ -324,7 +324,7 @@ class TestGraphSize:
             nodes = [ctx.context_attention_forward(x, ctx.global_context(x), layer),
                      ga.gated_attention(x, gated),
                      fusion._attentive_pool(x, *pool_params, None)[0],
-                     fusion.co_attention_forward(fusion.FusedInputs(x, x), co_head, False)]
+                     fusion.co_attention_forward(x, x, co_head, False)]
         for node in nodes:
             assert not node.requires_grad
             assert node._parents == () and node._vjp is None
