@@ -9,6 +9,7 @@ are comma-separated.
 
 from __future__ import annotations
 
+import os
 import types
 import typing
 from dataclasses import dataclass, fields
@@ -30,8 +31,9 @@ class ExperimentConfig:
 
 
 def parse_flat_config(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines into a flat string map."""
-    out = {}
+    """Parse ``key = value`` lines into a flat string map; a key given
+    twice raises ParameterError."""
+    out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -41,7 +43,9 @@ def parse_flat_config(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ParameterError(f"line {lineno}: empty key")
-        out[key] = value
+        if key in lines:
+            raise ParameterError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+        out[key], lines[key] = value, lineno
     return out
 
 
@@ -73,6 +77,9 @@ def build_configs(flat: dict[str, str]) -> ExperimentConfig:
     """Instantiate the three config dataclasses from a flat key map."""
     kwargs = {name: {} for name in _SECTIONS}
     label = flat.get("label", "model")
+    # the label names the report files written into --out
+    if label in ("", ".", "..") or "/" in label or os.sep in label:
+        raise ParameterError(f"label {label!r} must be a file name, not empty, '.', '..' or a path")
     hints = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
     known = {name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()}
     for key, value in flat.items():

@@ -105,7 +105,7 @@ class RunRecord:
     seed: int
     metrics: dict[str, float] = field(default_factory=dict)
     epochs: int = 0
-    best_val_loss: float = float("inf")
+    best_val_loss: float | None = None  # set by the first epoch; None if the run aborted
     stopped_early: bool = False
     aborted: bool = False
     abort_reason: str = ""
@@ -222,7 +222,7 @@ class RunReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def metric_values(self, name: str) -> list[float]:
         return [r.metrics[name] for r in self.runs if not r.aborted]

@@ -396,6 +396,7 @@ def otk_embed(y, references, entropic_eps: float, sinkhorn_iters: int) -> OTKEmb
     # the plan's row sums are u * K v and its column sums v * K^T u
     violation = float(max(np.abs(u * kv - 1.0 / t).max(), np.abs(_t(v) * ktu - 1.0 / n).max()))
 
+    @np.errstate(all="ignore")  # as in the forward loop, whose iterates the reverse steps reuse
     def vjp(g):
         g_weights = yv @ _t(g)
         g_uk = (g_weights - (g_weights * weights).sum(axis=-2, keepdims=True)) / ktu

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from otfusion import calibration, gradsuite, significance, transport
+from otfusion import calibration, gradsuite, significance, training, transport
 from otfusion.audio_features import FeatureParams
 from otfusion.cli import build_parser, main
 from otfusion.diffcore import GradCheckReport
+from otfusion.errors import NumericalError
 from otfusion.model import ModelConfig, ablation_variant
 
 TINY_CONFIG = """
@@ -87,6 +88,38 @@ class TestTrainCommand:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "out")]) == 3
+
+
+    def test_aborted_run_writes_strict_json(self, tiny_config, tmp_path, monkeypatch, capsys):
+        fit = training.train
+
+        def train_or_abort(model, data, tc, seed=0):
+            if seed == 1:
+                raise NumericalError("diverged")
+            return fit(model, data, tc, seed)
+
+        monkeypatch.setattr(training, "train", train_or_abort)
+        assert main(["train", "--config", tiny_config, "--out", str(tmp_path / "out")]) == 0
+        payload = loads_strict((tmp_path / "out" / "tiny.json").read_text())
+        aborted = [run for run in payload["runs"] if run["aborted"]]
+        assert [run["best_val_loss"] for run in aborted] == [None]
+        assert "warning: run with seed 1 aborted: diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "nested/run"])
+    def test_label_that_is_not_a_file_name_is_usage_error(self, tmp_path, capsys, label):
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG.replace("label = tiny", f"label = {label}"))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_repeated_key_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + "train.runs = 3\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "'train.runs' repeats line" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvalCommand:

@@ -84,6 +84,11 @@ def test_malformed_line():
         parse_flat_config("task.n 6")
 
 
+def test_repeated_key_names_both_lines():
+    with pytest.raises(ParameterError, match=r"line 4: key 'task.n' repeats line 2"):
+        parse_flat_config("# sizes\ntask.n = 6\ntask.t = 6\ntask.n = 7")
+
+
 def test_default_config_round_trips():
     text = render_default_config()
     cfg = build_configs(parse_flat_config(text))

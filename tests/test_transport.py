@@ -782,6 +782,18 @@ class TestOtkEmbed:
             assert emb.marginal_violation == plain.marginal_violation
             assert emb.converged == plain.converged
 
+    def test_backward_raises_no_numpy_warning(self):
+        """The reverse steps overflow, as the forward's may, under the
+        forward's errstate: a non-finite gradient, no RuntimeWarning."""
+        rng = np.random.default_rng(28)
+        y = Parameter(rng.uniform(-2, 2, (6, 8)), "y")
+        z = Parameter(rng.uniform(-2, 2, (6, 8)), "z")
+        out = tr.otk_embed(y, z, 0.005, 10).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dc.backward(dc.sum_all(dc.elementwise_mul(out, dc.constant(np.full(out.shape, 1e300)))))
+        assert not np.isfinite(y.grad).all()
+
     def test_one_node_per_call(self, monkeypatch):
         built = []
         init = dc.Node.__init__
