@@ -93,17 +93,14 @@ def _gate_vjp(g_mixed, a, a_c, gate, w_a, w_ac, learned: bool):
 
 
 def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
-                              gate_override: float | None = None,
-                              return_attention: bool = False):
+                              gate_override: float | None = None) -> Node:
     """Context-gated scaled dot-product attention with V = x.
 
     ``c`` is as wide as x and has x's rows, or one row shared by all of
     them. Output is n x d.
     Q and K are each mixed with their context projection by an n x 1
     sigmoid gate, ``(1 - g) * q + g * q_c``; ``gate_override`` is a
-    test/ablation seam that pins both gates to a constant. With
-    ``return_attention`` the row-stochastic attention map is returned as
-    well, as a constant.
+    test/ablation seam that pins both gates to a constant.
 
     The layer is one graph node with parents ``x``, ``c`` and the layer's
     eight parameters: its forward runs in numpy and its vjp is written out.
@@ -144,10 +141,7 @@ def context_attention_forward(x: Node, c: Node, layer: ContextAttentionLayer,
         return (g_x, g_c, _t(xv) @ g_q, _t(xv) @ g_k, _t(cv) @ g_qc, _t(cv) @ g_kc,
                 g_wgq, g_wgqc, g_wgk, g_wgkc)
 
-    out = Node(attn @ xv, (x, c, *params), vjp)
-    if return_attention:
-        return out, dc.constant(attn)
-    return out
+    return Node(attn @ xv, (x, c, *params), vjp)
 
 
 @dataclass

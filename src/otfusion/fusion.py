@@ -64,13 +64,11 @@ class CoAttentionHead:
 
 
 def co_attention_forward(c: Node, s: Node, head: CoAttentionHead, training: bool,
-                         rng: np.random.Generator | None = None,
-                         return_weights: bool = False):
+                         rng: np.random.Generator | None = None) -> Node:
     """Logits (1 x 2, or B x 1 x 2 for a batch) from the co-attention head.
-    With ``return_weights`` the weights over c's and s's positions follow,
-    as constants. The head is one graph node with parents ``c``, ``s`` and
-    its nine parameters; both dropout masks come from one
-    ``dc.dropout_masks`` call on ``rng``."""
+    The head is one graph node with parents ``c``, ``s`` and its nine
+    parameters; both dropout masks come from one ``dc.dropout_masks`` call
+    on ``rng``."""
     _check_fused(c, s, head.d_prime)
     cv, sv = c.value, s.value
     params = head.parameters()
@@ -120,10 +118,7 @@ def co_attention_forward(c: Node, s: Node, head: CoAttentionHead, training: bool
                 _t(g_scores_s @ _t(h_s)), _t(g_scores_c @ _t(h_c)),
                 _t(p) @ g_h, g_h, _t(hidden) @ g, g)
 
-    logits = Node(hidden @ w_out + b_out, (c, s, *params), vjp)
-    if return_weights:
-        return logits, dc.constant(a_c), dc.constant(a_s)
-    return logits
+    return Node(hidden @ w_out + b_out, (c, s, *params), vjp)
 
 
 class AttnFusionHead:
@@ -156,13 +151,13 @@ class AttnFusionHead:
 
 
 def _attentive_pool(m: Node, w1: Parameter, b1: Parameter, w2: Parameter,
-                    keep: np.ndarray | None) -> tuple[Node, np.ndarray]:
+                    keep: np.ndarray | None) -> Node:
     """Pool the rows of m (n x d', or a stack) by softmax weights over
     positions from the scorer FC(hidden)-ReLU-Dropout-FC(1).
 
     Returns the pooled 1 x d' rows as one graph node with parents
-    ``(m, w1, b1, w2)``, and the 1 x n weights. ``keep`` is the
-    dropout multiplier of the hidden layer, or None in eval mode.
+    ``(m, w1, b1, w2)``. ``keep`` is the dropout multiplier of the
+    hidden layer, or None in eval mode.
     """
     mv = m.value
     pre = mv @ w1.value + b1.value
@@ -181,22 +176,17 @@ def _attentive_pool(m: Node, w1: Parameter, b1: Parameter, w2: Parameter,
         g_m = _t(alpha) @ g + g_pre @ w1.value.T if m.requires_grad else None
         return g_m, _t(mv) @ g_pre, g_pre, _t(h) @ g_scores
 
-    return Node(alpha @ mv, (m, w1, b1, w2), vjp), alpha
+    return Node(alpha @ mv, (m, w1, b1, w2), vjp)
 
 
 def attn_fusion_forward(c: Node, s: Node, head: AttnFusionHead, training: bool,
-                        rng: np.random.Generator | None = None,
-                        return_weights: bool = False):
-    """Logits (1 x 2, or B x 1 x 2 for a batch) from the attentional-reduction head.
-    With ``return_weights`` the two sides' pooling weights follow, as constants."""
+                        rng: np.random.Generator | None = None) -> Node:
+    """Logits (1 x 2, or B x 1 x 2 for a batch) from the attentional-reduction head."""
     _check_fused(c, s, head.d_prime)
     site = (c.shape[:-1] + (HIDDEN,), ATTN_MLP_DROPOUT)  # c and s have one shape
     keep_c, keep_s = dc.dropout_masks(rng, training, [site, site])
-    c_tilde, alpha_c = _attentive_pool(c, head.c_w1, head.c_b1, head.c_w2, keep_c)
-    s_tilde, alpha_s = _attentive_pool(s, head.s_w1, head.s_b1, head.s_w2, keep_s)
+    c_tilde = _attentive_pool(c, head.c_w1, head.c_b1, head.c_w2, keep_c)
+    s_tilde = _attentive_pool(s, head.s_w1, head.s_b1, head.s_w2, keep_s)
     z = dc.layer_norm(dc.add(dc.matmul(c_tilde, head.w_c), dc.matmul(s_tilde, head.w_s)),
                       head.ln_gain, head.ln_bias)
-    logits = dc.add(dc.matmul(z, head.w_out), head.b_out)
-    if return_weights:
-        return logits, dc.constant(alpha_c), dc.constant(alpha_s)
-    return logits
+    return dc.add(dc.matmul(z, head.w_out), head.b_out)

@@ -34,18 +34,14 @@ class GatedSelfAttentionLayer:
         return [self.fc_q, self.fc_k, self.fc_out]
 
 
-def gated_attention(s: Node, layer: GatedSelfAttentionLayer,
-                    mask_override: np.ndarray | None = None,
-                    return_attention: bool = False):
+def gated_attention(s: Node, layer: GatedSelfAttentionLayer, ones_mask: bool = False) -> Node:
     """Gated self-attention of s against itself (Q = K = V = s).
 
     The gate model maps s to T x 2 sigmoid masks,
     ``sigmoid(((s fc_q) * (s fc_k)) fc_out)``; column 0 gates the queries,
-    column 1 the keys. ``mask_override`` replaces the learned mask with a
-    constant, which is both the test seam and the "no gate model" ablation
-    (an all-ones mask reproduces vanilla scaled self-attention exactly).
-    With ``return_attention`` the attention map is returned as well, as a
-    constant.
+    column 1 the keys. ``ones_mask`` replaces the learned mask with all
+    ones: the "no gate model" ablation, which reproduces vanilla scaled
+    self-attention exactly.
 
     The layer is one graph node with parents ``s``, ``fc_q``, ``fc_k`` and
     ``fc_out``: its forward runs in numpy and its vjp is written out.
@@ -54,14 +50,11 @@ def gated_attention(s: Node, layer: GatedSelfAttentionLayer,
     if d != layer.d:
         raise DimensionError(f"input width {d} != layer d {layer.d}")
     sv = s.value
-    learned = mask_override is None
-    if learned:
+    if ones_mask:
+        m = np.ones((t, 2))
+    else:
         h_q, h_k = sv @ layer.fc_q.value, sv @ layer.fc_k.value
         m = dc._sigmoid((h_q * h_k) @ layer.fc_out.value)
-    else:
-        m = np.asarray(mask_override, dtype=float)
-        if m.shape != (t, 2):
-            raise DimensionError(f"mask_override must be {t}x2, got {m.shape}")
     m_q, m_k = m[..., 0:1], m[..., 1:2]
     s_q, s_k = sv * m_q, sv * m_k
     scale = 1.0 / math.sqrt(d)
@@ -72,7 +65,7 @@ def gated_attention(s: Node, layer: GatedSelfAttentionLayer,
         g_sq = g_scores @ s_k
         g_sk = _t(g_scores) @ s_q
         g_s = _t(attn) @ g + g_sq * m_q + g_sk * m_k if s.requires_grad else None
-        if not learned:
+        if ones_mask:
             return g_s, None, None, None
         g_m = np.concatenate([(g_sq * sv).sum(axis=-1, keepdims=True),
                               (g_sk * sv).sum(axis=-1, keepdims=True)], axis=-1)
@@ -83,7 +76,4 @@ def gated_attention(s: Node, layer: GatedSelfAttentionLayer,
             g_s += g_hq @ layer.fc_q.value.T + g_hk @ layer.fc_k.value.T
         return g_s, _t(sv) @ g_hq, _t(sv) @ g_hk, _t(h_q * h_k) @ g_pre
 
-    out = Node(attn @ sv, (s, *layer.parameters()), vjp)
-    if return_attention:
-        return out, dc.constant(attn)
-    return out
+    return Node(attn @ sv, (s, *layer.parameters()), vjp)

@@ -229,8 +229,7 @@ class Model:
         s = self._image_sequence(self.encode_image(y_raw))
 
         f = ctx.stack_forward(x, self.stack, cfg.context_gate_override)
-        mask = np.ones((cfg.seq_len, 2)) if cfg.image_mask_ones else None
-        h = gated.gated_attention(s, self.gated_layer, mask_override=mask)
+        h = gated.gated_attention(s, self.gated_layer, cfg.image_mask_ones)
 
         if cfg.ot_enabled:
             w = self._transport_weights(s.value, x.value)

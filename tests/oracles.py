@@ -594,7 +594,7 @@ def gated_sum(a, a_c, w_g_a, w_g_ac, gate_override=None):
 
 def context_attention_composed(x, c, layer, gate_override=None):
     """``context_attention.context_attention_forward`` as a graph of
-    primitives. Returns the output and the attention map."""
+    primitives."""
     q = dc.matmul(x, layer.w_q)
     k = dc.matmul(x, layer.w_k)
     q_c = dc.matmul(c, layer.w_qc)
@@ -602,8 +602,7 @@ def context_attention_composed(x, c, layer, gate_override=None):
     _, q_bar = gated_sum(q, q_c, layer.w_gq, layer.w_gqc, gate_override)
     _, k_bar = gated_sum(k, k_c, layer.w_gk, layer.w_gkc, gate_override)
     scores = scale(dc.matmul(q_bar, transpose(k_bar)), 1.0 / math.sqrt(layer.d_q))
-    attn = softmax_rows(scores)
-    return dc.matmul(attn, x), attn
+    return dc.matmul(softmax_rows(scores), x)
 
 
 def gating_masks(q, k, layer):
@@ -616,11 +615,10 @@ def gating_masks(q, k, layer):
     return sigmoid(dc.matmul(dc.elementwise_mul(hq, hk), layer.fc_out))
 
 
-def gated_attention_composed(s, layer, mask_override=None):
-    """``gated_attention.gated_attention`` as a graph of primitives.
-    Returns the output and the attention map."""
-    if mask_override is not None:
-        m = dc.constant(np.asarray(mask_override, dtype=float))
+def gated_attention_composed(s, layer, ones_mask=False):
+    """``gated_attention.gated_attention`` as a graph of primitives."""
+    if ones_mask:
+        m = dc.constant(np.ones((s.rows, 2)))
     else:
         m = gating_masks(s, s, layer)
     m_q = slice_cols(m, 0, 1)
@@ -629,8 +627,7 @@ def gated_attention_composed(s, layer, mask_override=None):
         dc.matmul(dc.elementwise_mul(s, m_q), transpose(dc.elementwise_mul(s, m_k))),
         1.0 / math.sqrt(s.cols),
     )
-    attn = softmax_rows(scores)
-    return dc.matmul(attn, s), attn
+    return dc.matmul(softmax_rows(scores), s)
 
 
 def reduction_weights(m, w1, b1, w2, keep):
@@ -641,17 +638,14 @@ def reduction_weights(m, w1, b1, w2, keep):
 
 
 def attentive_pool_composed(m, w1, b1, w2, keep):
-    """``fusion._attentive_pool`` as a graph of primitives. Returns the
-    pooled rows and the weights."""
-    alpha = reduction_weights(m, w1, b1, w2, keep)
-    return dc.matmul(alpha, m), alpha
+    """``fusion._attentive_pool`` as a graph of primitives."""
+    return dc.matmul(reduction_weights(m, w1, b1, w2, keep), m)
 
 
 def co_attention_composed(c_row, s_row, head, training, rng=None):
     """``fusion.co_attention_forward`` as a graph of primitives, with the
     branches transposed to the column-major d' x n orientation of the
-    defining equations. Returns the logits and the weights over c's and
-    s's positions."""
+    defining equations."""
     c_col = transpose(c_row)
     s_col = transpose(s_row)
     affinity = tanh_ew(dc.matmul(dc.matmul(c_row, head.w_l), s_col))
@@ -668,8 +662,7 @@ def co_attention_composed(c_row, s_row, head, training, rng=None):
         rng, training, [(p.shape, CO_DROPOUT_CONCAT), (p.shape[:-1] + (HIDDEN,), CO_DROPOUT_HIDDEN)])
     p = apply_mask(p, keep_p)
     hidden = apply_mask(relu(dc.add(dc.matmul(p, head.w1), head.b1)), keep_h)
-    logits = dc.add(dc.matmul(hidden, head.w_out), head.b_out)
-    return logits, a_c, a_s
+    return dc.add(dc.matmul(hidden, head.w_out), head.b_out)
 
 
 def ls_cross_entropy_composed(logits, targets):

@@ -235,13 +235,12 @@ def test_criterion_7_ablation_harness():
                                                  "accuracy", "specificity", "ece", "ace"}
     count_ok = len(labels) == 10  # five toggles + five layer counts
 
-    # the mask-override variant must equal vanilla self-attention exactly
+    # the ones-mask variant must equal vanilla self-attention exactly
     variant_cfg = ablation_variant(base, "no_gate")[0][1]
     model = assemble_model(variant_cfg, seed=0)
     rng = np.random.default_rng(3)
     s = rng.uniform(-2, 2, (8, 16))
-    gated_out = ga.gated_attention(dc.constant(s), model.gated_layer,
-                                   mask_override=np.ones((8, 2))).value
+    gated_out = ga.gated_attention(dc.constant(s), model.gated_layer, ones_mask=True).value
     e = np.exp
     scores = (s * 1.0) @ (s * 1.0).T * (1.0 / np.sqrt(16))
     shifted = scores - scores.max(axis=1, keepdims=True)

@@ -10,6 +10,9 @@ The smoothed cross-entropy is one node too; its value and gradients equal
 the composed loss's bit for bit.
 """
 
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -41,22 +44,19 @@ def weighted_loss(out, weights):
 
 
 def grads_of(build, nodes):
-    """The output value, the attention-style maps and the gradients of every
-    node in ``nodes`` for one forward of ``build`` under a weighted loss."""
-    out, *maps = build()
+    """The output value and the gradients of every node in ``nodes`` for
+    one forward of ``build`` under a weighted loss."""
+    out = build()
     weights = np.random.default_rng(99).uniform(0.5, 1.5, out.shape)
     dc.zero_grads(nodes)
     dc.backward(weighted_loss(out, weights))
-    return out.value, [m.value for m in maps], [p.grad.copy() for p in nodes]
+    return out.value, [p.grad.copy() for p in nodes]
 
 
 def assert_same(fused, composed):
-    out_f, maps_f, grads_f = fused
-    out_c, maps_c, grads_c = composed
+    out_f, grads_f = fused
+    out_c, grads_c = composed
     npt.assert_array_equal(out_f, out_c)
-    assert len(maps_f) == len(maps_c)
-    for m_f, m_c in zip(maps_f, maps_c):
-        npt.assert_array_equal(m_f, m_c)
     for g_f, g_c in zip(grads_f, grads_c):
         npt.assert_allclose(g_f, g_c, rtol=0, atol=GRAD_ATOL)
 
@@ -76,8 +76,7 @@ class TestContextAttention:
     def test_matches_composed_graph(self, batch, context_rows, gate_override):
         layer, x, c = self.setup(batch, context_rows)
         nodes = [x, c] + layer.parameters()
-        fused = grads_of(lambda: ctx.context_attention_forward(
-            x, c, layer, gate_override, return_attention=True), nodes)
+        fused = grads_of(lambda: ctx.context_attention_forward(x, c, layer, gate_override), nodes)
         composed = grads_of(lambda: oracles.context_attention_composed(
             x, c, layer, gate_override), nodes)
         assert_same(fused, composed)
@@ -85,8 +84,7 @@ class TestContextAttention:
     def test_single_input_row(self):
         layer, x, c = self.setup(2, 1, n=1)
         nodes = [x, c] + layer.parameters()
-        fused = grads_of(lambda: ctx.context_attention_forward(
-            x, c, layer, return_attention=True), nodes)
+        fused = grads_of(lambda: ctx.context_attention_forward(x, c, layer), nodes)
         assert_same(fused, grads_of(lambda: oracles.context_attention_composed(x, c, layer), nodes))
 
     @pytest.mark.parametrize("context_rows", [1, None])
@@ -112,20 +110,18 @@ class TestGatedAttention:
     @pytest.mark.parametrize("ones_mask", [False, True])
     def test_matches_composed_graph(self, batch, ones_mask):
         layer, s = self.setup(batch)
-        mask = np.ones((s.rows, 2)) if ones_mask else None
         nodes = [s] + layer.parameters()
-        fused = grads_of(lambda: ga.gated_attention(s, layer, mask, return_attention=True), nodes)
-        composed = grads_of(lambda: oracles.gated_attention_composed(s, layer, mask), nodes)
+        fused = grads_of(lambda: ga.gated_attention(s, layer, ones_mask), nodes)
+        composed = grads_of(lambda: oracles.gated_attention_composed(s, layer, ones_mask), nodes)
         assert_same(fused, composed)
 
     @pytest.mark.parametrize("ones_mask", [False, True])
     def test_finite_differences_of_the_input(self, ones_mask):
         layer, s = self.setup(2, t=4, d=5, seed=3)
-        mask = np.ones((4, 2)) if ones_mask else None
         weights = np.random.default_rng(4).uniform(0.5, 1.5, s.shape)
 
         def loss():
-            return weighted_loss(ga.gated_attention(s, layer, mask), weights)
+            return weighted_loss(ga.gated_attention(s, layer, ones_mask), weights)
 
         reports = grad_check(loss, [s] + layer.parameters(), tol=LAYER_TOL)
         assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
@@ -152,19 +148,14 @@ class TestAttentivePool:
     def test_matches_composed_graph(self, batch, training):
         nodes = self.setup(batch)
         keep = self.keep(nodes[0], training)
-
-        def build_fused():
-            pooled, alpha = fusion._attentive_pool(*nodes, keep)
-            return pooled, dc.constant(alpha)
-
-        fused = grads_of(build_fused, nodes)
+        fused = grads_of(lambda: fusion._attentive_pool(*nodes, keep), nodes)
         composed = grads_of(lambda: oracles.attentive_pool_composed(*nodes, keep), nodes)
         assert_same(fused, composed)
 
     def test_training_mode_drops_units(self):
         nodes = self.setup(3)
-        train, _ = fusion._attentive_pool(*nodes, self.keep(nodes[0], True))
-        evaluated, _ = fusion._attentive_pool(*nodes, None)
+        train = fusion._attentive_pool(*nodes, self.keep(nodes[0], True))
+        evaluated = fusion._attentive_pool(*nodes, None)
         assert not np.array_equal(train.value, evaluated.value)
 
     @pytest.mark.parametrize("training", [False, True])
@@ -174,8 +165,7 @@ class TestAttentivePool:
         weights = np.random.default_rng(6).uniform(0.5, 1.5, (2, 1, 5))
 
         def loss():
-            pooled, _ = fusion._attentive_pool(*nodes, keep)
-            return weighted_loss(pooled, weights)
+            return weighted_loss(fusion._attentive_pool(*nodes, keep), weights)
 
         reports = grad_check(loss, nodes, tol=LAYER_TOL)
         assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
@@ -203,7 +193,7 @@ class TestCoAttention:
     def test_matches_composed_graph(self, batch, training):
         head, inputs, nodes = self.setup(batch)
         fused = grads_of(lambda: fusion.co_attention_forward(
-            *inputs, head, training, self.draws(training), return_weights=True), nodes)
+            *inputs, head, training, self.draws(training)), nodes)
         composed = grads_of(lambda: oracles.co_attention_composed(
             *inputs, head, training, self.draws(training)), nodes)
         assert_same(fused, composed)
@@ -286,6 +276,29 @@ def test_only_diffcore_reduces_gradients_to_a_parent_shape():
     assert users == {"diffcore.py"}
 
 
+def test_no_public_function_takes_a_return_flag():
+    """A layer or head returns its one output node: no public function or
+    method of the package takes a ``return_*`` flag that adds a second
+    result for tests alone."""
+    package = Path(dc.__file__).parent
+    flagged = []
+    for info in pkgutil.iter_modules([str(package)]):
+        module = importlib.import_module(f"otfusion.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(name, obj)]
+            for member_name, member in members:
+                func = getattr(member, "__func__", member)  # unwrap static and class methods
+                if (member_name.startswith("_") and member_name != "__init__"
+                        or not inspect.isfunction(func)):
+                    continue
+                flagged += [f"{module.__name__}.{func.__qualname__}({param})"
+                            for param in inspect.signature(func).parameters
+                            if param.startswith("return_")]
+    assert flagged == []
+
+
 class TestGraphSize:
     @staticmethod
     def batch(seed=0):
@@ -323,7 +336,7 @@ class TestGraphSize:
                           + co_head.parameters()):
             nodes = [ctx.context_attention_forward(x, ctx.global_context(x), layer),
                      ga.gated_attention(x, gated),
-                     fusion._attentive_pool(x, *pool_params, None)[0],
+                     fusion._attentive_pool(x, *pool_params, None),
                      fusion.co_attention_forward(x, x, co_head, False)]
         for node in nodes:
             assert not node.requires_grad

@@ -27,6 +27,13 @@ def attn_head(d_prime=6, d_z=5, seed=2):
     return fusion.AttnFusionHead(d_prime, d_z, np.random.default_rng(seed))
 
 
+def co_attention_tail(p, head):
+    """The dense(relu) / dense(2) tail of the co-attention head in eval
+    mode, on the concatenated pooled rows p."""
+    hidden = np.maximum(p @ head.w1.value + head.b1.value, 0.0)
+    return hidden @ head.w_out.value + head.b_out.value
+
+
 def co_attention_oracle(c, s, head):
     """Straight-line re-evaluation in the column-major orientation."""
     c_col, s_col = c.T, s.T
@@ -37,45 +44,40 @@ def co_attention_oracle(c, s, head):
     a_c = softmax_np(head.w_hc.value.T @ h_c)
     s_hat = (s_col @ a_s.T).T
     c_hat = (c_col @ a_c.T).T
-    p = np.concatenate([c_hat, s_hat], axis=1)
-    hidden = np.maximum(p @ head.w1.value + head.b1.value, 0.0)
-    return hidden @ head.w_out.value + head.b_out.value
+    return co_attention_tail(np.concatenate([c_hat, s_hat], axis=1), head)
+
+
+def identical_rows(n, d_prime=6, seed=0):
+    """c and s of n copies of one row each, and those two rows."""
+    r_c, r_s, _ = make_inputs(n=1, d_prime=d_prime, seed=seed)
+    c, s = np.repeat(r_c, n, axis=0), np.repeat(r_s, n, axis=0)
+    return r_c, r_s, (dc.constant(c), dc.constant(s))
 
 
 class TestCoAttention:
     def test_single_position(self):
-        c, s, inputs = make_inputs(n=1)
+        r_c, r_s, inputs = identical_rows(n=1)
         head = co_head()
-        logits, a_c, a_s = fusion.co_attention_forward(
-            *inputs, head, training=False, return_weights=True
-        )
-        npt.assert_array_equal(a_c.value, [[1.0]])
-        npt.assert_array_equal(a_s.value, [[1.0]])
+        logits = fusion.co_attention_forward(*inputs, head, training=False)
         assert logits.shape == (1, 2)
+        npt.assert_array_equal(logits.value,
+                               co_attention_tail(np.concatenate([r_c, r_s], axis=1), head))
 
-    def test_attention_weights_are_probability_vectors(self):
-        _, _, inputs = make_inputs(n=4, seed=6)
-        _, a_c, a_s = fusion.co_attention_forward(
-            *inputs, co_head(), training=False, return_weights=True
-        )
-        assert a_c.value.sum() == pytest.approx(1.0, abs=1e-12)
-        assert a_s.value.sum() == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_identical_rows_pool_to_that_row(self, n):
+        # the weights over each side's positions sum to one exactly when n
+        # copies of a row pool to that row, and so the logits are the tail's
+        r_c, r_s, inputs = identical_rows(n, seed=6)
+        head = co_head()
+        logits = fusion.co_attention_forward(*inputs, head, training=False)
+        npt.assert_allclose(logits.value, co_attention_tail(np.concatenate([r_c, r_s], axis=1), head),
+                            rtol=0, atol=1e-12)
 
     def test_random_against_straight_line_oracle(self):
         c, s, inputs = make_inputs(n=3, seed=7)
         head = co_head()
         logits = fusion.co_attention_forward(*inputs, head, training=False)
         npt.assert_allclose(logits.value, co_attention_oracle(c, s, head), atol=1e-12)
-
-    def test_attended_vectors_are_convex_combinations(self):
-        c, s, inputs = make_inputs(n=5, seed=8)
-        head = co_head()
-        _, a_c, a_s = fusion.co_attention_forward(
-            *inputs, head, training=False, return_weights=True
-        )
-        c_hat = a_c.value @ c
-        assert np.all(c_hat >= c.min(axis=0) - 1e-12)
-        assert np.all(c_hat <= c.max(axis=0) + 1e-12)
 
     def test_eval_mode_deterministic(self):
         _, _, inputs = make_inputs(n=3, seed=9)
@@ -119,24 +121,26 @@ def attn_fusion_oracle(c, s, head):
     return z @ head.w_out.value + head.b_out.value
 
 
+def pool_c(head, c):
+    """The head's eval-mode attentive pooling of its text side c."""
+    return fusion._attentive_pool(dc.constant(c), head.c_w1, head.c_b1, head.c_w2, None).value
+
+
 class TestAttnFusion:
     def test_single_row_pools_to_that_row(self):
         c, s, inputs = make_inputs(n=1, seed=12)
         head = attn_head()
-        logits, a_c, a_s = fusion.attn_fusion_forward(
-            *inputs, head, training=False, return_weights=True
-        )
-        npt.assert_array_equal(a_c.value, [[1.0]])
-        npt.assert_allclose(a_c.value @ c, c, atol=1e-15)
+        logits = fusion.attn_fusion_forward(*inputs, head, training=False)
+        npt.assert_array_equal(pool_c(head, c), c)
         assert logits.shape == (1, 2)
 
     def test_weights_sum_to_one_and_convex(self):
-        c, s, inputs = make_inputs(n=5, seed=13)
-        _, a_c, _ = fusion.attn_fusion_forward(
-            *inputs, attn_head(), training=False, return_weights=True
-        )
-        assert a_c.value.sum() == pytest.approx(1.0, abs=1e-12)
-        pooled = a_c.value @ c
+        # identical rows pool to that row exactly when the weights sum to
+        # one; pooled random rows lie within each column's range
+        c, _, _ = make_inputs(n=5, seed=13)
+        head = attn_head()
+        npt.assert_allclose(pool_c(head, np.repeat(c[:1], 5, axis=0)), c[:1], rtol=0, atol=1e-12)
+        pooled = pool_c(head, c)
         assert np.all(pooled >= c.min(axis=0) - 1e-12)
         assert np.all(pooled <= c.max(axis=0) + 1e-12)
 

@@ -65,7 +65,7 @@ class TestGatedAttention:
     def test_all_ones_mask_is_vanilla_attention(self):
         layer = make_layer()
         s = np.random.default_rng(4).uniform(-2, 2, (5, 8))
-        out = ga.gated_attention(dc.constant(s), layer, mask_override=np.ones((5, 2)))
+        out = ga.gated_attention(dc.constant(s), layer, ones_mask=True)
         # same op order as the implementation with unit masks
         vanilla = softmax_np((s * 1.0) @ (s * 1.0).T * (1.0 / np.sqrt(8))) @ s
         npt.assert_array_equal(out.value, vanilla)
@@ -83,23 +83,25 @@ class TestGatedAttention:
         npt.assert_allclose(out.value, straight_line_attention(s, layer), atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
+        # with V = s, a stack of one row r maps to r exactly when every
+        # attention row sums to one
         layer = make_layer()
-        s = np.random.default_rng(7).uniform(-2, 2, (6, 8))
-        _, attn = ga.gated_attention(dc.constant(s), layer, return_attention=True)
-        npt.assert_allclose(attn.value.sum(axis=1), np.ones(6), rtol=0, atol=1e-12)
+        r = np.random.default_rng(7).uniform(-2, 2, (1, 8))
+        out = ga.gated_attention(dc.constant(np.repeat(r, 6, axis=0)), layer)
+        npt.assert_allclose(out.value, np.repeat(r, 6, axis=0), rtol=0, atol=1e-12)
+
+    def test_output_rows_are_convex_combinations(self):
+        layer = make_layer()
+        s = np.random.default_rng(10).uniform(-2, 2, (6, 8))
+        out = ga.gated_attention(dc.constant(s), layer).value
+        assert np.all(out >= s.min(axis=0) - 1e-12)
+        assert np.all(out <= s.max(axis=0) + 1e-12)
 
     @pytest.mark.parametrize("ones_mask", [False, True])
     def test_input_width_mismatch(self, ones_mask):
         layer = make_layer()
-        mask = np.ones((4, 2)) if ones_mask else None
         with pytest.raises(DimensionError, match="input width 7"):
-            ga.gated_attention(dc.constant(np.zeros((4, 7))), layer, mask_override=mask)
-
-    def test_mask_override_shape_checked(self):
-        layer = make_layer()
-        with pytest.raises(DimensionError):
-            ga.gated_attention(dc.constant(np.zeros((4, 8))), layer,
-                               mask_override=np.ones((3, 2)))
+            ga.gated_attention(dc.constant(np.zeros((4, 7))), layer, ones_mask)
 
     def test_gradients(self):
         layer = make_layer(d=5, d_g=3, seed=8)
