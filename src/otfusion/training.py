@@ -143,6 +143,11 @@ def train(model: Model, data: TaskData, tc: TrainConfig, seed: int = 0) -> RunRe
                     f"non-finite training loss at epoch {epoch}, batch {start // tc.batch_size}"
                 )
             dc.backward(loss)
+            # one check over every gradient; the scan for the name runs only on failure
+            if not np.isfinite(np.concatenate([p.grad.ravel() for p in params])).all():
+                name = next(p.name for p in params if not np.isfinite(p.grad).all())
+                raise NumericalError(f"non-finite gradient of {name} at epoch {epoch}, "
+                                     f"batch {start // tc.batch_size}")
             optimizer.step(lr)
         with dc.inference(params):
             logits = model.forward(data.val.x, data.val.y, False)

@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -104,6 +105,20 @@ class TestTrainCommand:
         aborted = [run for run in payload["runs"] if run["aborted"]]
         assert [run["best_val_loss"] for run in aborted] == [None]
         assert "warning: run with seed 1 aborted: diverged" in capsys.readouterr().err
+
+    def test_diverging_run_names_the_parameter_with_a_non_finite_gradient(self, tmp_path):
+        # at this step size OTK's backward overflows while the loss is
+        # still finite; the abort names that gradient, not the next forward
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG.replace("train.runs = 2", "train.runs = 4")
+                        + "model.otk_eps = 0.005\ntrain.lr = 200\ntrain.momentum = 0\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        payload = loads_strict((tmp_path / "out" / "tiny.json").read_text())
+        aborted = {run["seed"]: run["abort_reason"] for run in payload["runs"] if run["aborted"]}
+        assert sorted(aborted) == [0, 1, 3]
+        for reason in aborted.values():
+            assert re.fullmatch(r"non-finite gradient of otk\.references at epoch \d+, batch \d+",
+                                reason), reason
 
     @pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "nested/run"])
     def test_label_that_is_not_a_file_name_is_usage_error(self, tmp_path, capsys, label):
