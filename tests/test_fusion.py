@@ -47,31 +47,29 @@ def co_attention_oracle(c, s, head):
     return co_attention_tail(np.concatenate([c_hat, s_hat], axis=1), head)
 
 
-def identical_rows(n, d_prime=6, seed=0):
-    """c and s of n copies of one row each, and those two rows."""
-    r_c, r_s, _ = make_inputs(n=1, d_prime=d_prime, seed=seed)
+def identical_rows(n, seed=0):
+    """c and s of n copies of one row each, and those two rows concatenated."""
+    r_c, r_s, _ = make_inputs(n=1, seed=seed)
     c, s = np.repeat(r_c, n, axis=0), np.repeat(r_s, n, axis=0)
-    return r_c, r_s, (dc.constant(c), dc.constant(s))
+    return np.concatenate([r_c, r_s], axis=1), (dc.constant(c), dc.constant(s))
 
 
 class TestCoAttention:
     def test_single_position(self):
-        r_c, r_s, inputs = identical_rows(n=1)
+        p, inputs = identical_rows(n=1)
         head = co_head()
         logits = fusion.co_attention_forward(*inputs, head, training=False)
         assert logits.shape == (1, 2)
-        npt.assert_array_equal(logits.value,
-                               co_attention_tail(np.concatenate([r_c, r_s], axis=1), head))
+        npt.assert_array_equal(logits.value, co_attention_tail(p, head))
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_identical_rows_pool_to_that_row(self, n):
         # the weights over each side's positions sum to one exactly when n
         # copies of a row pool to that row, and so the logits are the tail's
-        r_c, r_s, inputs = identical_rows(n, seed=6)
+        p, inputs = identical_rows(n, seed=6)
         head = co_head()
         logits = fusion.co_attention_forward(*inputs, head, training=False)
-        npt.assert_allclose(logits.value, co_attention_tail(np.concatenate([r_c, r_s], axis=1), head),
-                            rtol=0, atol=1e-12)
+        npt.assert_allclose(logits.value, co_attention_tail(p, head), rtol=0, atol=1e-12)
 
     def test_random_against_straight_line_oracle(self):
         c, s, inputs = make_inputs(n=3, seed=7)
